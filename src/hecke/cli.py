@@ -20,19 +20,19 @@ import sys
 from fractions import Fraction
 
 from .hecke_algebra import algebra, check_relations, multiply, normal_form
-from .intertwiner_rank1 import (FiniteCharacter, char_sum, compose,
-                                composite_scalar, is_scalar_identity,
+from .intertwiner_rank1 import (AUDIT_PHI_CAP, FiniteCharacter, char_sum,
+                                compose, composite_scalar, is_scalar_identity,
                                 j_matrix, ramified_rule,
                                 reciprocal_scalar_profile, reducibility_points)
 from .isogeny_transfer import (TransferCase, class_preserved, component_match,
                                transfer)
 from .label_params import LabelFunction, QBase, q_power_str
 from .mu_function import mu_factor, poles_zeros, q_from_poles
-from .param_catalog import (ClassicalFamily, _parse_type, case_lookup,
+from .param_catalog import (ClassicalFamily, case_lookup,
                             classical_bound_check, classical_labels,
                             db_integrity_report, db_records, db_version,
                             descriptor_csv, parity_allows, parity_rule,
-                            quasisplit_ps_q, table1, table1_csv,
+                            parse_type, quasisplit_ps_q, table1, table1_csv,
                             unitary_ps_descriptor)
 from .root_data import (BasedRootDatum, SizeLimitError, build_root_system,
                         decompose_extended)
@@ -53,7 +53,7 @@ def _emit(args, payload, csv_text=None):
 
 
 def _shape_args(args):
-    letter, rank = _parse_type(args.type)
+    letter, rank = parse_type(args.type)
     if getattr(args, "rank", None) is not None:
         if rank is not None and rank != args.rank:
             raise ValueError(f"--rank {args.rank} contradicts --type {args.type}")
@@ -192,7 +192,7 @@ def _cmd_transfer(args):
     after = transfer(before, case, args.direction)
     other = "to-cover" if args.direction == "to-quotient" else "to-quotient"
     back = transfer(after, case, other)
-    ok_round = back[1] == lf and _parse_type(back[0]) == _parse_type(typ)
+    ok_round = back[1] == lf and parse_type(back[0]) == parse_type(typ)
     ok_class = class_preserved(before, after)
     _emit(args, {"case": case.to_json(), "direction": args.direction,
                  "before": {"type": typ, "labels": lf.to_json(),
@@ -248,6 +248,9 @@ def _cmd_charsum(args):
                      "rule": ramified_rule(chi)})
         return 0 if chi.is_trivial() or s == 0 else 1
     phi = FiniteCharacter(m, 0).phi
+    if phi > AUDIT_PHI_CAP:
+        raise SizeLimitError(
+            f"audit of {phi} characters exceeds {AUDIT_PHI_CAP}; pass --index")
     sums = [char_sum(FiniteCharacter(m, i)) for i in range(phi)]
     vanish = all(s == 0 for s in sums[1:])
     _emit(args, {"modulus": m, "phi": phi, "trivial_sum": sums[0],

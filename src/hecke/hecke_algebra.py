@@ -22,22 +22,35 @@ from fractions import Fraction
 
 from .label_params import LabelFunction, validate
 from .qfield import VR_ONE, VR_ZERO, VRat
-from .root_data import BasedRootDatum, WeylElement, weyl_group
+from .root_data import BasedRootDatum, SizeLimitError, WeylElement, weyl_group
 from .xlaurent import L_ONE, Laurent, div_exact
 
-X_CONVENTIONS = ("h-point", "coroot-uniformizer")
+# Input caps, chosen so that an accepted input runs in seconds on a 2-core
+# machine.  Coefficient widths grow with the labels: check_relations on A1 with
+# 50 samples takes 0.95 s at labels 100 and 8.3 s at 1000.  Products grow with
+# the lattice point about as |x|^rank: T_w0 * theta_x takes 0.4 s on A2 and
+# 3.9 s on G2 at coordinates 10, 26 s on G2 at 16.  Samples cost from 3 ms
+# each (A1) to about 1 s (B3, labels 3,3,1): 500 take 1.5 s on A1.
+LABEL_CAP = 100
+COORD_CAP = 10
+SAMPLES_CAP = 500
+
+
+def _bump(out: dict, key, val) -> None:
+    """out[key] += val, dropping the key when the sum vanishes."""
+    s = out.get(key, VR_ZERO) + val
+    if s:
+        out[key] = s
+    elif key in out:
+        del out[key]
 
 
 class AHA:
     """Handle for one affine Hecke algebra; caches all Weyl/relation data."""
 
-    def __init__(self, datum: BasedRootDatum, lf: LabelFunction,
-                 x_convention: str = "h-point", x_points=None):
-        if x_convention not in X_CONVENTIONS:
-            raise ValueError(f"unknown X_a convention {x_convention!r}")
+    def __init__(self, datum: BasedRootDatum, lf: LabelFunction, x_points=None):
         self.datum = datum
         self.lf = lf
-        self.x_convention = x_convention
         rs = datum.root_system
         self.rank = rs.rank if rs is not None else 0
         self.d = datum.lattice_rank
@@ -65,6 +78,8 @@ class AHA:
         self.qq, self.A, self.B, self.x_points = [], [], [], []
         for j in range(self.rank):
             lam, ls = lf.values(j)
+            if lam > LABEL_CAP:
+                raise SizeLimitError(f"simple {j}: label {lam} exceeds {LABEL_CAP}")
             ea, es = lam + ls, lam - ls
             if ea.denominator != 1 or es.denominator != 1:
                 raise ValueError(
@@ -95,6 +110,8 @@ class AHA:
         x = tuple(x)
         if len(x) != self.d:
             raise ValueError(f"lattice point must have {self.d} coordinates")
+        if any(abs(c) > COORD_CAP for c in x):
+            raise SizeLimitError(f"a coordinate of {x} exceeds {COORD_CAP}")
         return self.element({(x, 0): VR_ONE})
 
     def t_simple(self, j: int) -> "AHAElement":
@@ -135,12 +152,7 @@ class AHA:
             if part is None:
                 part = parts.setdefault(wi, self._t_times_elem(wi, b.terms))
             for (z, ui), c2 in part.items():
-                key = (tuple(p + q for p, q in zip(x, z)), ui)
-                s = out.get(key, VR_ZERO) + c * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                _bump(out, (tuple(p + q for p, q in zip(x, z)), ui), c * c2)
         return self.element(out)
 
     def _t_times_elem(self, wi: int, terms: dict) -> dict:
@@ -150,11 +162,7 @@ class AHA:
             for j in self.W[vi].word:
                 part = self._right_mult_ts(part, j)
             for key, c2 in part.items():
-                s = out.get(key, VR_ZERO) + c * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
+                _bump(out, key, c * c2)
         return out
 
     def _t_times_theta(self, wi: int, y: tuple) -> dict:
@@ -173,11 +181,7 @@ class AHA:
             xs = self.x_points[s]
             shifted = tuple(a + k * b for a, b in zip(y, xs))
             for key2, c in self._t_times_theta(wpi, shifted).items():
-                val = out.get(key2, VR_ZERO) + dk * c
-                if val:
-                    out[key2] = val
-                elif key2 in out:
-                    del out[key2]
+                _bump(out, key2, dk * c)
         self._tt_cache[key] = out
         return out
 
@@ -212,21 +216,13 @@ class AHA:
 
     def _right_mult_ts(self, terms: dict, j: int) -> dict:
         out: dict = {}
-
-        def bump(key, val):
-            s = out.get(key, VR_ZERO) + val
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-
         for (x, ui), c in terms.items():
             usi = self.ws_table[ui][j]
             if self.lengths[usi] > self.lengths[ui]:
-                bump((x, usi), c)
+                _bump(out, (x, usi), c)
             else:
-                bump((x, ui), c * (self.qq[j] - 1))
-                bump((x, usi), c * self.qq[j])
+                _bump(out, (x, ui), c * (self.qq[j] - 1))
+                _bump(out, (x, usi), c * self.qq[j])
         return out
 
     def __repr__(self):
@@ -266,11 +262,7 @@ class AHAElement:
     def __add__(self, other: "AHAElement") -> "AHAElement":
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = out.get(key, VR_ZERO) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
+            _bump(out, key, c)
         return AHAElement(self.algebra, out)
 
     def __neg__(self) -> "AHAElement":
@@ -385,6 +377,8 @@ def _random_element(alg: AHA, rng: random.Random, max_len=3, box=2) -> AHAElemen
 
 def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
     """Exact verification of the presentation; returns a pass/fail report."""
+    if sample_count > SAMPLES_CAP:
+        raise SizeLimitError(f"sample count {sample_count} exceeds {SAMPLES_CAP}")
     report = {"quadratic": True, "braid": True, "cross": True,
               "finite_rank": len(alg.W), "associativity": 0,
               "group_algebra_spec": True, "failures": []}

@@ -12,16 +12,20 @@ from __future__ import annotations
 import math
 
 from .label_params import ParamPair
-from .mu_function import PoleZeroProfile, q_from_poles
-from .qfield import VRat
+from .mu_function import PoleZeroProfile, q_from_poles, ratio_profile
+from .qfield import VRat, pdivmod
 from .root_data import SizeLimitError
-from .xlaurent import L_ONE, Laurent, LaurentRatio, shaped_roots
+from .xlaurent import L_ONE, Laurent, LaurentRatio
 
 Q_INV = VRat.v_pow(-2)
 
 DIRECTIONS = ("P->Pop", "Pop->P")
 
 MODULUS_CAP = 10 ** 4
+# the audit over all characters runs phi(M) divisions by Phi_phi; on a
+# 2-core machine the worst accepted one, M = 479 (phi 478), takes about 3 s
+# and M = 983 would take 23 s
+AUDIT_PHI_CAP = 500
 
 
 class JMatrix:
@@ -92,20 +96,7 @@ def is_scalar_identity(mat, s: LaurentRatio) -> bool:
 def reciprocal_scalar_profile() -> PoleZeroProfile:
     """Pole/zero profile of 1/composite_scalar in the z coordinate."""
     s = composite_scalar()
-    zn, ln = shaped_roots(s.num)
-    zd, ld = shaped_roots(s.den)
-    assert len(ln.terms()) == 1 and len(ld.terms()) == 1
-    net: dict = dict(zd)
-    for key, o in zn.items():
-        net[key] = net.get(key, 0) - o
-    zeros, poles = {}, {}
-    from fractions import Fraction
-    for (sg, k), o in net.items():
-        if o > 0:
-            zeros[(sg, Fraction(k, 2))] = o
-        elif o < 0:
-            poles[(sg, Fraction(k, 2))] = -o
-    return PoleZeroProfile(zeros, poles)
+    return ratio_profile(s.den, s.num)
 
 
 def reducibility_points() -> ParamPair:
@@ -198,22 +189,6 @@ class FiniteCharacter:
         return f"FiniteCharacter(mod {self.modulus}, index {self.index}/{self.phi})"
 
 
-def _poly_divmod_monic(num: list, den: list):
-    num = list(num)
-    dd = len(den) - 1
-    quo = [0] * max(len(num) - dd, 0)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if not c:
-            continue
-        quo[i - dd] = c
-        for j, d in enumerate(den):
-            num[i - dd + j] -= c * d
-    while num and num[-1] == 0:
-        num.pop()
-    return quo, num
-
-
 _cyclo_cache: dict = {1: [-1, 1]}
 
 
@@ -225,10 +200,10 @@ def cyclotomic(n: int) -> list:
     num[0], num[n] = -1, 1
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod_monic(num, cyclotomic(d))
+            num, rem = pdivmod(num, cyclotomic(d))
             assert not rem
-    _cyclo_cache[n] = num
-    return num
+    _cyclo_cache[n] = list(num)
+    return _cyclo_cache[n]
 
 
 def char_sum(chi: FiniteCharacter) -> int:
@@ -236,7 +211,7 @@ def char_sum(chi: FiniteCharacter) -> int:
     counts = [0] * chi.phi
     for e in chi.exps.values():
         counts[e] += 1
-    _, rem = _poly_divmod_monic(counts, cyclotomic(chi.phi))
+    _, rem = pdivmod(counts, cyclotomic(chi.phi))
     if len(rem) > 1:
         raise ArithmeticError("character sum is not a rational integer")
     return rem[0] if rem else 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .label_params import LabelFunction, _frac
-from .param_catalog import MatchResult, _parse_type, table1_match
+from .param_catalog import MatchResult, parse_type, table1_match
 from .root_data import build_root_system
 
 _N_BY_TAG = {
@@ -82,7 +82,7 @@ def _as_case(case) -> TransferCase:
 
 def _shape(typ, lf: LabelFunction) -> tuple[str, int]:
     """(letter, rank), cross-checked against the label coverage."""
-    letter, rank = _parse_type(typ)
+    letter, rank = parse_type(typ)
     covered = sorted(i for idx, _, _ in lf.orbits for i in idx)
     if covered != list(range(len(covered))):
         raise ValueError(f"labels cover simple roots {covered}, not an initial range")
@@ -139,7 +139,7 @@ def roundtrip_check(component, case) -> bool:
     typ, lf = component
     there = transfer(component, case)
     back_typ, back_lf = transfer(there, case.inverse())
-    return _parse_type(back_typ) == _shape(typ, lf) and back_lf == lf
+    return parse_type(back_typ) == _shape(typ, lf) and back_lf == lf
 
 
 def _length_classes(letter, rank) -> dict:

@@ -15,8 +15,12 @@ from fractions import Fraction
 
 from .label_params import ParamPair
 from .qfield import VR_ONE, VRat
-from .root_data import RootSystem
+from .root_data import RootSystem, SizeLimitError
 from .xlaurent import L_ONE, Laurent, shaped_roots
+
+# largest q_F-exponent of q_alpha (v-degrees grow with it); recovering the worst
+# accepted pair, (1024, 1023), from its poles takes 0.6 s on a 2-core machine
+MU_EXP_CAP = 1024
 
 
 def _half_vexp(e: Fraction) -> int:
@@ -33,6 +37,8 @@ class MuFactor:
 
     def __init__(self, e_alpha, e_star=0, c_prime=1, symbol="X"):
         pair = ParamPair(e_alpha, e_star)
+        if pair.e_alpha > MU_EXP_CAP:
+            raise SizeLimitError(f"q_alpha exponent {pair.e_alpha} exceeds {MU_EXP_CAP}")
         c_prime = Fraction(c_prime)
         if c_prime <= 0:
             raise ValueError(f"c' must be positive, got {c_prime}")
@@ -155,10 +161,10 @@ class PoleZeroProfile:
         return f"PoleZeroProfile(zeros [{show(self.zeros)}], poles [{show(self.poles)}])"
 
 
-def poles_zeros(f: MuFactor) -> PoleZeroProfile:
-    """Exact pole/zero locations of a mu-factor, after cancellation."""
-    zn, rn = shaped_roots(f.num)
-    zd, rd = shaped_roots(f.den)
+def ratio_profile(num: Laurent, den: Laurent) -> PoleZeroProfile:
+    """Net pole/zero profile of num/den, whose roots all have the shape sign * v^k."""
+    zn, rn = shaped_roots(num)
+    zd, rd = shaped_roots(den)
     assert len(rn.terms()) == 1 and len(rd.terms()) == 1, "non-shaped roots left over"
     net: dict = dict(zn)
     for key, o in zd.items():
@@ -170,6 +176,11 @@ def poles_zeros(f: MuFactor) -> PoleZeroProfile:
         elif o < 0:
             poles[(s, Fraction(k, 2))] = -o
     return PoleZeroProfile(zeros, poles)
+
+
+def poles_zeros(f: MuFactor) -> PoleZeroProfile:
+    """Exact pole/zero locations of a mu-factor, after cancellation."""
+    return ratio_profile(f.num, f.den)
 
 
 def q_from_poles(p: PoleZeroProfile) -> ParamPair:

@@ -141,7 +141,8 @@ def table1_csv() -> str:
     return buf.getvalue()
 
 
-def _parse_type(component):
+def parse_type(component):
+    """(letter, rank) of a component name such as 'B2' or 'B'; rank None if absent."""
     s = str(component).replace("_", "").replace(" ", "")
     letter = s[:1].upper()
     if letter not in "ABCDEFG":
@@ -215,7 +216,7 @@ def table1_match(component, lam_long=None, lam_short=None, lam_star=None) -> Mat
     class whose labels vanish drops out of the parameter system and the
     survivor is matched as the simply laced system it spans.
     """
-    letter, rank = _parse_type(component)
+    letter, rank = parse_type(component)
     triple = tuple(None if v is None else _frac(v)
                    for v in (lam_long, lam_short, lam_star))
     present = [v for v in triple if v is not None]

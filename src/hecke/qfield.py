@@ -42,10 +42,6 @@ def pneg(a: Poly) -> Poly:
     return tuple(-x for x in a)
 
 
-def psub(a: Poly, b: Poly) -> Poly:
-    return padd(a, pneg(b))
-
-
 def pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return PZERO
@@ -55,12 +51,6 @@ def pmul(a: Poly, b: Poly) -> Poly:
             for j, y in enumerate(b):
                 c[i + j] += x * y
     return pnorm(c)
-
-
-def pscale(a: Poly, k: int) -> Poly:
-    if k == 0:
-        return PZERO
-    return tuple(x * k for x in a)
 
 
 def pshift(a: Poly, k: int) -> Poly:
@@ -87,63 +77,50 @@ def pprimitive(a: Poly) -> Poly:
     return tuple(x // c for x in a)
 
 
-def pdivmod_q(a: Poly, b: Poly) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Long division over Q; returns (quotient, remainder) as Fraction tuples."""
+def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Long division in Z[v]: a = quo*b + rem with deg rem < deg b.
+
+    Each step divides by lead(b) exactly and raises ArithmeticError when that
+    is not an integer.  By Gauss's lemma no step fails when b is monic, or
+    when b is primitive and divides a.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(x) for x in a]
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = Fraction(b[-1])
-    while len(rem) >= len(b):
-        if rem[-1] == 0:
-            rem.pop()
+    rem = list(a)
+    db, lead = len(b) - 1, b[-1]
+    # the leading term cancels by construction; zero terms cost nothing
+    tail = [(j, x) for j, x in enumerate(b[:-1]) if x]
+    quo = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if not c:
             continue
-        k = len(rem) - len(b)
-        f = rem[-1] / lead
-        quo[k] = f
-        for i, x in enumerate(b):
-            rem[i + k] -= f * x
-        assert rem[-1] == 0
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(quo), tuple(rem)
+        q, r = divmod(c, lead)
+        if r:
+            raise ArithmeticError("polynomial quotient not integral")
+        quo[i - db] = q
+        for j, x in tail:
+            rem[i - db + j] -= q * x
+    return pnorm(quo), pnorm(rem[:db])
 
 
 def pdiv_exact(a: Poly, b: Poly) -> Poly:
     """Exact division in Z[v]; raises if b does not divide a over Z."""
-    quo, rem = pdivmod_q(a, b)
+    quo, rem = pdivmod(a, b)
     if rem:
         raise ArithmeticError("inexact polynomial division")
-    if any(f.denominator != 1 for f in quo):
-        raise ArithmeticError("quotient not integral")
-    return pnorm(int(f) for f in quo)
+    return quo
 
 
 def pgcd(a: Poly, b: Poly) -> Poly:
     """Primitive gcd in Z[v] (positive leading coefficient)."""
     a, b = pprimitive(a), pprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        # fraction-free remainder: scale only as much as integrality needs
-        rem = list(a)
-        while len(rem) >= len(b):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            g = gcd(rem[-1], b[-1])
-            mult, q = b[-1] // g, rem[-1] // g
-            if mult != 1:
-                rem = [x * mult for x in rem]
-            k = len(rem) - len(b)
-            for i, x in enumerate(b):
-                rem[i + k] -= q * x
-            rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-        a, b = b, pprimitive(tuple(rem))
+        # pseudo-remainder: lead(b)^(deg a - deg b + 1) * a makes every step integral
+        m = b[-1] ** (len(a) - len(b) + 1)
+        a, b = b, pprimitive(pdivmod(tuple(x * m for x in a), b)[1])
     return a
 
 

@@ -192,16 +192,6 @@ class RootSystem:
             self._cache[key] = tuple(perm)
         return self._cache[key]
 
-    def reflect_vector(self, i: int, x: tuple[int, ...]) -> tuple[int, ...]:
-        """Simple reflection on lattice coordinates (simple-root basis)."""
-        pairing = sum(x[k] * self.cartan[k][i] for k in range(self.rank))
-        y = list(x)
-        y[i] -= pairing
-        return tuple(y)
-
-    def pair_with_simple_coroot(self, x: tuple[int, ...], i: int) -> int:
-        return sum(x[k] * self.cartan[k][i] for k in range(self.rank))
-
     def to_json(self) -> dict:
         return {"type": self.cartan_type, "rank": self.rank,
                 "roots": [list(r) for r in self.all_roots]}
@@ -285,9 +275,6 @@ class WeylElement:
 
     def __hash__(self):
         return hash(self.perm)
-
-    def apply_index(self, root_index: int) -> int:
-        return self.perm[root_index]
 
     def to_json(self) -> dict:
         return {"word": list(self.word)}

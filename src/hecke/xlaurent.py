@@ -5,7 +5,7 @@ for the variable z in rank-one intertwiners.  Coefficients are VRat.
 """
 from __future__ import annotations
 
-from .qfield import VRat, VR_ONE
+from .qfield import VR_ONE, VR_ZERO, VRat
 
 
 class Laurent:
@@ -127,34 +127,43 @@ L_ZERO = Laurent()
 L_ONE = Laurent.const(1)
 
 
-def div_exact(f: Laurent, g: Laurent) -> Laurent:
-    """Exact Laurent division f/g; raises ArithmeticError on nonzero remainder."""
+def ldivmod(f: Laurent, g: Laurent) -> tuple[Laurent, Laurent]:
+    """Long division in X once X^min is cleared from f and g.
+
+    Returns (quo, rem), polynomials in X with
+    f * X^-min(f) = quo * (g * X^-min(g)) + rem and deg rem < deg g.
+    """
     if g.is_zero():
         raise ZeroDivisionError("Laurent division by zero")
-    if f.is_zero():
-        return L_ZERO
     mf, mg = f.min_exp(), g.min_exp()
-    # reduce to ordinary polynomial division in X
-    fp = {e - mf: x for e, x in f.c.items()}
-    gp = {e - mg: x for e, x in g.c.items()}
-    dg = max(gp)
-    lead = gp[dg]
+    rem = {e - mf: x for e, x in f.c.items()}
+    dg = g.max_exp() - mg
+    lead = g.c[dg + mg]
+    # the leading term cancels by construction; the rest is added negated
+    tail = [(e - mg, -x) for e, x in g.c.items() if e - mg != dg]
     quo: dict[int, VRat] = {}
-    rem = dict(fp)
     while rem:
         dr = max(rem)
         if dr < dg:
-            raise ArithmeticError("inexact Laurent division")
-        q = rem[dr] / lead
+            break
+        q = rem.pop(dr)
+        if not q:
+            continue
+        if not lead.is_one():
+            q = q / lead
         quo[dr - dg] = q
-        for e, x in gp.items():
+        for e, x in tail:
             k = e + dr - dg
-            val = rem.get(k, VRat(0)) - q * x
-            if val.is_zero():
-                rem.pop(k, None)
-            else:
-                rem[k] = val
-    return Laurent(quo).shift(mf - mg)
+            rem[k] = rem.get(k, VR_ZERO) + q * x
+    return Laurent(quo), Laurent(rem)
+
+
+def div_exact(f: Laurent, g: Laurent) -> Laurent:
+    """Exact Laurent division f/g; raises ArithmeticError on nonzero remainder."""
+    quo, rem = ldivmod(f, g)
+    if not rem.is_zero():
+        raise ArithmeticError("inexact Laurent division")
+    return quo.shift(f.min_exp() - g.min_exp())
 
 
 def synth_div(f: Laurent, root: VRat) -> tuple["Laurent", VRat]:
@@ -162,17 +171,10 @@ def synth_div(f: Laurent, root: VRat) -> tuple["Laurent", VRat]:
 
     rem is zero iff root is a root of f (roots must be invertible values).
     """
-    if f.is_zero():
-        return L_ZERO, VRat(0)
-    m = f.min_exp()
-    n = f.max_exp() - m
-    a = [f.c.get(m + i, VRat(0)) for i in range(n + 1)]
-    b = [VRat(0)] * n
-    acc = a[n]
-    for i in range(n - 1, -1, -1):
-        b[i] = acc
-        acc = a[i] + acc * root
-    return Laurent({m + i: b[i] for i in range(n)}), acc
+    if not root:
+        raise ZeroDivisionError("synthetic division needs an invertible root")
+    quo, rem = ldivmod(f, Laurent({1: VR_ONE, 0: -root}))
+    return quo.shift(f.min_exp()), rem.c.get(0, VR_ZERO)
 
 
 def newton_exponents(f: Laurent) -> list[int]:
@@ -199,12 +201,11 @@ def newton_exponents(f: Laurent) -> list[int]:
     return sorted(ks)
 
 
-def shaped_roots(f: Laurent, max_vexp: int | None = None):
+def shaped_roots(f: Laurent):
     """Extract all roots of the shape sign * v^k with multiplicity.
 
     Returns ({(sign, k): multiplicity}, leftover) where leftover has no roots
-    of that shape with |k| <= max_vexp (no bound when max_vexp is None).
-    The candidates for k are the integer slopes of the v-adic Newton polygon
+    of that shape.  The candidates for k are the integer slopes of the v-adic Newton polygon
     of f (see newton_exponents); the roots of each quotient are roots of f,
     so the candidates of f serve throughout.  Each candidate, with either
     sign, is tested exactly by evaluation and removed by synthetic division
@@ -212,7 +213,7 @@ def shaped_roots(f: Laurent, max_vexp: int | None = None):
     """
     if f.is_zero():
         raise ZeroDivisionError("zero polynomial has no root profile")
-    ks = [k for k in newton_exponents(f) if max_vexp is None or abs(k) <= max_vexp]
+    ks = newton_exponents(f)
     roots: dict[tuple[int, int], int] = {}
     for sign in (1, -1):
         for k in ks:

@@ -177,6 +177,47 @@ def test_usage_errors_exit_two():
     assert run("case", "--group", "H8").returncode == 2
 
 
+def _refused(*argv):
+    proc = run(*argv)
+    return proc.returncode == 2 and "exceeds" in proc.stderr
+
+
+def test_charsum_audit_cap():
+    from hecke.intertwiner_rank1 import AUDIT_PHI_CAP
+    # the first prime p with phi(p) = p - 1 above the cap
+    p = next(n for n in range(AUDIT_PHI_CAP + 2, 2 * AUDIT_PHI_CAP + 4)
+             if all(n % d for d in range(2, n)))
+    assert _refused("charsum", "--modulus", str(p))
+    # a single sum at the same modulus stays bounded by MODULUS_CAP only
+    assert run_json("charsum", "--modulus", str(p), "--index", "2")["sum"] == 0
+
+
+def test_mu_exponent_cap():
+    from hecke.mu_function import MU_EXP_CAP
+    assert _refused("mu", "--qa", str(MU_EXP_CAP + 1), "poles")
+    assert _refused("mu", "--qa", "1e100", "recover")
+
+
+def test_label_cap():
+    from hecke.hecke_algebra import LABEL_CAP
+    big = str(LABEL_CAP + 1)
+    assert _refused("mul", "--type", "A1", "--labels", f"{big},{big}", "T0", "T0")
+
+
+def test_coordinate_cap():
+    from hecke.hecke_algebra import COORD_CAP
+    assert _refused("mul", "--type", "A1", "--labels", "1,1", "T0",
+                    f"x{COORD_CAP + 1}")
+    assert _refused("normal-form", "--type", "A2", "--labels", "1,1",
+                    f"x0,-{COORD_CAP + 1} T0")
+
+
+def test_samples_cap():
+    from hecke.hecke_algebra import SAMPLES_CAP
+    assert _refused("check-relations", "--type", "A1", "--labels", "1,1",
+                    "--samples", str(SAMPLES_CAP + 1))
+
+
 def test_byte_stable_output():
     for argv in (["table1"],
                  ["check-relations", "--type", "A", "--rank", "2",

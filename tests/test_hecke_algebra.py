@@ -125,8 +125,7 @@ def test_x_point_override():
     rs = build_root_system("B", 2)
     datum = BasedRootDatum(rs)
     # equal short parameters: the doubled point gives a consistent algebra
-    alg = AHA(datum, LabelFunction.for_system(rs, (1, 2, 2)),
-              x_convention="coroot-uniformizer", x_points={1: (0, 2)})
+    alg = AHA(datum, LabelFunction.for_system(rs, (1, 2, 2)), x_points={1: (0, 2)})
     assert check_relations(alg, sample_count=10, seed=5)["ok"]
     # unequal short parameters force odd shifts: the exactness assert trips
     bad = AHA(datum, LabelFunction.for_system(rs, (3, 3, 1)), x_points={1: (0, 2)})
@@ -134,5 +133,3 @@ def test_x_point_override():
         check_relations(bad, sample_count=2, seed=0)
     with pytest.raises(ValueError):
         AHA(datum, LabelFunction.for_system(rs, (3, 3, 1)), x_points={1: (1, 1)})
-    with pytest.raises(ValueError):
-        AHA(datum, LabelFunction.for_system(rs, (3, 3, 1)), x_convention="nonsense")

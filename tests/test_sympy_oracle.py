@@ -1,0 +1,169 @@
+"""Differential checks of the two division kernels against sympy.
+
+sympy is a test-only dependency: the module is skipped when it is missing.
+Every input is seeded, so a failure reproduces from the printed case.
+"""
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from hecke.qfield import (VRat, pdiv_exact, pdivmod, pgcd, pmul, pnorm,  # noqa: E402
+                          pprimitive)
+from hecke.xlaurent import Laurent, div_exact, synth_div  # noqa: E402
+
+V, X = sympy.symbols("v X")
+QQV = sympy.QQ.frac_field(V)
+
+
+def _rand_poly(rng, max_deg, box=5):
+    return pnorm(rng.randint(-box, box) for _ in range(rng.randint(0, max_deg + 1)))
+
+
+def _sp(p):
+    """Z[v] tuple (low degree first) as a sympy Poly over ZZ."""
+    return sympy.Poly(list(reversed(p)) or [0], V, domain="ZZ")
+
+
+def _tup(poly):
+    """sympy Poly back to a tuple; None when a coefficient is not an integer."""
+    coeffs = poly.all_coeffs()[::-1]
+    if any(not c.is_integer for c in coeffs):
+        return None
+    return pnorm(int(c) for c in coeffs)
+
+
+def _qdiv(a, b):
+    q, r = sympy.div(_sp(a).set_domain("QQ"), _sp(b).set_domain("QQ"))
+    return q, r
+
+
+def test_pdivmod_matches_sympy_for_monic_divisors():
+    rng = random.Random(11)
+    for _ in range(300):
+        a = _rand_poly(rng, 8)
+        b = _rand_poly(rng, 3) + (1,)
+        q, r = _qdiv(a, b)
+        assert pdivmod(a, b) == (_tup(q), _tup(r)), (a, b)
+
+
+def test_pdivmod_integral_exactly_when_the_rational_quotient_is():
+    # the steps are the coefficients of the quotient over Q, so a step fails
+    # exactly when that quotient leaves Z[v]
+    rng = random.Random(12)
+    raised = 0
+    for _ in range(300):
+        b = _rand_poly(rng, 3) + (rng.choice((-3, -2, 2, 3)),)
+        a = _rand_poly(rng, 7)
+        if rng.random() < 0.5:
+            a = pmul(a, b)
+        q, r = _qdiv(a, b)
+        if _tup(q) is None:
+            raised += 1
+            with pytest.raises(ArithmeticError):
+                pdivmod(a, b)
+        else:
+            assert pdivmod(a, b) == (_tup(q), _tup(r)), (a, b)
+    assert raised > 50
+
+
+def test_pdiv_exact_matches_sympy():
+    rng = random.Random(13)
+    for _ in range(300):
+        b = _rand_poly(rng, 3)
+        if not b:
+            continue
+        a = pmul(_rand_poly(rng, 4), b) if rng.random() < 0.6 else _rand_poly(rng, 6)
+        q, r = _qdiv(a, b)
+        if r.is_zero and _tup(q) is not None:
+            assert pdiv_exact(a, b) == _tup(q), (a, b)
+        else:
+            with pytest.raises(ArithmeticError):
+                pdiv_exact(a, b)
+
+
+def test_pgcd_matches_sympy():
+    rng = random.Random(14)
+    for _ in range(300):
+        g = _rand_poly(rng, 3)
+        a = pmul(_rand_poly(rng, 4), g)
+        b = pmul(_rand_poly(rng, 4), g)
+        expected = pprimitive(_tup(sympy.gcd(_sp(a), _sp(b))))
+        assert pgcd(a, b) == expected, (a, b)
+
+
+def test_vrat_canonical_form_matches_sympy_cancel():
+    rng = random.Random(15)
+    for _ in range(300):
+        g = _rand_poly(rng, 2) or (1,)
+        a = pmul(_rand_poly(rng, 4), g)
+        b = pmul(_rand_poly(rng, 3), g)
+        if not b:
+            continue
+        x = VRat(a, b)
+        n, d = _sp(x.num), _sp(x.den)
+        assert sympy.cancel(n.as_expr() / d.as_expr()) == \
+            sympy.cancel(_sp(a).as_expr() / _sp(b).as_expr()), (a, b)
+        # coprime with joint content 1, positive leading denominator
+        assert sympy.gcd(n, d) == _sp((1,)), (a, b)
+        assert x.den[-1] > 0
+
+
+def _rand_vrat(rng):
+    num = _rand_poly(rng, 2, box=3)
+    den = rng.choice(((1,), (0, 1), (1, 1), (0, 0, 1), (-1, 0, 1)))
+    return VRat(num, den)
+
+
+def _rand_laurent(rng, max_deg):
+    lo = rng.randint(-2, 2)
+    return Laurent({lo + i: _rand_vrat(rng) for i in range(rng.randint(1, max_deg + 1))})
+
+
+def _sym(f, m):
+    """Laurent f times X^-m as a sympy Poly in X over QQ(v)."""
+    def coeff(c):
+        return _sp(c.num).as_expr() / _sp(c.den).as_expr()
+    expr = sum((coeff(c) * X ** (e - m) for e, c in f.c.items()), sympy.Integer(0))
+    return sympy.Poly(expr, X, domain=QQV)
+
+
+def test_div_exact_matches_sympy_over_qv():
+    rng = random.Random(16)
+    checked = 0
+    for _ in range(60):
+        g = _rand_laurent(rng, 2)
+        f = g * _rand_laurent(rng, 2)
+        if rng.random() < 0.4:
+            f = f + _rand_laurent(rng, 1).shift(f.min_exp() - 3)
+        if g.is_zero() or f.is_zero():
+            continue
+        q, r = sympy.div(_sym(f, f.min_exp()), _sym(g, g.min_exp()))
+        if r.is_zero:
+            quo = div_exact(f, g)
+            assert _sym(quo, f.min_exp() - g.min_exp()) == q, (f, g)
+            checked += 1
+        else:
+            with pytest.raises(ArithmeticError):
+                div_exact(f, g)
+    assert checked > 20
+
+
+def test_synth_div_matches_sympy_over_qv():
+    rng = random.Random(17)
+    for _ in range(60):
+        f = _rand_laurent(rng, 4)
+        if f.is_zero():
+            continue
+        root = VRat.v_pow(rng.randint(-3, 3)) * rng.choice((1, -1))
+        if rng.random() < 0.5:
+            f = f * Laurent({1: 1, 0: -root})
+        elif rng.random() < 0.5:
+            root = _rand_vrat(rng) or root     # roots must be invertible
+        m = f.min_exp()
+        q, r = sympy.div(_sym(f, m), sympy.Poly(X - _sym(Laurent.const(root), 0).as_expr(),
+                                                X, domain=QQV))
+        quo, rem = synth_div(f, root)
+        assert _sym(quo, m) == q, (f, root)
+        assert _sym(Laurent.const(rem), 0) == r, (f, root)

@@ -14,31 +14,40 @@ with q_a = v^{lambda+lambda*}, q_{a*} = v^{lambda-lambda*}, X_a the lattice
 point attached to a.  The divided difference is computed by exact Laurent
 division; a nonzero remainder is impossible for admissible data (the pairing
 <y, a#> is even whenever q_{a*} != 1) and raises immediately otherwise.
+
+Every structure constant (qq_s, A, B, the coefficients of D_s(y)) lies in
+Z[v, v^-1], so coefficients are gcd-free ZLaurents; others raise ValueError.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 
 from .label_params import LabelFunction, validate
-from .qfield import VR_ONE, VR_ZERO, VRat
+from .qfield import ZL_ONE, VRat, ZLaurent
 from .root_data import BasedRootDatum, SizeLimitError, WeylElement, weyl_group
 from .xlaurent import L_ONE, Laurent, div_exact
 
 # Input caps, chosen so that an accepted input runs in seconds on a 2-core
 # machine.  Coefficient widths grow with the labels: check_relations on A1 with
-# 50 samples takes 0.95 s at labels 100 and 8.3 s at 1000.  Products grow with
-# the lattice point about as |x|^rank: T_w0 * theta_x takes 0.4 s on A2 and
-# 3.9 s on G2 at coordinates 10, 26 s on G2 at 16.  Samples cost from 3 ms
-# each (A1) to about 1 s (B3, labels 3,3,1): 500 take 1.5 s on A1.
+# 50 samples takes 0.35 s at labels 100 and 3.3 s at 1000.  Products grow with
+# the lattice point about as |x|^rank: T_w0 * theta_(10,10) takes 0.04 s on A2
+# and 0.9 s on G2, theta_(16,16) 6.7 s on G2.  A sample costs about 1 ms on A1
+# (500 take 0.4 s) and 0.04-0.35 s from A2 to F4 (0.15 s on B3, labels 3,3,1).
+# SAMPLE_WORK_CAP bounds samples * |W|^2 * (20 + 2 * widest label): at the cap
+# G2 (labels 1,3) runs 106 samples in 6 s, A2 462 in 9 s at labels 2,2 and 50
+# in 20 s at labels 100,100, B3 (3,3,1) 6 in 1.6 s.
 LABEL_CAP = 100
 COORD_CAP = 10
 SAMPLES_CAP = 500
+SAMPLE_WORK_CAP = 400_000
 
 
 def _bump(out: dict, key, val) -> None:
     """out[key] += val, dropping the key when the sum vanishes."""
-    s = out.get(key, VR_ZERO) + val
+    s = out.get(key)
+    s = val if s is None else s + val
     if s:
         out[key] = s
     elif key in out:
@@ -84,9 +93,10 @@ class AHA:
             if ea.denominator != 1 or es.denominator != 1:
                 raise ValueError(
                     f"simple {j}: q-parameters v^{ea}, v^{es} are not v-powers")
-            self.qq.append(VRat.v_pow(int(ea)) * VRat.v_pow(int(es)))
-            self.A.append(self.qq[j] - 1)
-            self.B.append(VRat.v_pow(int(ea)) - VRat.v_pow(int(es)))
+            qa, qs = ZLaurent.v_pow(int(ea)), ZLaurent.v_pow(int(es))
+            self.qq.append(qa * qs)
+            self.A.append(qa * qs - 1)
+            self.B.append(qa - qs)
             root = datum.roots[datum.basis[j]]
             if x_points is not None and j in x_points:
                 pt = tuple(x_points[j])
@@ -104,7 +114,7 @@ class AHA:
         return AHAElement(self, terms)
 
     def one(self) -> "AHAElement":
-        return self.element({((0,) * self.d, 0): VR_ONE})
+        return self.element({((0,) * self.d, 0): ZL_ONE})
 
     def theta(self, x) -> "AHAElement":
         x = tuple(x)
@@ -112,11 +122,11 @@ class AHA:
             raise ValueError(f"lattice point must have {self.d} coordinates")
         if any(abs(c) > COORD_CAP for c in x):
             raise SizeLimitError(f"a coordinate of {x} exceeds {COORD_CAP}")
-        return self.element({(x, 0): VR_ONE})
+        return self.element({(x, 0): ZL_ONE})
 
     def t_simple(self, j: int) -> "AHAElement":
         perm = self.datum.root_system.simple_reflection_perm(j)
-        return self.element({((0,) * self.d, self.windex[perm]): VR_ONE})
+        return self.element({((0,) * self.d, self.windex[perm]): ZL_ONE})
 
     def t(self, word) -> "AHAElement":
         """T_w for the element with the given reduced word (lengths must add)."""
@@ -130,8 +140,7 @@ class AHA:
         for t in data["terms"]:
             x = tuple(int(c) for c in t["x"])
             wi = self._word_index(tuple(int(j) for j in t["w"]))
-            coeff = VRat.parse(t["coeff"])
-            terms[(x, wi)] = terms.get((x, wi), VR_ZERO) + coeff
+            _bump(terms, (x, wi), ZLaurent.coerce(VRat.parse(t["coeff"])))
         return self.element(terms)
 
     def _word_index(self, word) -> int:
@@ -152,7 +161,7 @@ class AHA:
             if part is None:
                 part = parts.setdefault(wi, self._t_times_elem(wi, b.terms))
             for (z, ui), c2 in part.items():
-                _bump(out, (tuple(p + q for p, q in zip(x, z)), ui), c * c2)
+                _bump(out, (tuple(map(add, x, z)), ui), c * c2)
         return self.element(out)
 
     def _t_times_elem(self, wi: int, terms: dict) -> dict:
@@ -168,7 +177,7 @@ class AHA:
     def _t_times_theta(self, wi: int, y: tuple) -> dict:
         """T_w theta_y in normal form, by peeling the last letter of w."""
         if wi == 0:
-            return {(y, 0): VR_ONE}
+            return {(y, 0): ZL_ONE}
         key = (wi, y)
         hit = self._tt_cache.get(key)
         if hit is not None:
@@ -194,7 +203,8 @@ class AHA:
 
         s(y) = y - n a; with X_j = m a the shift is in X_j-units n' = n/m, and
         D_j(y) = (A + B u^{-1}) (1 - u^{-n'}) / (1 - u^{-2}) evaluated at
-        u = theta_{X_j}, applied to theta_y.
+        u = theta_{X_j}, applied to theta_y.  The division runs over the
+        v-field; its quotient is converted to Z[v, v^-1] once per (j, n').
         """
         m = self.x_points[j][j]
         if n % m:
@@ -207,10 +217,11 @@ class AHA:
             if n == 0:
                 hit = ()
             else:
-                ab = Laurent({0: self.A[j], -1: self.B[j]})
+                a, b = self.A[j], self.B[j]
+                ab = Laurent({0: VRat(a.num, a.den), -1: VRat(b.num, b.den)})
                 f = ab * (L_ONE - Laurent.x_pow(-n))
                 g = div_exact(f, L_ONE - Laurent.x_pow(-2))
-                hit = tuple(g.terms())
+                hit = tuple((k, ZLaurent.coerce(c)) for k, c in g.terms())
             self._d_cache[key] = hit
         return hit
 
@@ -221,7 +232,7 @@ class AHA:
             if self.lengths[usi] > self.lengths[ui]:
                 _bump(out, (x, usi), c)
             else:
-                _bump(out, (x, ui), c * (self.qq[j] - 1))
+                _bump(out, (x, ui), c * self.A[j])
                 _bump(out, (x, usi), c * self.qq[j])
         return out
 
@@ -232,15 +243,17 @@ class AHA:
 
 
 class AHAElement:
-    """Finite sum of theta_x T_w with coefficients in the v-field."""
+    """Finite sum of theta_x T_w with coefficients in Z[v, v^-1] (ZLaurent).
+
+    int, Fraction and VRat inputs are converted; 1/2 or 1/(1+v) raise ValueError.
+    """
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: AHA, terms: dict):
         clean = {}
         for (x, wi), c in terms.items():
-            if not isinstance(c, VRat):
-                c = VRat.from_fraction(Fraction(c))
+            c = ZLaurent.coerce(c)
             if c:
                 clean[(tuple(x), wi)] = c
         object.__setattr__(self, "algebra", algebra)
@@ -280,8 +293,7 @@ class AHAElement:
         return self.scale(other)
 
     def scale(self, c) -> "AHAElement":
-        if not isinstance(c, VRat):
-            c = VRat.from_fraction(Fraction(c))
+        c = ZLaurent.coerce(c)
         return AHAElement(self.algebra, {k: c * v for k, v in self.terms.items()})
 
     def specialize(self, v: Fraction) -> dict:
@@ -371,14 +383,29 @@ def _random_element(alg: AHA, rng: random.Random, max_len=3, box=2) -> AHAElemen
     for _ in range(rng.randint(1, 3)):
         x = tuple(rng.randint(-box, box) for _ in range(alg.d))
         wi = rng.choice(short)
-        terms[(x, wi)] = VRat.v_pow(rng.randint(-2, 2)) * (rng.randint(1, 3))
+        terms[(x, wi)] = ZLaurent.v_pow(rng.randint(-2, 2)) * (rng.randint(1, 3))
     return alg.element(terms)
 
 
+def _sample_failure(relation: str, seed: int, index: int, *elements) -> dict:
+    """A failure entry with what rebuilds it: seed, sample index, elements a, b, c."""
+    return {"relation": relation, "seed": seed, "sample": index,
+            **{name: el.to_json() for name, el in zip("abc", elements)}}
+
+
 def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
-    """Exact verification of the presentation; returns a pass/fail report."""
+    """Exact verification of the presentation; returns a pass/fail report.
+
+    Each failure is a dict naming the relation and the inputs that reproduce
+    it (elements as to_json(), for AHA.from_json).
+    """
     if sample_count > SAMPLES_CAP:
         raise SizeLimitError(f"sample count {sample_count} exceeds {SAMPLES_CAP}")
+    # qq_s = v^(2 lambda_s): the widest label sets the coefficient widths
+    work = sample_count * len(alg.W) ** 2 * (20 + max((q.val for q in alg.qq), default=0))
+    if work > SAMPLE_WORK_CAP:
+        raise SizeLimitError(f"{sample_count} samples on |W| = {len(alg.W)}: "
+                             f"work {work} exceeds {SAMPLE_WORK_CAP}")
     report = {"quadratic": True, "braid": True, "cross": True,
               "finite_rank": len(alg.W), "associativity": 0,
               "group_algebra_spec": True, "failures": []}
@@ -389,7 +416,7 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
         rhs = (alg.qq[j] - 1) * ts + alg.qq[j] * one
         if lhs != rhs:
             report["quadratic"] = False
-            report["failures"].append(f"quadratic at simple {j}")
+            report["failures"].append({"relation": "quadratic", "simple": j})
     rs = alg.datum.root_system
     for i in range(alg.rank):
         for j in range(i + 1, alg.rank):
@@ -398,7 +425,7 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
             right = normal_form(alg, [("T", (j, i)[k % 2]) for k in range(m)])
             if left != right:
                 report["braid"] = False
-                report["failures"].append(f"braid at pair ({i},{j})")
+                report["failures"].append({"relation": "braid", "pair": [i, j]})
     rng = random.Random(seed)
     for j in range(alg.rank):
         for _ in range(3):
@@ -408,16 +435,18 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
             rhs_terms: dict = {}
             for k, dk in alg._dcoeffs(j, alg._pair(x, j)):
                 pt = tuple(a + k * b for a, b in zip(x, alg.x_points[j]))
-                rhs_terms[(pt, 0)] = rhs_terms.get((pt, 0), VR_ZERO) + dk
+                _bump(rhs_terms, (pt, 0), dk)
             if lhs != alg.element(rhs_terms):
                 report["cross"] = False
-                report["failures"].append(f"cross relation at simple {j}, x={x}")
-    for _ in range(sample_count):
+                report["failures"].append({"relation": "cross", "seed": seed,
+                                           "simple": j, "x": list(x)})
+    for index in range(sample_count):
         a = _random_element(alg, rng)
         b = _random_element(alg, rng)
         c = _random_element(alg, rng)
         if (a * b) * c != a * (b * c):
-            report["failures"].append("associativity")
+            report["failures"].append(
+                _sample_failure("associativity", seed, index, a, b, c))
         else:
             report["associativity"] += 1
         ab = a * b
@@ -425,6 +454,7 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
                                    b.specialize(Fraction(1)))
         if spec != ab.specialize(Fraction(1)):
             report["group_algebra_spec"] = False
-            report["failures"].append("v=1 specialization")
+            report["failures"].append(
+                _sample_failure("v=1 specialization", seed, index, a, b))
     report["ok"] = not report["failures"]
     return report

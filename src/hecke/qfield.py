@@ -1,8 +1,9 @@
-"""Exact coefficient arithmetic: ratios of integer polynomials in v, with v^2 = q.
+"""Exact coefficient arithmetic in v, with v^2 = q.
 
 A polynomial is a tuple of ints, index = degree, no trailing zeros; () is zero.
 VRat is the fraction field, kept in a canonical form so that equality of
-coefficients is plain structural equality.
+coefficients is plain structural equality.  ZLaurent is the gcd-free ring
+Z[v, v^-1] that holds every structure constant of the affine Hecke algebra.
 """
 from __future__ import annotations
 
@@ -45,11 +46,15 @@ def pneg(a: Poly) -> Poly:
 def pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return PZERO
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:  # a monomial scales b: no carries, no zero ends
+        return tuple([a[0] * y for y in b])
     c = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                c[i + j] += x * y
+            for j, y in enumerate(b, i):
+                c[j] += x * y
     return pnorm(c)
 
 
@@ -372,3 +377,102 @@ class VRat:
 
 VR_ZERO = VRat(0)
 VR_ONE = VRat(1)
+
+
+class ZLaurent:
+    """Element v^val * (c[0] + c[1]*v + ...) of Z[v, v^-1]; c[0], c[-1] nonzero.
+
+    Zero is val 0, c ().  Z[v] has no zero divisors, so a product needs no
+    normalisation and a sum only drops the end terms that cancel: no gcd.
+    num, den and str give the canonical VRat pair.
+    """
+
+    __slots__ = ("val", "c")
+
+    def __init__(self, val: int, c: Poly):
+        # v^val * c for a Poly c: zeros at its low end move into val
+        if c and not c[0]:
+            k = _valuation(c)
+            val, c = val + k, c[k:]
+        object.__setattr__(self, "val", val if c else 0)
+        object.__setattr__(self, "c", c)
+
+    def __setattr__(self, *a):
+        raise AttributeError("ZLaurent is immutable")
+
+    @staticmethod
+    def v_pow(k: int) -> "ZLaurent":
+        return ZLaurent(k, PONE)
+
+    @staticmethod
+    def coerce(x) -> "ZLaurent":
+        """x (ZLaurent, VRat, int or Fraction) in Z[v, v^-1]; ValueError outside it."""
+        if type(x) is ZLaurent:
+            return x
+        if not isinstance(x, VRat):
+            x = VRat.from_fraction(Fraction(x))
+        k = len(x.den) - 1
+        if x.den != pshift(PONE, k):
+            raise ValueError(f"coefficient {x} is not in Z[v, v^-1]")
+        return ZLaurent(-k, x.num)
+
+    @property
+    def num(self) -> Poly:
+        return pshift(self.c, self.val) if self.val > 0 else self.c
+
+    @property
+    def den(self) -> Poly:
+        return pshift(PONE, -self.val) if self.val < 0 else PONE
+
+    def __bool__(self) -> bool:
+        return bool(self.c)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            other = ZLaurent.coerce(other)
+        if type(other) is not ZLaurent:
+            return NotImplemented
+        return self.val == other.val and self.c == other.c
+
+    def __hash__(self):
+        return hash((self.val, self.c))
+
+    def __add__(self, other):
+        if type(other) is not ZLaurent:
+            if not isinstance(other, int):
+                return NotImplemented
+            other = ZLaurent.coerce(other)
+        a, b = (self, other) if self.val <= other.val else (other, self)
+        return ZLaurent(a.val, padd(a.c, pshift(b.c, b.val - a.val)))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "ZLaurent":
+        return ZLaurent(self.val, pneg(self.c))
+
+    def __sub__(self, other):
+        return self + (-other) if isinstance(other, (int, ZLaurent)) else NotImplemented
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if type(other) is not ZLaurent:
+            if not isinstance(other, int):
+                return NotImplemented
+            other = ZLaurent.coerce(other)
+        return ZLaurent(self.val + other.val, pmul(self.c, other.c))
+
+    __rmul__ = __mul__
+
+    def eval(self, v: Fraction) -> Fraction:
+        return peval(self.c, v) * Fraction(v) ** self.val
+
+    def __str__(self) -> str:
+        return f"({pstr(self.num)})/({pstr(self.den)})"
+
+    __repr__ = __str__
+
+
+ZL_ZERO = ZLaurent(0, PZERO)
+ZL_ONE = ZLaurent(0, PONE)

@@ -218,6 +218,13 @@ def test_samples_cap():
                     "--samples", str(SAMPLES_CAP + 1))
 
 
+def test_sample_work_cap():
+    # B3 costs about 48^2 times A1 per sample: the default 50 samples are refused
+    assert _refused("check-relations", "--type", "B3", "--labels", "3,3,1")
+    assert _refused("check-relations", "--type", "B3", "--labels", "3,3,1",
+                    "--samples", "7")
+
+
 def test_byte_stable_output():
     for argv in (["table1"],
                  ["check-relations", "--type", "A", "--rank", "2",

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from hecke.hecke_algebra import AHA, algebra, check_relations, multiply, normal_form
+from hecke.hecke_algebra import (AHA, _group_algebra_mult, algebra, check_relations,
+                                  multiply, normal_form)
 from hecke.label_params import LabelFunction
-from hecke.qfield import VRat
+from hecke.qfield import PONE, VRat, ZLaurent
 from hecke.root_data import BasedRootDatum, build_root_system
 
 
@@ -133,3 +134,34 @@ def test_x_point_override():
         check_relations(bad, sample_count=2, seed=0)
     with pytest.raises(ValueError):
         AHA(datum, LabelFunction.for_system(rs, (3, 3, 1)), x_points={1: (1, 1)})
+
+
+def test_coefficients_outside_z_v_pm1_rejected():
+    alg = _alg("A", 1, (1, 1))
+    ts = alg.t_simple(0)
+    key = next(iter(ts.terms))
+    assert ts.scale(VRat.v_pow(-3) * 2).terms[key] == ZLaurent.v_pow(-3) * 2
+    assert ts.scale(Fraction(4, 2)) == ts.scale(2)
+    for bad in (VRat(PONE, (1, 1)), Fraction(1, 2), VRat(1, 2)):
+        with pytest.raises(ValueError):
+            ts.scale(bad)
+        with pytest.raises(ValueError):
+            alg.element({key: bad})
+        with pytest.raises(ValueError):
+            alg.from_json({"terms": [{"x": [0], "w": [0], "coeff": str(bad)}]})
+
+
+def test_failures_carry_reproducing_inputs():
+    alg = _alg("B", 2, (3, 3, 1))
+    alg.qq[0] = ZLaurent.v_pow(2) * 2   # T_0^2 no longer specializes to 1 at v = 1
+    rep = check_relations(alg, sample_count=6, seed=4)
+    assert not rep["ok"]
+    assert {"relation": "quadratic", "simple": 0} in rep["failures"]
+    samples = [f for f in rep["failures"] if f["relation"] == "v=1 specialization"]
+    assert samples
+    one = Fraction(1)
+    for f in samples:
+        assert f["seed"] == 4 and 0 <= f["sample"] < 6
+        a, b = alg.from_json(f["a"]), alg.from_json(f["b"])
+        spec = _group_algebra_mult(alg, a.specialize(one), b.specialize(one))
+        assert spec != (a * b).specialize(one)

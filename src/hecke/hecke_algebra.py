@@ -31,15 +31,20 @@ from .xlaurent import L_ONE, Laurent, div_exact
 
 # Input caps, chosen so that an accepted input runs in seconds on a 2-core
 # machine.  Coefficient widths grow with the labels: check_relations on A1 with
-# 50 samples takes 0.35 s at labels 100 and 3.3 s at 1000.  Products grow with
-# the lattice point about as |x|^rank: T_w0 * theta_(10,10) takes 0.04 s on A2
-# and 0.9 s on G2, theta_(16,16) 6.7 s on G2.  A sample costs about 1 ms on A1
+# 50 samples takes 0.3 s at labels 100 and 3.3 s at 1000.  T_w0 * theta_y has
+# about c * spread^rank terms, spread = sum over positive roots a of
+# |<y, a^vee>|, which is W-invariant: on G2 (labels 1,3) theta_(10,10) has
+# spread 60 and takes 0.6 s, theta_(-10,10) spread 160 and 39 s, though
+# COORD_CAP admits both.  theta_y needs (spread / 14)^rank <= LATTICE_CAP:
+# spread 112 on rank 2 (G2 6.3 s), 56 on rank 3 (B3 5.8 s), 39 on rank 4
+# (B4 5.5 s and F4 3.4 s at 38).  A sample costs about 1 ms on A1
 # (500 take 0.4 s) and 0.04-0.35 s from A2 to F4 (0.15 s on B3, labels 3,3,1).
 # SAMPLE_WORK_CAP bounds samples * |W|^2 * (20 + 2 * widest label): at the cap
-# G2 (labels 1,3) runs 106 samples in 6 s, A2 462 in 9 s at labels 2,2 and 50
-# in 20 s at labels 100,100, B3 (3,3,1) 6 in 1.6 s.
+# G2 (labels 1,3) runs 106 samples in 2.4 s, A2 462 in 4.1 s at labels 2,2 and
+# 50 in 9.5 s at labels 100,100, B3 (3,3,1) 6 in 1.0 s.
 LABEL_CAP = 100
 COORD_CAP = 10
+LATTICE_CAP = 64
 SAMPLES_CAP = 500
 SAMPLE_WORK_CAP = 400_000
 
@@ -69,20 +74,14 @@ class AHA:
                 raise ValueError("inadmissible labels: " + "; ".join(report))
             self.W = weyl_group(rs)
             self.windex = rs._cache["weyl_index"]
+            self.ws_table = rs._cache["ws_table"]  # w*s, from the Weyl BFS
+            self.pos_coroots = datum.coroots[:rs.n_positive]
         else:
             self.W = [WeylElement((), ())]
             self.windex = {(): 0}
-        self.lengths = tuple(len(w.word) for w in self.W)
-        # w*s composition table
-        if rs is not None:
-            sperms = [rs.simple_reflection_perm(j) for j in range(self.rank)]
-            n = len(rs.all_roots)
-            self.ws_table = tuple(
-                tuple(self.windex[tuple(w.perm[sp[r]] for r in range(n))]
-                      for sp in sperms)
-                for w in self.W)
-        else:
             self.ws_table = ((),)
+            self.pos_coroots = ()
+        self.lengths = tuple(len(w.word) for w in self.W)
         # per-simple constants; labels must give integral v-exponents
         self.qq, self.A, self.B, self.x_points = [], [], [], []
         for j in range(self.rank):
@@ -122,6 +121,10 @@ class AHA:
             raise ValueError(f"lattice point must have {self.d} coordinates")
         if any(abs(c) > COORD_CAP for c in x):
             raise SizeLimitError(f"a coordinate of {x} exceeds {COORD_CAP}")
+        spread = sum(abs(self.datum.pairing(x, c)) for c in self.pos_coroots)
+        if spread ** self.rank > LATTICE_CAP * 14 ** self.rank:
+            raise SizeLimitError(f"lattice point {x}: (spread {spread} / 14)^"
+                                 f"{self.rank} exceeds {LATTICE_CAP}")
         return self.element({(x, 0): ZL_ONE})
 
     def t_simple(self, j: int) -> "AHAElement":
@@ -431,7 +434,9 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
         for _ in range(3):
             x = tuple(rng.randint(-2, 2) for _ in range(alg.d))
             sx = alg.datum.reflect(j, x)
-            lhs = alg.theta(x) * alg.t_simple(j) - alg.t_simple(j) * alg.theta(sx)
+            # theta_x T_s costs |<x, a^vee>| terms: no lattice cap on rank 4
+            th, thsx = alg.element({(x, 0): ZL_ONE}), alg.element({(sx, 0): ZL_ONE})
+            lhs = th * alg.t_simple(j) - alg.t_simple(j) * thsx
             rhs_terms: dict = {}
             for k, dk in alg._dcoeffs(j, alg._pair(x, j)):
                 pt = tuple(a + k * b for a, b in zip(x, alg.x_points[j]))

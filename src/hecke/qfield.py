@@ -3,15 +3,23 @@
 A polynomial is a tuple of ints, index = degree, no trailing zeros; () is zero.
 VRat is the fraction field, kept in a canonical form so that equality of
 coefficients is plain structural equality.  ZLaurent is the gcd-free ring
-Z[v, v^-1] that holds every structure constant of the affine Hecke algebra.
+Z[v, v^-1] that holds every structure constant of the affine Hecke algebra;
+it packs each polynomial into one int by Kronecker substitution v -> 2^K, so
+its sums and products are single big-int operations.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from sys import byteorder
 from typing import Iterable, Tuple
 
 Poly = Tuple[int, ...]
+
+
+class SizeLimitError(ValueError):
+    """An input or an intermediate value exceeds a supported size cap."""
+
 
 PZERO: Poly = ()
 PONE: Poly = (1,)
@@ -379,42 +387,78 @@ VR_ZERO = VRat(0)
 VR_ONE = VRat(1)
 
 
-class ZLaurent:
-    """Element v^val * (c[0] + c[1]*v + ...) of Z[v, v^-1]; c[0], c[-1] nonzero.
+# ZLaurent slot width: 64-bit slots match the int64 format "q"; on the largest
+# accepted inputs measured (labels 100, lattice spread at its cap) the bound h
+# stays under 2^22
+K = 64
+_HALF_SLOT = (1 << (K - 1)).to_bytes(K // 8, "little")
 
-    Zero is val 0, c ().  Z[v] has no zero divisors, so a product needs no
-    normalisation and a sum only drops the end terms that cancel: no gcd.
-    num, den and str give the canonical VRat pair.
+
+def _unpack(n: int) -> Poly:
+    """The P with P(2^K) = n, all |coefficients| < 2^(K-1).
+
+    Adding 2^(K-1) to every slot makes each one nonnegative, so the slots are
+    the base-2^K digits; xor with the same bias leaves c mod 2^K in each, which
+    a "q" (int64) view reads back as the signed c.
+    """
+    slots = abs(n).bit_length() // K + 1
+    bias = int.from_bytes(_HALF_SLOT * slots, "little")
+    raw = ((n + bias) ^ bias).to_bytes(slots * K // 8, byteorder)
+    return pnorm(memoryview(raw).cast("q").tolist())
+
+
+class ZLaurent:
+    """Element v^val * P(v) of Z[v, v^-1] with P(0) != 0, packed as n = P(2^K).
+
+    h bounds the l1 norm of P and stays below 2^(K-1), so every coefficient
+    fits its balanced K-bit slot: n decodes to exactly one P, n == 0 only for
+    P = 0, and equal (val, n) means equal elements.  A sum adds the aligned
+    ints and moves the low slots that cancelled (the trailing zero K-bit
+    blocks of n) into val; a product multiplies them (or shifts and adds for
+    a wide factor with few nonzero slots), and P(0)Q(0) != 0 needs no strip.
+    Sums add the bounds, products multiply them; an op whose bound reaches
+    2^(K-1) raises SizeLimitError.  Zero is val 0, n 0.  c, num, den and str
+    decode n; num/den/str give the canonical VRat pair.
     """
 
-    __slots__ = ("val", "c")
+    __slots__ = ("val", "n", "h")
 
-    def __init__(self, val: int, c: Poly):
-        # v^val * c for a Poly c: zeros at its low end move into val
-        if c and not c[0]:
-            k = _valuation(c)
-            val, c = val + k, c[k:]
-        object.__setattr__(self, "val", val if c else 0)
-        object.__setattr__(self, "c", c)
+    def __init__(self, val: int, n: int, h: int):
+        if h >> (K - 1):
+            raise SizeLimitError(f"coefficient bound {h} reaches 2^{K - 1}")
+        _set_val(self, val if n else 0)
+        _set_n(self, n)
+        _set_h(self, h)
 
     def __setattr__(self, *a):
         raise AttributeError("ZLaurent is immutable")
 
     @staticmethod
     def v_pow(k: int) -> "ZLaurent":
-        return ZLaurent(k, PONE)
+        return ZLaurent(k, 1, 1)
 
     @staticmethod
     def coerce(x) -> "ZLaurent":
         """x (ZLaurent, VRat, int or Fraction) in Z[v, v^-1]; ValueError outside it."""
         if type(x) is ZLaurent:
             return x
+        if isinstance(x, int):
+            return ZLaurent(0, x, abs(x))
         if not isinstance(x, VRat):
             x = VRat.from_fraction(Fraction(x))
         k = len(x.den) - 1
         if x.den != pshift(PONE, k):
             raise ValueError(f"coefficient {x} is not in Z[v, v^-1]")
-        return ZLaurent(-k, x.num)
+        j = _valuation(x.num) if x.num else 0
+        n = 0
+        for c in reversed(x.num[j:]):
+            n = (n << K) + c
+        return ZLaurent(j - k, n, sum(map(abs, x.num)))
+
+    @property
+    def c(self) -> Poly:
+        """The coefficients of P, decoded in C (see _unpack)."""
+        return _unpack(self.n)
 
     @property
     def num(self) -> Poly:
@@ -425,17 +469,17 @@ class ZLaurent:
         return pshift(PONE, -self.val) if self.val < 0 else PONE
 
     def __bool__(self) -> bool:
-        return bool(self.c)
+        return bool(self.n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = ZLaurent.coerce(other)
         if type(other) is not ZLaurent:
             return NotImplemented
-        return self.val == other.val and self.c == other.c
+        return self.val == other.val and self.n == other.n
 
     def __hash__(self):
-        return hash((self.val, self.c))
+        return hash((self.val, self.n))
 
     def __add__(self, other):
         if type(other) is not ZLaurent:
@@ -443,12 +487,16 @@ class ZLaurent:
                 return NotImplemented
             other = ZLaurent.coerce(other)
         a, b = (self, other) if self.val <= other.val else (other, self)
-        return ZLaurent(a.val, padd(a.c, pshift(b.c, b.val - a.val)))
+        n = a.n + (b.n << K * (b.val - a.val))
+        if not n:
+            return ZL_ZERO
+        k = ((n & -n).bit_length() - 1) // K  # low slots that cancelled
+        return ZLaurent(a.val + k, n >> K * k, a.h + b.h)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ZLaurent":
-        return ZLaurent(self.val, pneg(self.c))
+        return ZLaurent(self.val, -self.n, self.h)
 
     def __sub__(self, other):
         return self + (-other) if isinstance(other, (int, ZLaurent)) else NotImplemented
@@ -461,7 +509,16 @@ class ZLaurent:
             if not isinstance(other, int):
                 return NotImplemented
             other = ZLaurent.coerce(other)
-        return ZLaurent(self.val + other.val, pmul(self.c, other.c))
+        a, b = (self, other) if self.h <= other.h else (other, self)
+        if a.h > 8 or a.n.bit_length() < 32 * K:
+            n = a.n * b.n
+        else:  # a.h bounds a's nonzero slots: few in a wide a (labels near
+            # LABEL_CAP give v^200 - 1), where shifted adds beat the product
+            n = 0
+            for i, c in enumerate(_unpack(a.n)):
+                if c:
+                    n += (b.n * c) << K * i
+        return ZLaurent(a.val + b.val, n, a.h * b.h)
 
     __rmul__ = __mul__
 
@@ -474,5 +531,8 @@ class ZLaurent:
     __repr__ = __str__
 
 
-ZL_ZERO = ZLaurent(0, PZERO)
-ZL_ONE = ZLaurent(0, PONE)
+# the slot setters write past the immutability guard, and cost half of
+# object.__setattr__ in the constructor every sum and product goes through
+_set_val, _set_n, _set_h = (d.__set__ for d in (ZLaurent.val, ZLaurent.n, ZLaurent.h))
+ZL_ZERO = ZLaurent(0, 0, 0)
+ZL_ONE = ZLaurent(0, 1, 1)

@@ -9,6 +9,8 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
+from .qfield import SizeLimitError  # re-exported: raised across the package
+
 WEYL_RANK_CAP = 4
 BUILD_RANK_CAP = 8
 
@@ -21,10 +23,6 @@ ROOT_COUNTS = {
     "F": {4: 48},
     "G": {2: 12},
 }
-
-
-class SizeLimitError(ValueError):
-    """Requested enumeration exceeds the supported rank cap."""
 
 
 def _dot(a, b):
@@ -294,24 +292,23 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
             f"full Weyl enumeration capped at rank {WEYL_RANK_CAP}, got rank {rs.rank}")
     if "weyl" in rs._cache:
         return rs._cache["weyl"]
-    n = len(rs.all_roots)
     sperms = [rs.simple_reflection_perm(i) for i in range(rs.rank)]
-    ident = tuple(range(n))
+    ident = tuple(range(len(rs.all_roots)))
     elements = [WeylElement((), ident)]
     seen = {ident: 0}
-    queue = deque([elements[0]])
-    while queue:
-        w = queue.popleft()
-        for j in range(rs.rank):
-            sp = sperms[j]
-            new = tuple(w.perm[sp[r]] for r in range(n))
-            if new not in seen:
-                el = WeylElement(w.word + (j,), new)
-                seen[new] = len(elements)
-                elements.append(el)
-                queue.append(el)
+    ws_table = []  # ws_table[i][j]: index of elements[i] * s_j
+    for w in elements:  # the list grows while it is read: breadth first
+        row = []
+        for j, sp in enumerate(sperms):
+            new = tuple(map(w.perm.__getitem__, sp))
+            i = seen.setdefault(new, len(elements))  # one hash of the long tuple
+            if i == len(elements):
+                elements.append(WeylElement(w.word + (j,), new))
+            row.append(i)
+        ws_table.append(tuple(row))
     rs._cache["weyl"] = elements
-    rs._cache["weyl_index"] = {el.perm: i for i, el in enumerate(elements)}
+    rs._cache["weyl_index"] = seen
+    rs._cache["ws_table"] = tuple(ws_table)
     return elements
 
 

@@ -212,6 +212,13 @@ def test_coordinate_cap():
                     f"x0,-{COORD_CAP + 1} T0")
 
 
+def test_lattice_cap():
+    # both points pass COORD_CAP; T_w0 * theta_(-10,10) has spread 160 (not 60)
+    w0 = "T0 T1 T0 T1 T0 T1"
+    assert _refused("mul", "--type", "G2", "--labels", "1,3", w0, "x-10,10")
+    assert _refused("normal-form", "--type", "G2", "--labels", "1,3", "x10,-10")
+
+
 def test_samples_cap():
     from hecke.hecke_algebra import SAMPLES_CAP
     assert _refused("check-relations", "--type", "A1", "--labels", "1,1",

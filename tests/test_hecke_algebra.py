@@ -7,7 +7,7 @@ from hecke.hecke_algebra import (AHA, _group_algebra_mult, algebra, check_relati
                                   multiply, normal_form)
 from hecke.label_params import LabelFunction
 from hecke.qfield import PONE, VRat, ZLaurent
-from hecke.root_data import BasedRootDatum, build_root_system
+from hecke.root_data import BasedRootDatum, SizeLimitError, build_root_system
 
 
 def _alg(t, n, labels, **kw):
@@ -165,3 +165,40 @@ def test_failures_carry_reproducing_inputs():
         a, b = alg.from_json(f["a"]), alg.from_json(f["b"])
         spec = _group_algebra_mult(alg, a.specialize(one), b.specialize(one))
         assert spec != (a * b).specialize(one)
+
+
+def _w_orbit(alg, y):
+    orbit, todo = {y}, [y]
+    while todo:
+        x = todo.pop()
+        for j in range(alg.rank):
+            z = alg.datum.reflect(j, x)
+            if z not in orbit:
+                orbit.add(z)
+                todo.append(z)
+    return orbit
+
+
+def test_lattice_cap_is_w_invariant():
+    # COORD_CAP admits both; the spread (sum over a > 0 of |<y, a^vee>|) is
+    # 60 for (10,10) and 160 for (-10,10), refused on rank 2 above 112
+    alg = _alg("G", 2, (1, 3))
+    for y, refused in (((10, 10), False), ((-10, 10), True), ((7, -7), False),
+                       ((-8, 8), True)):
+        for z in _w_orbit(alg, y):
+            if max(map(abs, z)) > 10:
+                continue
+            if refused:
+                with pytest.raises(SizeLimitError):
+                    alg.theta(z)
+            else:
+                assert alg.theta(z).terms
+    # the cap falls with the rank: spread 42 passes on B3 and fails on F4
+    assert _alg("B", 3, (3, 3, 1)).theta((-3, -3, 2)).terms
+    f4 = _alg("F", 4, (2, 1))
+    with pytest.raises(SizeLimitError):
+        f4.theta((-1, 1, 0, 0))
+    assert f4.theta((-1, -1, 1, 0)).terms   # spread 38
+    # check_relations' cross relation draws x from [-2, 2]^4 (spread up to
+    # 116) and multiplies by one T_s only: it stays open on rank 4
+    assert check_relations(f4, sample_count=0, seed=1)["cross"]

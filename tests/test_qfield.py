@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hecke.qfield import (PONE, VR_ONE, VR_ZERO, ZL_ONE, ZL_ZERO, VRat, ZLaurent,
-                          pdiv_exact, pgcd, pmul, pnorm, pparse, pshift, pstr)
+from hecke.qfield import (K, PONE, VR_ONE, VR_ZERO, ZL_ONE, ZL_ZERO, SizeLimitError,
+                          VRat, ZLaurent, pdiv_exact, pgcd, pmul, pnorm, pparse,
+                          pshift, pstr)
 
 
 def test_poly_str_parse_roundtrip():
@@ -129,3 +130,98 @@ def test_zlaurent_constants_and_refusals():
             ZLaurent.coerce(bad)
     with pytest.raises(AttributeError):
         ZL_ONE.val = 3
+
+
+# -- the packed representation: n = P(2^K), h >= l1 norm of P < 2^(K-1) ------
+
+def _zl(val, p):
+    """v^val * p as a ZLaurent, built through VRat like every boundary value."""
+    num, den = (pshift(p, val), PONE) if val >= 0 else (p, pshift(PONE, -val))
+    return ZLaurent.coerce(VRat(num, den))
+
+
+def _l1(z):
+    return sum(map(abs, z.c))
+
+
+@pytest.mark.parametrize("p", [(2**62,), (-2**62,), (2**62 - 1,), (-(2**62 - 1),),
+                               (2**62, -(2**62 - 1)), (-(2**62 - 1), 0, 2**62),
+                               (1, -2**62, -1), (-1,), (-(2**63 - 1),)])
+def test_packed_round_trip_at_slot_edges(p):
+    for val in (-3, 0, 2):
+        z = _zl(val, p)
+        assert (z.val, z.c, z.h) == (val, p, _l1(z))
+        assert z.n == sum(c << K * i for i, c in enumerate(p))
+        assert _zl(val, p) == z and hash(_zl(val, p)) == hash(z)
+        assert (-z).c == tuple(-c for c in p)
+        assert z + (-z) == ZL_ZERO and (z - z).val == 0
+        assert str(z) == str(VRat(z.num, z.den))
+
+
+def test_single_negative_slot():
+    z = ZLaurent.v_pow(5) * -7
+    assert (z.val, z.n, z.c, str(z)) == (5, -7, (-7,), "(-7*v^5)/(1)")
+    assert z != ZLaurent.v_pow(5) * 7 and z * z == ZLaurent.v_pow(10) * 49
+
+
+def test_sums_that_cancel_low_slots():
+    a = _zl(-3, (1, 0, 0, 2, 1))       # v^-3 + 2 + v
+    b = _zl(-3, (-1, 0, 0, -2))        # -v^-3 - 2
+    s = a + b
+    assert (s.val, s.n, s.c) == (1, 1, (1,)) and s == ZLaurent.v_pow(1)
+    assert s == b + a and (a - (-b)) == s
+    # the cancelled slots may hold big coefficients, and the rest be negative
+    a = _zl(0, (2**60, -2**60, 5, -1))
+    b = _zl(0, (-2**60, 2**60))
+    assert ((a + b).val, (a + b).c) == (2, (5, -1))
+    assert a + (-a) == ZL_ZERO and not (a - a)
+
+
+def test_bound_refusals():
+    with pytest.raises(SizeLimitError):
+        ZLaurent.coerce(2**63)
+    with pytest.raises(SizeLimitError):
+        ZLaurent.coerce(-(2**63))
+    with pytest.raises(SizeLimitError):
+        _zl(0, (2**62, 2**62))
+    assert ZLaurent.coerce(2**63 - 1).c == (2**63 - 1,)
+    a, b = ZLaurent.coerce(2**32), ZLaurent.coerce(2**31)
+    assert (a * ZLaurent.coerce(2**30)).h == 2**62
+    with pytest.raises(SizeLimitError):
+        a * b                               # bound 2^63
+    with pytest.raises(SizeLimitError):
+        _zl(1, (2**31, 1)) * _zl(0, (1, 2**32))
+    with pytest.raises(SizeLimitError):
+        ZLaurent.coerce(2**62) + ZLaurent.v_pow(3) * 2**62
+    # a sum that cancels to zero is exact: every slot sum is below 2^K
+    assert ZLaurent.coerce(2**62) + ZLaurent.coerce(-(2**62)) == ZL_ZERO
+
+
+def test_wide_sparse_products_agree_with_vrat():
+    # few nonzero slots in a wide operand take the shift-and-add product
+    wide = [(0, (-1,) + (0,) * 199 + (1,)), (-150, (2,) + (0,) * 119 + (-1,)),
+            (3, (1,) + (0,) * 40 + (3, 0, -4))]
+    dense = [(0, (1, 2, 3)), (-2, tuple(range(-20, 21, 3))), (5, (7,))] + wide
+    for sa in wide:
+        for sb in dense:
+            (za, xa), (zb, xb) = _pair(sa), _pair(sb)
+            _same(za * zb, xa * xb)
+            _same(zb * za, xa * xb)
+
+
+_op = st.sampled_from("+-*")
+
+
+@given(_laurent, st.lists(st.tuples(_op, _laurent), max_size=6))
+def test_bound_covers_l1_norm_along_chains(start, steps):
+    z, x = _pair(start)
+    for op, spec in steps:
+        z2, x2 = _pair(spec)
+        if op == "+":
+            z, x = z + z2, x + x2
+        elif op == "-":
+            z, x = z - z2, x - x2
+        else:
+            z, x = z * z2, x * x2
+        assert z.h >= _l1(z)
+        _same(z, x)

@@ -1,4 +1,5 @@
-"""Differential checks of the two division kernels against sympy.
+"""Differential checks of the two division kernels and of the packed Z[v^-1, v]
+kernel against sympy.
 
 sympy is a test-only dependency: the module is skipped when it is missing.
 Every input is seeded, so a failure reproduces from the printed case.
@@ -9,8 +10,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from hecke.qfield import (VRat, pdiv_exact, pdivmod, pgcd, pmul, pnorm,  # noqa: E402
-                          pprimitive)
+from hecke.qfield import (K, PONE, VRat, ZLaurent, pdiv_exact, pdivmod,  # noqa: E402
+                          pgcd, pmul, pnorm, pprimitive, pshift)
 from hecke.xlaurent import Laurent, div_exact, synth_div  # noqa: E402
 
 V, X = sympy.symbols("v X")
@@ -167,3 +168,66 @@ def test_synth_div_matches_sympy_over_qv():
         quo, rem = synth_div(f, root)
         assert _sym(quo, m) == q, (f, root)
         assert _sym(Laurent.const(rem), 0) == r, (f, root)
+
+
+# -- ZLaurent: v^val * P packed as the int P(2^K) ------------------------------
+
+def _operand(rng, max_slots, budget):
+    """(val, P), P(0) != 0, with l1 norm below 2^budget: up to max_slots
+    coefficients of up to budget - 1 bits; one in three has at most four
+    nonzero slots of size 1 or 2 (the sparse shift-and-add product)."""
+    n = rng.randint(1, min(max_slots, 2 ** budget - 1))
+    if rng.random() < 1 / 3:
+        p = [0] * n
+        for i in rng.sample(range(n), min(n, 4)):
+            p[i] = rng.choice((-2, -1, 1, 2))
+    else:
+        bound = 2 ** (budget - n.bit_length()) - 1
+        p = [rng.randint(-bound, bound) for _ in range(n)]
+    p[0], p[-1] = p[0] or 1, p[-1] or -1
+    return rng.randint(-5, 5), tuple(p)
+
+
+def _packed(val, p):
+    num, den = (pshift(p, val), PONE) if val >= 0 else (p, pshift(PONE, -val))
+    return ZLaurent.coerce(VRat(num, den))
+
+
+def _vshift(p, k):
+    return _sp(p) * sympy.Poly(V ** k, V, domain="ZZ")
+
+
+def _agree(z, val, poly, case):
+    """z is v^val * poly: decoded, packed (sympy's value at 2^K) and bounded."""
+    coeffs = [int(c) for c in poly.all_coeffs()[::-1]]
+    if not any(coeffs):
+        assert (z.val, z.n, bool(z)) == (0, 0, False), case
+        return
+    k = next(i for i, c in enumerate(coeffs) if c)
+    assert (z.val, z.c) == (val + k, tuple(coeffs[k:])), case
+    assert z.n == int(_sp(tuple(coeffs[k:])).eval(2 ** K)), case
+    assert z.h >= sum(map(abs, coeffs)), case
+
+
+def test_packed_sums_match_sympy():
+    rng = random.Random(18)
+    for _ in range(300):
+        a = _operand(rng, 40, 61)
+        if rng.random() < 0.4:   # cancel the low slots of a, same valuation
+            k = rng.randint(1, len(a[1]))
+            b = (a[0], tuple(-c for c in a[1][:k]) + _operand(rng, max(40 - k, 1), 61)[1])
+        else:
+            b = _operand(rng, 40, 61)
+        m = min(a[0], b[0])
+        expect = _vshift(a[1], a[0] - m) + _vshift(b[1], b[0] - m)
+        _agree(_packed(*a) + _packed(*b), m, expect, (a, b))
+        _agree(_packed(*a) - _packed(*b),
+               m, _vshift(a[1], a[0] - m) - _vshift(b[1], b[0] - m), (a, b))
+
+
+def test_packed_products_match_sympy():
+    rng = random.Random(19)
+    for _ in range(300):
+        budget = rng.randint(1, 61)
+        a, b = _operand(rng, 40, budget), _operand(rng, 40, 62 - budget)
+        _agree(_packed(*a) * _packed(*b), a[0] + b[0], _sp(a[1]) * _sp(b[1]), (a, b))

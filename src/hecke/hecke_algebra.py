@@ -434,7 +434,8 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
         for _ in range(3):
             x = tuple(rng.randint(-2, 2) for _ in range(alg.d))
             sx = alg.datum.reflect(j, x)
-            # theta_x T_s costs |<x, a^vee>| terms: no lattice cap on rank 4
+            # theta_x T_s has about |<x, a^vee>| terms, so theta's lattice cap
+            # (which refuses parts of [-2, 2]^4 on rank 4) does not apply
             th, thsx = alg.element({(x, 0): ZL_ONE}), alg.element({(sx, 0): ZL_ONE})
             lhs = th * alg.t_simple(j) - alg.t_simple(j) * thsx
             rhs_terms: dict = {}

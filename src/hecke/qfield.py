@@ -414,11 +414,11 @@ class ZLaurent:
     fits its balanced K-bit slot: n decodes to exactly one P, n == 0 only for
     P = 0, and equal (val, n) means equal elements.  A sum adds the aligned
     ints and moves the low slots that cancelled (the trailing zero K-bit
-    blocks of n) into val; a product multiplies them (or shifts and adds for
-    a wide factor with few nonzero slots), and P(0)Q(0) != 0 needs no strip.
-    Sums add the bounds, products multiply them; an op whose bound reaches
-    2^(K-1) raises SizeLimitError.  Zero is val 0, n 0.  c, num, den and str
-    decode n; num/den/str give the canonical VRat pair.
+    blocks of n) into val; a product multiplies them, and P(0)Q(0) != 0 needs
+    no strip.  Sums add the bounds, products multiply them; when that reaches
+    2^(K-1) the bound is taken again from the operands' exact l1 norms, and
+    only if it still does the op raises SizeLimitError.  Zero is val 0, n 0.
+    c, num, den and str decode n; num/den/str give the canonical VRat pair.
     """
 
     __slots__ = ("val", "n", "h")
@@ -472,8 +472,8 @@ class ZLaurent:
         return bool(self.n)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = ZLaurent.coerce(other)
+        if isinstance(other, int):  # int x packs as (0, x); compare it uncapped
+            return self.val == 0 and self.n == other
         if type(other) is not ZLaurent:
             return NotImplemented
         return self.val == other.val and self.n == other.n
@@ -491,7 +491,10 @@ class ZLaurent:
         if not n:
             return ZL_ZERO
         k = ((n & -n).bit_length() - 1) // K  # low slots that cancelled
-        return ZLaurent(a.val + k, n >> K * k, a.h + b.h)
+        h = a.h + b.h
+        if h >> (K - 1):  # h only grows; the operands decode, so take it exact
+            h = sum(map(abs, a.c)) + sum(map(abs, b.c))
+        return ZLaurent(a.val + k, n >> K * k, h)
 
     __radd__ = __add__
 
@@ -509,16 +512,10 @@ class ZLaurent:
             if not isinstance(other, int):
                 return NotImplemented
             other = ZLaurent.coerce(other)
-        a, b = (self, other) if self.h <= other.h else (other, self)
-        if a.h > 8 or a.n.bit_length() < 32 * K:
-            n = a.n * b.n
-        else:  # a.h bounds a's nonzero slots: few in a wide a (labels near
-            # LABEL_CAP give v^200 - 1), where shifted adds beat the product
-            n = 0
-            for i, c in enumerate(_unpack(a.n)):
-                if c:
-                    n += (b.n * c) << K * i
-        return ZLaurent(a.val + b.val, n, a.h * b.h)
+        h = self.h * other.h
+        if h >> (K - 1):  # T_s^k on A1: h grows like the Pell numbers, l1 like k
+            h = sum(map(abs, self.c)) * sum(map(abs, other.c))
+        return ZLaurent(self.val + other.val, self.n * other.n, h)
 
     __rmul__ = __mul__
 

@@ -6,7 +6,7 @@ import pytest
 from hecke.hecke_algebra import (AHA, _group_algebra_mult, algebra, check_relations,
                                   multiply, normal_form)
 from hecke.label_params import LabelFunction
-from hecke.qfield import PONE, VRat, ZLaurent
+from hecke.qfield import PONE, VR_ONE, VR_ZERO, VRat, ZLaurent
 from hecke.root_data import BasedRootDatum, SizeLimitError, build_root_system
 
 
@@ -111,6 +111,19 @@ def test_normal_form():
         alg.t_simple(0), alg.t_simple(0))
     with pytest.raises(ValueError):
         normal_form(alg, [("bogus", 0)])
+
+
+def test_long_words_keep_small_coefficients():
+    # T_s^k = a_k T_s + b_k with a_{k+1} = (q - 1) a_k + b_k, b_{k+1} = q a_k:
+    # the coefficient bound follows the Pell numbers past 2^63 near k = 51,
+    # while the coefficients' l1 norms stay at k
+    alg = _alg("A", 1, (1, 1))
+    q = VRat.v_pow(2)
+    a, b = VR_ONE, VR_ZERO
+    for _ in range(59):
+        a, b = (q - VR_ONE) * a + b, q * a
+    got = normal_form(alg, [("T", 0)] * 60)
+    assert got == alg.t_simple(0).scale(a) + alg.one().scale(b)
 
 
 def test_specialization_at_v1_is_group_algebra():

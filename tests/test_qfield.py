@@ -195,10 +195,27 @@ def test_bound_refusals():
         ZLaurent.coerce(2**62) + ZLaurent.v_pow(3) * 2**62
     # a sum that cancels to zero is exact: every slot sum is below 2^K
     assert ZLaurent.coerce(2**62) + ZLaurent.coerce(-(2**62)) == ZL_ZERO
+    # comparing with an int past the cap is an answer, not a refusal
+    assert ZL_ONE != 2**63 and ZL_ZERO != -(2**64)
+    assert not ZLaurent.coerce(5) == 2**64 + 5 and ZLaurent.coerce(5) == 5
+
+
+def test_bound_is_taken_again_from_the_operands():
+    # (1 + v)^k (1 - v)^k has l1 norm at most 2^k, while the product of the
+    # bounds is 4^k: past k = 31 only the operands' exact norms keep it below 2^63
+    p, m = _pair((0, (1, 1))), _pair((0, (1, -1)))
+    z, x = ZL_ONE, VR_ONE
+    for _ in range(40):
+        z, x = z * p[0] * m[0], x * p[1] * m[1]
+        assert _l1(z) <= z.h < 2**63
+    _same(z, x)
+    assert z.c[-1] == 1 and _l1(z) == 2**40
+    s = z + z                               # a sum falls back the same way
+    assert s == z * 2 and s.h >= _l1(s)
 
 
 def test_wide_sparse_products_agree_with_vrat():
-    # few nonzero slots in a wide operand take the shift-and-add product
+    # labels near LABEL_CAP give wide coefficients with few nonzero slots
     wide = [(0, (-1,) + (0,) * 199 + (1,)), (-150, (2,) + (0,) * 119 + (-1,)),
             (3, (1,) + (0,) * 40 + (3, 0, -4))]
     dense = [(0, (1, 2, 3)), (-2, tuple(range(-20, 21, 3))), (5, (7,))] + wide

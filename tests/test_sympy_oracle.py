@@ -175,7 +175,7 @@ def test_synth_div_matches_sympy_over_qv():
 def _operand(rng, max_slots, budget):
     """(val, P), P(0) != 0, with l1 norm below 2^budget: up to max_slots
     coefficients of up to budget - 1 bits; one in three has at most four
-    nonzero slots of size 1 or 2 (the sparse shift-and-add product)."""
+    nonzero slots of size 1 or 2 (the wide sparse values high labels give)."""
     n = rng.randint(1, min(max_slots, 2 ** budget - 1))
     if rng.random() < 1 / 3:
         p = [0] * n

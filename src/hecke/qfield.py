@@ -2,10 +2,12 @@
 
 A polynomial is a tuple of ints, index = degree, no trailing zeros; () is zero.
 VRat is the fraction field, kept in a canonical form so that equality of
-coefficients is plain structural equality.  ZLaurent is the gcd-free ring
-Z[v, v^-1] that holds every structure constant of the affine Hecke algebra;
-it packs each polynomial into one int by Kronecker substitution v -> 2^K, so
-its sums and products are single big-int operations.
+coefficients is plain structural equality.  The affine Hecke algebra keeps
+its coefficients, all in Z[v, v^-1], as plain ints n = P(2^K) (Kronecker
+substitution v -> 2^K, one balanced K-bit slot per coefficient of P), so that
+its sums and products are single big-int operations; l1_norm, value_at_one
+and low_slots read such ints, and ZLaurent is the coefficient type at the
+algebra's boundary, converted from VRat, int or Fraction and decoded for output.
 """
 from __future__ import annotations
 
@@ -151,10 +153,8 @@ def peval(a: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def pstr(a: Poly) -> str:
-    """Print like 'v^2-1', '2*v', '-v^3+v-4', '0'."""
-    if not a:
-        return "0"
+def pstr(a: Poly, shift: int = 0) -> str:
+    """Print a * v^shift like 'v^2-1', '2*v', '-v^3+v-4', '0'."""
     parts = []
     for k in range(len(a) - 1, -1, -1):
         c = a[k]
@@ -162,13 +162,14 @@ def pstr(a: Poly) -> str:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
-        if k == 0:
+        e = k + shift
+        if e == 0:
             body = str(mag)
         else:
-            var = "v" if k == 1 else f"v^{k}"
+            var = "v" if e == 1 else f"v^{e}"
             body = var if mag == 1 else f"{mag}*{var}"
         parts.append(sign + body)
-    return "".join(parts)
+    return "".join(parts) or "0"
 
 
 def pparse(s: str) -> Poly:
@@ -387,11 +388,10 @@ VR_ZERO = VRat(0)
 VR_ONE = VRat(1)
 
 
-# ZLaurent slot width: 64-bit slots match the int64 format "q"; on the largest
-# accepted inputs measured (labels 100, lattice spread at its cap) the bound h
-# stays under 2^22
+# ZLaurent slot width: 64-bit slots match the int64 format "q"
 K = 64
 _HALF_SLOT = (1 << (K - 1)).to_bytes(K // 8, "little")
+_ONES = (1 << K) - 1   # 2^K = 1 mod _ONES, so n = P(2^K) = P(1) mod _ONES
 
 
 def _unpack(n: int) -> Poly:
@@ -407,18 +407,37 @@ def _unpack(n: int) -> Poly:
     return pnorm(memoryview(raw).cast("q").tolist())
 
 
+def l1_norm(n: int) -> int:
+    """The l1 norm of P for n = P(2^K), all |coefficients| < 2^(K-1)."""
+    return sum(map(abs, _unpack(n)))
+
+
+def value_at_one(n: int) -> int:
+    """P(1) for n = P(2^K) with l1 norm below 2^(K-1): the balanced residue mod 2^K - 1."""
+    r = n % _ONES
+    return r - _ONES if r >> (K - 1) else r
+
+
+def packed_str(val: int, n: int) -> str:
+    """v^val * P for n = P(2^K), printed as its canonical VRat pair '(num)/(den)'."""
+    c = _unpack(n)
+    d = max(-val - _valuation(c), 0) if c else 0   # the v-power of the denominator
+    return f"({pstr(c, val + d)})/({pstr(PONE, d)})"
+
+
+def low_slots(n: int) -> int:
+    """The number of zero low K-bit slots of n != 0: the v-adic valuation of P."""
+    return ((n & -n).bit_length() - 1) // K
+
+
 class ZLaurent:
     """Element v^val * P(v) of Z[v, v^-1] with P(0) != 0, packed as n = P(2^K).
 
-    h bounds the l1 norm of P and stays below 2^(K-1), so every coefficient
-    fits its balanced K-bit slot: n decodes to exactly one P, n == 0 only for
-    P = 0, and equal (val, n) means equal elements.  A sum adds the aligned
-    ints and moves the low slots that cancelled (the trailing zero K-bit
-    blocks of n) into val; a product multiplies them, and P(0)Q(0) != 0 needs
-    no strip.  Sums add the bounds, products multiply them; when that reaches
-    2^(K-1) the bound is taken again from the operands' exact l1 norms, and
-    only if it still does the op raises SizeLimitError.  Zero is val 0, n 0.
-    c, num, den and str decode n; num/den/str give the canonical VRat pair.
+    The coefficient type at the boundary of the algebra: coerce converts its
+    inputs, and c, num, den and str decode its output.  h >= the l1 norm of P
+    stays below 2^(K-1), so every coefficient fits its balanced K-bit slot: n
+    decodes to exactly one P, n == 0 only for P = 0, and equal (val, n) means
+    equal elements.  Zero low slots of n move into val.  Zero is val 0, n 0.
     """
 
     __slots__ = ("val", "n", "h")
@@ -426,9 +445,14 @@ class ZLaurent:
     def __init__(self, val: int, n: int, h: int):
         if h >> (K - 1):
             raise SizeLimitError(f"coefficient bound {h} reaches 2^{K - 1}")
-        _set_val(self, val if n else 0)
-        _set_n(self, n)
-        _set_h(self, h)
+        if n:
+            k = low_slots(n)
+            val, n = val + k, n >> K * k
+        else:
+            val = 0
+        object.__setattr__(self, "val", val)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "h", h)
 
     def __setattr__(self, *a):
         raise AttributeError("ZLaurent is immutable")
@@ -449,11 +473,10 @@ class ZLaurent:
         k = len(x.den) - 1
         if x.den != pshift(PONE, k):
             raise ValueError(f"coefficient {x} is not in Z[v, v^-1]")
-        j = _valuation(x.num) if x.num else 0
         n = 0
-        for c in reversed(x.num[j:]):
+        for c in reversed(x.num):
             n = (n << K) + c
-        return ZLaurent(j - k, n, sum(map(abs, x.num)))
+        return ZLaurent(-k, n, sum(map(abs, x.num)))
 
     @property
     def c(self) -> Poly:
@@ -468,12 +491,7 @@ class ZLaurent:
     def den(self) -> Poly:
         return pshift(PONE, -self.val) if self.val < 0 else PONE
 
-    def __bool__(self) -> bool:
-        return bool(self.n)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):  # int x packs as (0, x); compare it uncapped
-            return self.val == 0 and self.n == other
         if type(other) is not ZLaurent:
             return NotImplemented
         return self.val == other.val and self.n == other.n
@@ -481,55 +499,7 @@ class ZLaurent:
     def __hash__(self):
         return hash((self.val, self.n))
 
-    def __add__(self, other):
-        if type(other) is not ZLaurent:
-            if not isinstance(other, int):
-                return NotImplemented
-            other = ZLaurent.coerce(other)
-        a, b = (self, other) if self.val <= other.val else (other, self)
-        n = a.n + (b.n << K * (b.val - a.val))
-        if not n:
-            return ZL_ZERO
-        k = ((n & -n).bit_length() - 1) // K  # low slots that cancelled
-        h = a.h + b.h
-        if h >> (K - 1):  # h only grows; the operands decode, so take it exact
-            h = sum(map(abs, a.c)) + sum(map(abs, b.c))
-        return ZLaurent(a.val + k, n >> K * k, h)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ZLaurent":
-        return ZLaurent(self.val, -self.n, self.h)
-
-    def __sub__(self, other):
-        return self + (-other) if isinstance(other, (int, ZLaurent)) else NotImplemented
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if type(other) is not ZLaurent:
-            if not isinstance(other, int):
-                return NotImplemented
-            other = ZLaurent.coerce(other)
-        h = self.h * other.h
-        if h >> (K - 1):  # T_s^k on A1: h grows like the Pell numbers, l1 like k
-            h = sum(map(abs, self.c)) * sum(map(abs, other.c))
-        return ZLaurent(self.val + other.val, self.n * other.n, h)
-
-    __rmul__ = __mul__
-
-    def eval(self, v: Fraction) -> Fraction:
-        return peval(self.c, v) * Fraction(v) ** self.val
-
     def __str__(self) -> str:
-        return f"({pstr(self.num)})/({pstr(self.den)})"
+        return packed_str(self.val, self.n)
 
     __repr__ = __str__
-
-
-# the slot setters write past the immutability guard, and cost half of
-# object.__setattr__ in the constructor every sum and product goes through
-_set_val, _set_n, _set_h = (d.__set__ for d in (ZLaurent.val, ZLaurent.n, ZLaurent.h))
-ZL_ZERO = ZLaurent(0, 0, 0)
-ZL_ONE = ZLaurent(0, 1, 1)

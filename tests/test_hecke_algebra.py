@@ -1,12 +1,15 @@
 """Affine Hecke algebra arithmetic in the theta/T basis."""
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hecke.hecke_algebra import (AHA, _group_algebra_mult, algebra, check_relations,
-                                  multiply, normal_form)
+from hecke.hecke_algebra import (AHA, _group_algebra_mult, _random_element, algebra,
+                                  check_relations, multiply, normal_form)
 from hecke.label_params import LabelFunction
-from hecke.qfield import PONE, VR_ONE, VR_ZERO, VRat, ZLaurent
+from hecke.qfield import K, PONE, VR_ONE, VR_ZERO, VRat, ZLaurent, peval
 from hecke.root_data import BasedRootDatum, SizeLimitError, build_root_system
 
 
@@ -126,6 +129,99 @@ def test_long_words_keep_small_coefficients():
     assert got == alg.t_simple(0).scale(a) + alg.one().scale(b)
 
 
+def _l1(el):
+    return sum(sum(map(abs, z.c)) for z in el.terms.values())
+
+
+def test_bound_is_taken_again_from_the_operands():
+    # (1 + v)^k (1 - v)^k has l1 norm at most 2^k, while the product of the
+    # bounds is 4^k: past k = 31 only the operands' exact norms keep it below 2^63
+    alg = _alg("A", 1, (1, 1))
+    p, m = alg.one().scale(VRat((1, 1))), alg.one().scale(VRat((1, -1)))
+    z, x = alg.one(), VR_ONE
+    for _ in range(40):
+        z, x = z * p * m, x * VRat((1, 1)) * VRat((1, -1))
+        assert _l1(z) <= z.bound < 2**63
+    assert z == alg.one().scale(x) and _l1(z) == 2**40
+    s = z + z                               # a sum is taken again the same way
+    assert s == z.scale(2) and s.bound >= _l1(s)
+
+
+def test_products_that_overflow_are_refused():
+    alg = _alg("B", 2, (3, 3, 1))
+    big = alg.t_simple(1).scale(2**40)
+    with pytest.raises(SizeLimitError):
+        big * big                           # 2^80 in one slot
+    with pytest.raises(SizeLimitError):
+        big.scale(2**23)
+    with pytest.raises(SizeLimitError):
+        alg.one().scale(2**62) + alg.one().scale(VRat.v_pow(-3) * 2**62)
+    with pytest.raises(SizeLimitError):     # the bound is the l1 mass of the element
+        alg.element({((0, 0), 0): 2**62, ((1, 0), 0): 2**62})
+    assert (big.scale(2**22) - big.scale(2**22)).is_zero()
+    assert (alg.one().scale(2**62) - alg.one().scale(2**62)).is_zero()
+
+
+def test_cached_bounds_are_taken_again():
+    # T_10 theta_(1,1) rests on cached T_1 theta_y entries: their bounds
+    # loosened to 2^62 sum past 2^63, and are then taken again from their terms
+    alg, ref = _alg("B", 2, (3, 3, 1)), _alg("B", 2, (3, 3, 1))
+    w = alg._word_index((1, 0))
+    want = alg._t_times_theta(w, (1, 1))
+    for key, (terms, _) in list(alg._tt_cache.items()):
+        alg._tt_cache[key] = terms, 2**62
+    del alg._tt_cache[(w, (1, 1))]
+    got = alg._t_times_theta(w, (1, 1))
+    assert got[0] == want[0] and got[1] < 2**62
+    assert (alg.t((1, 0)) * alg.theta((1, 1))).to_json() == \
+        (ref.t((1, 0)) * ref.theta((1, 1))).to_json()
+
+
+_chain_ops = st.lists(st.sampled_from(["+", "-", "*", "scale"]), max_size=6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([("B", 2, (3, 3, 1)), ("G", 2, (1, 3))]), st.integers(0, 2**32),
+       _chain_ops)
+def test_bound_covers_l1_norm_along_chains(case, seed, ops):
+    alg = _alg(*case)
+    rng = random.Random(seed)
+    z = _random_element(alg, rng)
+    for op in ops:
+        b = _random_element(alg, rng)
+        if op == "+":
+            z = z + b
+        elif op == "-":
+            z = z - b
+        elif op == "*":
+            z = z * b if rng.random() < 0.5 else b * z
+        else:
+            z = z.scale(VRat.v_pow(rng.randint(-3, 3)) * rng.choice((-7, 2, 5)))
+        assert z.bound >= _l1(z)
+
+
+def test_specialize_at_one_agrees_with_the_general_path():
+    # v = 1 reads each coefficient mod 2^K - 1; the general path decodes
+    alg = _alg("B", 2, (3, 3, 1))
+    rng = random.Random(7)
+    edge = (2**62, -(2**61), 2**60, -1)
+    samples = [alg.element({((0, 0), 0): 2**63 - 1}),
+               alg.element({((0, 0), 0): -(2**63 - 1)}),
+               alg.element({((1, 0), 0): VRat(edge, (0, 0, 0, 1)),
+                            ((0, 1), 3): VRat((1, 0, 2**59), (0, 0, 1))})]
+    for _ in range(20):
+        a, b = _random_element(alg, rng), _random_element(alg, rng)
+        samples.append((a * b).scale(VRat.v_pow(rng.randint(-4, 4))))
+        samples.append(a - b.scale(VRat.v_pow(-5) * 3))
+    one = Fraction(1)
+    for el in samples:
+        exact = {k: Fraction(peval(z.c, one)) for k, z in el.terms.items()}
+        assert el.specialize(one) == {k: f for k, f in exact.items() if f}
+        for v in (Fraction(2), Fraction(-1, 3)):
+            assert el.specialize(v) == {k: f for k, f in (
+                (k, VRat(z.num, z.den).eval(v)) for k, z in el.terms.items()) if f}
+
+
 def test_specialization_at_v1_is_group_algebra():
     alg = _alg("G", 2, (1, 3))
     a = alg.theta((1, -1)) * alg.t_simple(0)
@@ -153,7 +249,7 @@ def test_coefficients_outside_z_v_pm1_rejected():
     alg = _alg("A", 1, (1, 1))
     ts = alg.t_simple(0)
     key = next(iter(ts.terms))
-    assert ts.scale(VRat.v_pow(-3) * 2).terms[key] == ZLaurent.v_pow(-3) * 2
+    assert ts.scale(VRat.v_pow(-3) * 2).terms[key] == ZLaurent.coerce(VRat.v_pow(-3) * 2)
     assert ts.scale(Fraction(4, 2)) == ts.scale(2)
     for bad in (VRat(PONE, (1, 1)), Fraction(1, 2), VRat(1, 2)):
         with pytest.raises(ValueError):
@@ -166,7 +262,7 @@ def test_coefficients_outside_z_v_pm1_rejected():
 
 def test_failures_carry_reproducing_inputs():
     alg = _alg("B", 2, (3, 3, 1))
-    alg.qq[0] = ZLaurent.v_pow(2) * 2   # T_0^2 no longer specializes to 1 at v = 1
+    alg.qq[0] = ZLaurent(2, 2, 2)       # 2v^2: T_0^2 no longer specializes to 1 at v = 1
     rep = check_relations(alg, sample_count=6, seed=4)
     assert not rep["ok"]
     assert {"relation": "quadratic", "simple": 0} in rep["failures"]

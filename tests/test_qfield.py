@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hecke.qfield import (K, PONE, VR_ONE, VR_ZERO, ZL_ONE, ZL_ZERO, SizeLimitError,
-                          VRat, ZLaurent, pdiv_exact, pgcd, pmul, pnorm, pparse,
-                          pshift, pstr)
+from hecke.qfield import (K, PONE, VR_ONE, VR_ZERO, SizeLimitError, VRat, ZLaurent,
+                          l1_norm, low_slots, pdiv_exact, pgcd, pmul, pnorm, pparse,
+                          pshift, pstr, value_at_one)
 
 
 def test_poly_str_parse_roundtrip():
@@ -92,44 +92,34 @@ def _same(z, x):
     assert isinstance(z, ZLaurent)
     assert (z.num, z.den) == (x.num, x.den)
     assert str(z) == str(x)
-    if z:
+    if z.n:
         assert z.c[0] and z.c[-1]
     else:
         assert (z.val, z.c) == (0, ())
 
 
-@given(_laurent, _laurent, st.integers(min_value=-7, max_value=7))
-def test_zlaurent_agrees_with_vrat(s1, s2, n):
+@given(_laurent, _laurent)
+def test_zlaurent_agrees_with_vrat(s1, s2):
     (z1, x1), (z2, x2) = _pair(s1), _pair(s2)
     _same(z1, x1)
-    _same(z1 + z2, x1 + x2)
-    _same(z1 - z2, x1 - x2)
-    _same(-z1, -x1)
-    _same(z1 * z2, x1 * x2)
-    _same(z1 + n, x1 + n)
-    _same(n - z1, n - x1)
-    _same(z1 * n, x1 * n)
-    _same(n * z1, x1 * VRat(n))
+    assert z1.h == sum(map(abs, x1.num))
     assert (z1 == z2) == (x1 == x2)
-    assert (z1 == n) == (x1 == n)
     if z1 == z2:
         assert hash(z1) == hash(z2)
-    assert bool(z1) == bool(x1)
-    for f in (Fraction(2), Fraction(-1, 3), Fraction(5, 2)):
-        assert z1.eval(f) == x1.eval(f)
+    assert bool(z1.n) == bool(x1)
+    assert ZLaurent.coerce(z1) is z1
 
 
 def test_zlaurent_constants_and_refusals():
-    assert ZLaurent.coerce(0) == ZL_ZERO and not ZL_ZERO
-    assert ZLaurent.coerce(Fraction(1)) == ZL_ONE == 1
-    assert ZLaurent.v_pow(-2) * ZLaurent.v_pow(2) == ZL_ONE
-    assert str(ZLaurent.v_pow(-2) * -3) == "(-3)/(v^2)"
+    assert ZLaurent.coerce(0) == ZLaurent(3, 0, 0) and not ZLaurent.coerce(0).n
+    assert ZLaurent.coerce(Fraction(1)) == ZLaurent.v_pow(0)
+    assert str(ZLaurent.coerce(VRat.v_pow(-2) * -3)) == "(-3)/(v^2)"
     for bad in (Fraction(1, 2), VRat(1, 2), VRat(PONE, pnorm((1, 1))),
                 VRat(pnorm((0, 1)), pnorm((0, 2)))):
         with pytest.raises(ValueError):
             ZLaurent.coerce(bad)
     with pytest.raises(AttributeError):
-        ZL_ONE.val = 3
+        ZLaurent.v_pow(0).val = 3
 
 
 # -- the packed representation: n = P(2^K), h >= l1 norm of P < 2^(K-1) ------
@@ -150,31 +140,36 @@ def _l1(z):
 def test_packed_round_trip_at_slot_edges(p):
     for val in (-3, 0, 2):
         z = _zl(val, p)
-        assert (z.val, z.c, z.h) == (val, p, _l1(z))
+        assert (z.val, z.c, z.h) == (val, p, _l1(z)) == (val, p, l1_norm(z.n))
         assert z.n == sum(c << K * i for i, c in enumerate(p))
         assert _zl(val, p) == z and hash(_zl(val, p)) == hash(z)
-        assert (-z).c == tuple(-c for c in p)
-        assert z + (-z) == ZL_ZERO and (z - z).val == 0
+        assert ZLaurent(val, -z.n, z.h).c == tuple(-c for c in p)
+        assert value_at_one(z.n) == sum(p)
+        # zero low slots move into val
+        assert ZLaurent(val - 4, z.n << 4 * K, z.h) == z
         assert str(z) == str(VRat(z.num, z.den))
 
 
 def test_single_negative_slot():
-    z = ZLaurent.v_pow(5) * -7
+    z = ZLaurent(5, -7, 7)
     assert (z.val, z.n, z.c, str(z)) == (5, -7, (-7,), "(-7*v^5)/(1)")
-    assert z != ZLaurent.v_pow(5) * 7 and z * z == ZLaurent.v_pow(10) * 49
+    assert z != ZLaurent(5, 7, 7) and value_at_one(z.n) == -7
 
 
 def test_sums_that_cancel_low_slots():
+    # aligned packed ints add slot by slot; the slots that cancel are the low
+    # zero slots of the sum, which the constructor moves into val
     a = _zl(-3, (1, 0, 0, 2, 1))       # v^-3 + 2 + v
     b = _zl(-3, (-1, 0, 0, -2))        # -v^-3 - 2
-    s = a + b
+    s = ZLaurent(-3, a.n + b.n, a.h + b.h)
     assert (s.val, s.n, s.c) == (1, 1, (1,)) and s == ZLaurent.v_pow(1)
-    assert s == b + a and (a - (-b)) == s
+    assert low_slots(a.n + b.n) == 4
     # the cancelled slots may hold big coefficients, and the rest be negative
     a = _zl(0, (2**60, -2**60, 5, -1))
     b = _zl(0, (-2**60, 2**60))
-    assert ((a + b).val, (a + b).c) == (2, (5, -1))
-    assert a + (-a) == ZL_ZERO and not (a - a)
+    s = ZLaurent(0, a.n + b.n, a.h + b.h)
+    assert (s.val, s.c) == (2, (5, -1))
+    assert ZLaurent(0, a.n - a.n, 0) == ZLaurent.coerce(0)
 
 
 def test_bound_refusals():
@@ -184,61 +179,21 @@ def test_bound_refusals():
         ZLaurent.coerce(-(2**63))
     with pytest.raises(SizeLimitError):
         _zl(0, (2**62, 2**62))
+    with pytest.raises(SizeLimitError):
+        ZLaurent(0, 1, 2**63)
     assert ZLaurent.coerce(2**63 - 1).c == (2**63 - 1,)
-    a, b = ZLaurent.coerce(2**32), ZLaurent.coerce(2**31)
-    assert (a * ZLaurent.coerce(2**30)).h == 2**62
-    with pytest.raises(SizeLimitError):
-        a * b                               # bound 2^63
-    with pytest.raises(SizeLimitError):
-        _zl(1, (2**31, 1)) * _zl(0, (1, 2**32))
-    with pytest.raises(SizeLimitError):
-        ZLaurent.coerce(2**62) + ZLaurent.v_pow(3) * 2**62
-    # a sum that cancels to zero is exact: every slot sum is below 2^K
-    assert ZLaurent.coerce(2**62) + ZLaurent.coerce(-(2**62)) == ZL_ZERO
-    # comparing with an int past the cap is an answer, not a refusal
-    assert ZL_ONE != 2**63 and ZL_ZERO != -(2**64)
-    assert not ZLaurent.coerce(5) == 2**64 + 5 and ZLaurent.coerce(5) == 5
-
-
-def test_bound_is_taken_again_from_the_operands():
-    # (1 + v)^k (1 - v)^k has l1 norm at most 2^k, while the product of the
-    # bounds is 4^k: past k = 31 only the operands' exact norms keep it below 2^63
-    p, m = _pair((0, (1, 1))), _pair((0, (1, -1)))
-    z, x = ZL_ONE, VR_ONE
-    for _ in range(40):
-        z, x = z * p[0] * m[0], x * p[1] * m[1]
-        assert _l1(z) <= z.h < 2**63
-    _same(z, x)
-    assert z.c[-1] == 1 and _l1(z) == 2**40
-    s = z + z                               # a sum falls back the same way
-    assert s == z * 2 and s.h >= _l1(s)
+    # comparing with an int is an answer, not a refusal
+    assert ZLaurent.v_pow(0) != 2**63 and ZLaurent.coerce(0) != -(2**64)
 
 
 def test_wide_sparse_products_agree_with_vrat():
-    # labels near LABEL_CAP give wide coefficients with few nonzero slots
+    # labels near LABEL_CAP give wide coefficients with few nonzero slots; the
+    # int product of two packed values is the packed product
     wide = [(0, (-1,) + (0,) * 199 + (1,)), (-150, (2,) + (0,) * 119 + (-1,)),
             (3, (1,) + (0,) * 40 + (3, 0, -4))]
     dense = [(0, (1, 2, 3)), (-2, tuple(range(-20, 21, 3))), (5, (7,))] + wide
     for sa in wide:
         for sb in dense:
             (za, xa), (zb, xb) = _pair(sa), _pair(sb)
-            _same(za * zb, xa * xb)
-            _same(zb * za, xa * xb)
+            _same(ZLaurent(za.val + zb.val, za.n * zb.n, za.h * zb.h), xa * xb)
 
-
-_op = st.sampled_from("+-*")
-
-
-@given(_laurent, st.lists(st.tuples(_op, _laurent), max_size=6))
-def test_bound_covers_l1_norm_along_chains(start, steps):
-    z, x = _pair(start)
-    for op, spec in steps:
-        z2, x2 = _pair(spec)
-        if op == "+":
-            z, x = z + z2, x + x2
-        elif op == "-":
-            z, x = z - z2, x - x2
-        else:
-            z, x = z * z2, x * x2
-        assert z.h >= _l1(z)
-        _same(z, x)

@@ -1,5 +1,5 @@
-"""Differential checks of the two division kernels and of the packed Z[v^-1, v]
-kernel against sympy.
+"""Differential checks of the two division kernels and of the algebra's packed
+Z[v^-1, v] coefficients against sympy.
 
 sympy is a test-only dependency: the module is skipped when it is missing.
 Every input is seeded, so a failure reproduces from the printed case.
@@ -10,8 +10,11 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from hecke.qfield import (K, PONE, VRat, ZLaurent, pdiv_exact, pdivmod,  # noqa: E402
-                          pgcd, pmul, pnorm, pprimitive, pshift)
+from hecke.hecke_algebra import AHA  # noqa: E402
+from hecke.label_params import LabelFunction  # noqa: E402
+from hecke.qfield import (K, PONE, VRat, pdiv_exact, pdivmod, pgcd, pmul,  # noqa: E402
+                          pnorm, pprimitive, pshift)
+from hecke.root_data import BasedRootDatum  # noqa: E402
 from hecke.xlaurent import Laurent, div_exact, synth_div  # noqa: E402
 
 V, X = sympy.symbols("v X")
@@ -170,7 +173,14 @@ def test_synth_div_matches_sympy_over_qv():
         assert _sym(Laurent.const(rem), 0) == r, (f, root)
 
 
-# -- ZLaurent: v^val * P packed as the int P(2^K) ------------------------------
+# -- packed coefficients: v^-e * P with P in Z[v] held as the int P(2^K) -------
+#
+# Sums and products go through elements of the rank-0 algebra (the Laurent
+# polynomials in theta), whose coefficient at theta_0 is the value under test.
+
+_LAURENT = AHA(BasedRootDatum(None, lattice_rank=1), LabelFunction(()))
+_AT_ZERO = ((0,), 0)
+
 
 def _operand(rng, max_slots, budget):
     """(val, P), P(0) != 0, with l1 norm below 2^budget: up to max_slots
@@ -189,24 +199,26 @@ def _operand(rng, max_slots, budget):
 
 
 def _packed(val, p):
+    """v^val * p as an element c * theta_0, built through VRat like every input."""
     num, den = (pshift(p, val), PONE) if val >= 0 else (p, pshift(PONE, -val))
-    return ZLaurent.coerce(VRat(num, den))
+    return _LAURENT.element({_AT_ZERO: VRat(num, den)})
 
 
 def _vshift(p, k):
     return _sp(p) * sympy.Poly(V ** k, V, domain="ZZ")
 
 
-def _agree(z, val, poly, case):
-    """z is v^val * poly: decoded, packed (sympy's value at 2^K) and bounded."""
+def _agree(el, val, poly, case):
+    """el is v^val * poly * theta_0: decoded, packed (sympy's value at 2^K) and bounded."""
     coeffs = [int(c) for c in poly.all_coeffs()[::-1]]
     if not any(coeffs):
-        assert (z.val, z.n, bool(z)) == (0, 0, False), case
+        assert el.is_zero() and el == _LAURENT.element({}), case
         return
+    z = el.terms[_AT_ZERO]
     k = next(i for i, c in enumerate(coeffs) if c)
     assert (z.val, z.c) == (val + k, tuple(coeffs[k:])), case
     assert z.n == int(_sp(tuple(coeffs[k:])).eval(2 ** K)), case
-    assert z.h >= sum(map(abs, coeffs)), case
+    assert el.bound >= sum(map(abs, coeffs)), case
 
 
 def test_packed_sums_match_sympy():

@@ -35,17 +35,17 @@ from .root_data import BasedRootDatum, SizeLimitError, WeylElement, weyl_group
 
 # Input caps, chosen so that an accepted input runs in seconds on a 2-core
 # machine.  Coefficient widths grow with the labels: check_relations on A1 with
-# 50 samples takes 0.3 s at labels 100 and 3.3 s at 1000.  T_w0 * theta_y has
+# 50 samples takes 0.2 s at labels 100 and 5.6 s at 1000.  T_w0 * theta_y has
 # about c * spread^rank terms, spread = sum over positive roots a of
 # |<y, a^vee>|, which is W-invariant: on G2 (labels 1,3) theta_(10,10) has
-# spread 60 and takes 0.6 s, theta_(-10,10) spread 160 and 39 s, though
+# spread 60 and takes 0.2 s, theta_(-10,10) spread 160 and 10 s, though
 # COORD_CAP admits both.  theta_y needs (spread / 14)^rank <= LATTICE_CAP:
-# spread 112 on rank 2 (G2 6.3 s), 56 on rank 3 (B3 5.8 s), 39 on rank 4
-# (B4 5.5 s and F4 3.4 s at 38).  A sample costs about 1 ms on A1
-# (500 take 0.4 s) and 0.04-0.35 s from A2 to F4 (0.15 s on B3, labels 3,3,1).
-# SAMPLE_WORK_CAP bounds samples * |W|^2 * (20 + 2 * widest label): at the cap
-# G2 (labels 1,3) runs 106 samples in 2.4 s, A2 462 in 4.1 s at labels 2,2 and
-# 50 in 9.5 s at labels 100,100, B3 (3,3,1) 6 in 1.0 s.
+# spread 112 on rank 2 (G2 1.9 s), 56 on rank 3 (B3 2.1 s), 39 on rank 4
+# (B4 1.7 s and F4 1.5 s at 38).  A sample costs about 0.4 ms on A1, 5 ms on
+# A2 and 14 ms on G2 at labels 1-3, 0.1 s on B3 (labels 3,3,1) and 0.5 s on A2
+# at labels 100,100.  SAMPLE_WORK_CAP bounds samples * |W|^2 * (20 + 2 * widest
+# label): at the cap G2 (labels 1,3) runs 106 samples in 1.5 s, A2 462 in 2.4 s
+# at labels 2,2 but 50 in 25 s at labels 100,100, B3 (3,3,1) 6 in 0.6 s.
 LABEL_CAP = 100
 COORD_CAP = 10
 LATTICE_CAP = 64
@@ -72,10 +72,6 @@ def _bounded(bound: int, exact) -> int:
     return bound
 
 
-def _neg(z: ZLaurent) -> ZLaurent:
-    return ZLaurent(z.val, -z.n, z.h)
-
-
 class AHA:
     """Handle for one affine Hecke algebra; caches all Weyl/relation data."""
 
@@ -99,7 +95,9 @@ class AHA:
             self.ws_table = ((),)
             self.pos_coroots = ()
         self.lengths = tuple(len(w.word) for w in self.W)
-        # per-simple constants in Z[v]; labels must give integral v-exponents
+        # per-simple constants; labels must give integral v-exponents.  qq is
+        # a ZLaurent, and A, B, each a difference v^p - v^r of two v-powers
+        # (zero when p = r), are kept as the slot shifts (K p, K r)
         self.qq, self.A, self.B, self.x_points = [], [], [], []
         for j in range(self.rank):
             lam, ls = lf.values(j)
@@ -109,10 +107,10 @@ class AHA:
             if ea.denominator != 1 or es.denominator != 1:
                 raise ValueError(
                     f"simple {j}: q-parameters v^{ea}, v^{es} are not v-powers")
-            qa, qs = VRat.v_pow(int(ea)), VRat.v_pow(int(es))
-            self.qq.append(ZLaurent.coerce(qa * qs))
-            self.A.append(ZLaurent.coerce(qa * qs - 1))
-            self.B.append(ZLaurent.coerce(qa - qs))
+            ea, es = int(ea), int(es)
+            self.qq.append(ZLaurent.v_pow(ea + es))
+            self.A.append((K * (ea + es), 0))
+            self.B.append((K * ea, K * es))
             root = datum.roots[datum.basis[j]]
             if x_points is not None and j in x_points:
                 pt = tuple(x_points[j])
@@ -127,8 +125,19 @@ class AHA:
 
     # -- element constructors --------------------------------------------
 
-    def element(self, terms) -> "AHAElement":
-        return AHAElement(self, terms)
+    def element(self, terms: dict) -> "AHAElement":
+        """sum c theta_x T_w for {(x, w-index): c}, c an int, Fraction, VRat or
+        ZLaurent in Z[v, v^-1]; 1/2 or 1/(1+v) raise ValueError."""
+        zs = {}
+        for (x, wi), c in terms.items():
+            c = ZLaurent.coerce(c)
+            if c.n:
+                zs[(tuple(x), wi)] = c
+        e = -min((c.val for c in zs.values()), default=0)
+        bound = _bounded(sum(c.h for c in zs.values()),
+                         lambda: sum(l1_norm(c.n) for c in zs.values()))
+        return AHAElement(self, e, {k: c.n << K * (c.val + e) for k, c in zs.items()},
+                          bound)
 
     def one(self) -> "AHAElement":
         return self.element({((0,) * self.d, 0): 1})
@@ -186,17 +195,15 @@ class AHA:
             part = parts.get(wi)
             if part is None:
                 part = parts[wi] = self._t_times_elem(wi, b.ints)
+            sh = low_slots(c) * K   # a v-power factor never widens the products
+            c >>= sh
             for (z, ui), c2 in part[0].items():
                 key = (tuple(map(add, x, z)), ui)
-                s = get(key, 0) + c * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                out[key] = get(key, 0) + ((c * c2) << sh)
         top = max((m for _, m in parts.values()), default=0)
         bound = _bounded(a.bound * b.bound * top,
                          lambda: _norm(a.ints) * _norm(b.ints) * top)
-        return _element(self, a.e + b.e, out, bound)
+        return AHAElement(self, a.e + b.e, {k: n for k, n in out.items() if n}, bound)
 
     def _t_times_elem(self, wi: int, ints: dict) -> tuple:
         """T_w * sum n theta_y T_u, and the largest bound of a T_w theta_y T_u."""
@@ -209,12 +216,10 @@ class AHA:
                 part, m = self._right_mult_ts(part, m, j)
             if m > top:
                 top = m
+            sh = low_slots(c) * K
+            c >>= sh
             for key, c2 in part.items():
-                s = get(key, 0) + c * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                out[key] = get(key, 0) + ((c * c2) << sh)
         return out, top
 
     def _t_times_theta(self, wi: int, y: tuple) -> tuple:
@@ -234,23 +239,18 @@ class AHA:
         wpi = self.ws_table[wi][s]
         first, m1 = self._t_times_theta(wpi, self.datum.reflect(s, y))
         out, m = self._right_mult_ts(first, m1, s)
-        pieces = [(self.A[s].h + self.qq[s].h, first)]
+        pieces = [(2 + self.qq[s].h, first)]
         xs = self.x_points[s]
-        for k, d in self._dcoeffs(s, self._pair(y, s)):
+        for k, (p, r) in self._dcoeffs(s, self._pair(y, s)):
             shifted = tuple(a + k * b for a, b in zip(y, xs))
             part, mp = self._t_times_theta(wpi, shifted)
-            pieces.append((d.h, part))
-            m += d.h * mp
-            dn, dsh = d.n, K * d.val
+            pieces.append((2, part))
+            m += 2 * mp
             for key2, c in part.items():
-                c = out.get(key2, 0) + ((dn * c) << dsh)
-                if c:
-                    out[key2] = c
-                else:
-                    del out[key2]
+                out[key2] = out.get(key2, 0) + (c << p) - (c << r)
         m = _bounded(m, lambda: sum(f * _norm(p) for f, p in pieces))
-        self._tt_cache[key] = out, m
-        return out, m
+        hit = self._tt_cache[key] = {k: n for k, n in out.items() if n}, m
+        return hit
 
     def _pair(self, y: tuple, j: int) -> int:
         coroot = self.datum.coroots[self.datum.basis[j]]
@@ -263,7 +263,8 @@ class AHA:
         D_j(y) = (A + B u^-1)(1 - u^-n') / (1 - u^-2) at u = theta_{X_j}:
         A + B u^-1 + A u^-2 + ... (n' terms) for n' > 0, and
         -B u - A u^2 - B u^3 - ... (|n'| terms) for n' < 0.  For odd n' the
-        quotient is a Laurent polynomial only if A = B.
+        quotient is a Laurent polynomial only if A = B.  Each d_k is nonzero
+        and, like A and B, given as slot shifts: -(v^p - v^r) = v^r - v^p.
         """
         m = self.x_points[j][j]
         if n % m:
@@ -280,41 +281,26 @@ class AHA:
             if n > 0:
                 hit = [(-i, b if i % 2 else a) for i in range(n)]
             else:
-                hit = [(i, _neg(b if i % 2 else a)) for i in range(1, 1 - n)]
-            hit = tuple((k, d) for k, d in hit if d.n)
+                hit = [(i, (b if i % 2 else a)[::-1]) for i in range(1, 1 - n)]
+            hit = tuple((k, d) for k, d in hit if d[0] != d[1])
             self._d_cache[key] = hit
         return hit
 
     def _right_mult_ts(self, terms: dict, m: int, j: int) -> tuple:
         """terms * T_j, and the bound m grown by at most l1(A_j) + l1(qq_j)."""
-        a, q = self.A[j], self.qq[j]
-        an, ash, qn, qsh = a.n, K * a.val, q.n, K * q.val
+        (ap, ar), q = self.A[j], self.qq[j]
+        qn, qsh = q.n, K * q.val
         out: dict = {}
         get = out.get
         grow = 1
         for (x, ui), c in terms.items():
             usi = self.ws_table[ui][j]
             if self.lengths[usi] > self.lengths[ui]:
-                key = (x, usi)
-                s = get(key, 0) + c
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                out[x, usi] = get((x, usi), 0) + c
             else:   # T_u T_s = A T_u + qq T_us when us < u
-                grow = a.h + q.h
-                key = (x, ui)
-                s = get(key, 0) + ((c * an) << ash)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-                key = (x, usi)
-                s = get(key, 0) + ((c * qn) << qsh)
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                grow = 2 + q.h
+                out[x, ui] = get((x, ui), 0) + (c << ap) - (c << ar)
+                out[x, usi] = get((x, usi), 0) + ((c * qn) << qsh)
         return out, m * grow
 
     def __repr__(self):
@@ -323,36 +309,18 @@ class AHA:
         return f"AHA({tag}, lattice Z^{self.d})"
 
 
-def _element(alg: AHA, e: int, ints: dict, bound: int) -> "AHAElement":
-    """v^-e * sum n theta_x T_w from packed ints n != 0; bound >= their l1 mass."""
-    el = object.__new__(AHAElement)
-    for name, val in zip(AHAElement.__slots__, (alg, e, ints, bound)):
-        object.__setattr__(el, name, val)
-    return el
-
-
 class AHAElement:
     """v^-e * sum P(v) theta_x T_w, with P in Z[v] packed as the int P(2^K).
 
     ints maps (x, w-index) to P(2^K) != 0; bound is at least the sum of the l1
     norms of all the P and stays below 2^(K-1), so every P decodes.  The
     common v-power is taken out only at ==, hash and output.  terms gives the
-    coefficients as ZLaurent.  int, Fraction, VRat and ZLaurent inputs are
-    converted; 1/2 or 1/(1+v) raise ValueError.
+    coefficients as ZLaurent.  Build elements with AHA.element.
     """
 
     __slots__ = ("algebra", "e", "ints", "bound")
 
-    def __init__(self, algebra: AHA, terms: dict):
-        zs = {}
-        for (x, wi), c in terms.items():
-            c = ZLaurent.coerce(c)
-            if c.n:
-                zs[(tuple(x), wi)] = c
-        e = -min((c.val for c in zs.values()), default=0)
-        bound = _bounded(sum(c.h for c in zs.values()),
-                         lambda: sum(l1_norm(c.n) for c in zs.values()))
-        ints = {k: c.n << K * (c.val + e) for k, c in zs.items()}
+    def __init__(self, algebra: AHA, e: int, ints: dict, bound: int):
         for name, val in zip(self.__slots__, (algebra, e, ints, bound)):
             object.__setattr__(self, name, val)
 
@@ -365,12 +333,10 @@ class AHAElement:
         return {k: ZLaurent(-self.e, n, self.bound) for k, n in self.ints.items()}
 
     def _canonical(self) -> tuple:
-        """(e, ints) with the common v-power taken out."""
+        """(e, ints) with the common v-power taken out; zero is (0, {})."""
         if not self.ints:
             return 0, {}
         k = low_slots(reduce(or_, self.ints.values()))
-        if not k:
-            return self.e, self.ints
         return self.e - k, {key: n >> K * k for key, n in self.ints.items()}
 
     def is_zero(self) -> bool:
@@ -389,19 +355,16 @@ class AHAElement:
         sh = K * (a.e - b.e)
         out = dict(a.ints)
         for key, n in b.ints.items():
-            s = out.get(key, 0) + (n << sh)
-            if s:
-                out[key] = s
-            else:
-                del out[key]
+            out[key] = out.get(key, 0) + (n << sh)
+        out = {k: n for k, n in out.items() if n}
         if not out:   # every slot cancelled exactly
-            return _element(self.algebra, 0, out, 0)
+            return AHAElement(self.algebra, 0, out, 0)
         bound = _bounded(a.bound + b.bound, lambda: _norm(a.ints) + _norm(b.ints))
-        return _element(self.algebra, a.e, out, bound)
+        return AHAElement(self.algebra, a.e, out, bound)
 
     def __neg__(self) -> "AHAElement":
-        return _element(self.algebra, self.e, {k: -n for k, n in self.ints.items()},
-                        self.bound)
+        return AHAElement(self.algebra, self.e, {k: -n for k, n in self.ints.items()},
+                          self.bound)
 
     def __sub__(self, other: "AHAElement") -> "AHAElement":
         return self + (-other)
@@ -417,10 +380,10 @@ class AHAElement:
     def scale(self, c) -> "AHAElement":
         c = ZLaurent.coerce(c)
         if not c.n:
-            return _element(self.algebra, 0, {}, 0)
+            return AHAElement(self.algebra, 0, {}, 0)
         bound = _bounded(self.bound * c.h, lambda: _norm(self.ints) * l1_norm(c.n))
-        return _element(self.algebra, self.e - c.val,
-                        {k: n * c.n for k, n in self.ints.items()}, bound)
+        return AHAElement(self.algebra, self.e - c.val,
+                          {k: n * c.n for k, n in self.ints.items()}, bound)
 
     def specialize(self, v: Fraction) -> dict:
         """Evaluate all coefficients at a numeric v; map (x, w-index) -> Fraction.
@@ -568,8 +531,9 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
             # (which refuses parts of [-2, 2]^4 on rank 4) does not apply
             th, thsx = alg.element({(x, 0): 1}), alg.element({(sx, 0): 1})
             lhs = th * alg.t_simple(j) - alg.t_simple(j) * thsx
-            rhs = {(tuple(a + k * b for a, b in zip(x, alg.x_points[j])), 0): dk
-                   for k, dk in alg._dcoeffs(j, alg._pair(x, j))}
+            rhs = {(tuple(a + k * b for a, b in zip(x, alg.x_points[j])), 0):
+                   ZLaurent(0, (1 << p) - (1 << r), 2)
+                   for k, (p, r) in alg._dcoeffs(j, alg._pair(x, j))}
             if lhs != alg.element(rhs):
                 report["cross"] = False
                 report["failures"].append({"relation": "cross", "seed": seed,

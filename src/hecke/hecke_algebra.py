@@ -290,12 +290,13 @@ class AHA:
         """terms * T_j, and the bound m grown by at most l1(A_j) + l1(qq_j)."""
         (ap, ar), q = self.A[j], self.qq[j]
         qn, qsh = q.n, K * q.val
+        ws, lengths = self.ws_table, self.lengths
         out: dict = {}
         get = out.get
         grow = 1
         for (x, ui), c in terms.items():
-            usi = self.ws_table[ui][j]
-            if self.lengths[usi] > self.lengths[ui]:
+            usi = ws[ui][j]
+            if lengths[usi] > lengths[ui]:
                 out[x, usi] = get((x, usi), 0) + c
             else:   # T_u T_s = A T_u + qq T_us when us < u
                 grow = 2 + q.h

@@ -407,20 +407,12 @@ class AHAElement:
                            "coeff": packed_str(-self.e, n)} for (x, wi), n in rows]}
 
     def __repr__(self):
-        if not self.ints:
-            return "AHAElement(0)"
         bits = []
-        for (x, wi), c in sorted(self.terms.items(),
-                                 key=lambda kv: (self.algebra.W[kv[0][1]].word, kv[0][0])):
-            w = self.algebra.W[wi].word
-            body = []
-            if any(x):
-                body.append(f"th{list(x)}")
-            if w:
-                body.append("T" + "".join(str(j) for j in w))
-            body = " ".join(body) or "1"
-            bits.append(f"({c})*{body}")
-        return " + ".join(bits)
+        for t in self.to_json()["terms"]:
+            body = ([f"th{t['x']}"] if any(t["x"]) else []) + \
+                (["T" + "".join(map(str, t["w"]))] if t["w"] else [])
+            bits.append(f"({t['coeff']})*{' '.join(body) or '1'}")
+        return " + ".join(bits) or "AHAElement(0)"
 
 
 def algebra(datum: BasedRootDatum, lf: LabelFunction, **kw) -> AHA:

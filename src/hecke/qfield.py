@@ -388,7 +388,7 @@ VR_ZERO = VRat(0)
 VR_ONE = VRat(1)
 
 
-# ZLaurent slot width: 64-bit slots match the int64 format "q"
+# slot width of the packed ints: 64-bit slots match the int64 format "q"
 K = 64
 _HALF_SLOT = (1 << (K - 1)).to_bytes(K // 8, "little")
 _ONES = (1 << K) - 1   # 2^K = 1 mod _ONES, so n = P(2^K) = P(1) mod _ONES
@@ -413,7 +413,7 @@ def l1_norm(n: int) -> int:
 
 
 def value_at_one(n: int) -> int:
-    """P(1) for n = P(2^K) with l1 norm below 2^(K-1): the balanced residue mod 2^K - 1."""
+    """P(1) for n = P(2^K) with l1 norm below 2^(K-1): n's balanced residue mod 2^K - 1."""
     r = n % _ONES
     return r - _ONES if r >> (K - 1) else r
 

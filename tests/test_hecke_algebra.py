@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hecke.hecke_algebra import (AHA, _group_algebra_mult, _random_element, algebra,
                                   check_relations, multiply, normal_form)
 from hecke.label_params import LabelFunction
-from hecke.qfield import K, PONE, VR_ONE, VR_ZERO, VRat, ZLaurent, peval
+from hecke.qfield import PONE, VR_ONE, VR_ZERO, VRat, ZLaurent, peval
 from hecke.root_data import BasedRootDatum, SizeLimitError, build_root_system
 
 

@@ -248,7 +248,7 @@ class AHA:
             m += 2 * mp
             for key2, c in part.items():
                 out[key2] = out.get(key2, 0) + (c << p) - (c << r)
-        m = _bounded(m, lambda: sum(f * _norm(p) for f, p in pieces))
+        m = _bounded(m, lambda: sum(f * _norm(piece) for f, piece in pieces))
         hit = self._tt_cache[key] = {k: n for k, n in out.items() if n}, m
         return hit
 

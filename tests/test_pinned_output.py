@@ -66,3 +66,60 @@ def test_cli_stdout_pinned(argv, want):
     proc = subprocess.run([sys.executable, "-m", "hecke.cli", *argv], capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == want
+
+
+# The benchmark's 21-invocation CLI mix: exit code and stdout sha256 of each.
+CLI_MIX = [
+    (["table1"], 0,
+     "70c46009129654f1296d8eadfeecd3ffd3c979b268055eeffda931ed15279059"),
+    (["table1", "--csv"], 0,
+     "35bc603b98d828c8dac1454201399117d8b383c4bceba0e31731eab18454219e"),
+    (["match-labels", "--type", "B2", "--labels", "3,3,1"], 0,
+     "7954812e4c4f69118290095ab8e628d2c73231858f032464089110bdf8c13bf7"),
+    (["match-labels", "--type", "B2", "--labels", "1,2,3,4"], 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["classical", "--case", "b", "--a", "3", "--a-minus", "1"], 0,
+     "9af342ab057022fd2094eb6dd7f279a7444c39e6e270b6e3c706dcfc0ae4469a"),
+    (["bound", "--case", "a", "--a-plus", "4", "--n-dual", "4"], 1,
+     "d5728f191c7fd76edc938c6c6acd4c8509039e9baf8b27b38cd1a25eece81cdc"),
+    (["parity", "--family", "unramified-SU", "--a", "3", "--a-minus", "0"], 0,
+     "4d8302ef179181f9249dd8fb5d9dcb470041e2a1ef692d9d24cedf714a243601"),
+    (["unitary-ps", "--n", "9", "--segments",
+      "not-skew:2,skew-trivial:1,trivial:1"], 0,
+     "2e38930fba8b4c2d1878d5e78b58bf08c6f3d024f26c960bf182032382ac78b3"),
+    (["ps-q", "--w-orbit", "6", "--i-orbit", "3"], 0,
+     "8f5a8efcee457cd932de2f5373668d39288d70da93c2c883f0a3665e68beae9e"),
+    (["case", "--group", "E7(2)", "--levi", "2,3"], 0,
+     "5d4def15e1f90f1c19c202857417234758a5ce20ec89b4ca8f5eaf0acf7f388b"),
+    (["case"], 0,
+     "dbb851b94de7dbba478466d27d704b90051a0417fd1ffef912ff164d38a6cd20"),
+    (["transfer", "--type", "C1", "--labels", "1,1", "--case", "ii"], 0,
+     "b7ee53cd12836e7c2cdd1a6af40c3092d4e82830d0d19119629b6ffde9f2aec8"),
+    (["mu", "--qa", "2", "--qs", "1", "recover"], 0,
+     "8715dafa3cb93907a5ff27ee4deaac9ec68e0e8ae4003fa91600ff395c7462fd"),
+    (["mu", "--qa", "1", "poles"], 0,
+     "c69d3175b888b9a9f6edf71e5d5e20fa4a9cb9eb0a86a82340ef808dfccc3222"),
+    (["jmatrix"], 0,
+     "346fe0ab3fa8989adbbeb518b70c379178b0846114e322c80c123f3cd5bb7cfd"),
+    (["scalar"], 0,
+     "5725076cc7fc1b0f4f87a0c0ee2068a9acb4624ed93ea8ea472ccd49abe6d375"),
+    (["charsum", "--modulus", "9"], 0,
+     "f164599c56be65264cfc8a25a6c617587e375c4b0b008210eef528e8c74a59b6"),
+    (["mul", "--type", "A", "--rank", "1", "--labels", "1,1", "x1", "T0 T0"], 0,
+     "50ed06460dd6bdc0ae20bca723dcec64f79914c6a713b71f893799017abdadb9"),
+    (["normal-form", "--type", "A", "--rank", "1", "--labels", "1,1",
+      "x1 T0 T0"], 0,
+     "a6a9be678d55f2941b2bb0242cc2f3f5a88cb5647f6378b36385cad28efc2def"),
+    (["check-relations", "--type", "A", "--rank", "1", "--labels", "1,1",
+      "--samples", "2", "--seed", "7"], 0,
+     "7377ca5a32ece0a1029ed9418b5c8680df23cef1d4efbbeb2196368b018ab1e3"),
+    (["decompose", "--type", "B", "--rank", "2", "--matrix=-1,0;0,-1"], 0,
+     "d2ba98b773e7362c0d1bfffaddcb5a3a8a4677204677fc9f9299418ee9fc0ecb"),
+]
+
+
+@pytest.mark.parametrize("argv,code,want", CLI_MIX, ids=[" ".join(a) for a, _, _ in CLI_MIX])
+def test_cli_mix_pinned(argv, code, want):
+    proc = subprocess.run([sys.executable, "-m", "hecke.cli", *argv], capture_output=True)
+    assert proc.returncode == code, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == want

@@ -11,6 +11,7 @@ value read as lambda* of the short orbit, so B2 with (3,3,1) is
 `--type B --rank 2 --labels 3,3,1`.  Algebra elements are words in the
 generators: `T<i>` for the standard generator of the i-th simple
 reflection, `x<c1,...,cd>` for the lattice part, e.g. "x1,0 T0 T1".
+Each verb imports its own library modules when it runs.
 """
 from __future__ import annotations
 
@@ -19,23 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .hecke_algebra import algebra, check_relations, multiply, normal_form
-from .intertwiner_rank1 import (AUDIT_PHI_CAP, FiniteCharacter, char_sum,
-                                compose, composite_scalar, is_scalar_identity,
-                                j_matrix, ramified_rule,
-                                reciprocal_scalar_profile, reducibility_points)
-from .isogeny_transfer import (TransferCase, class_preserved, component_match,
-                               transfer)
-from .label_params import LabelFunction, QBase, q_power_str
-from .mu_function import mu_factor, poles_zeros, q_from_poles
-from .param_catalog import (ClassicalFamily, case_lookup,
-                            classical_bound_check, classical_labels,
-                            db_integrity_report, db_records, db_version,
-                            descriptor_csv, parity_allows, parity_rule,
-                            parse_type, quasisplit_ps_q, table1, table1_csv,
-                            unitary_ps_descriptor)
-from .root_data import (BasedRootDatum, SizeLimitError, build_root_system,
-                        decompose_extended)
+from .qfield import SizeLimitError
 
 J_DIRECTIONS = ("P->Pop", "Pop->P")
 
@@ -53,6 +38,7 @@ def _emit(args, payload, csv_text=None):
 
 
 def _shape_args(args):
+    from .root_data import parse_type
     letter, rank = parse_type(args.type)
     if getattr(args, "rank", None) is not None:
         if rank is not None and rank != args.rank:
@@ -64,6 +50,8 @@ def _shape_args(args):
 
 
 def _component_args(args):
+    from .label_params import LabelFunction, QBase
+    from .root_data import build_root_system
     letter, rank = _shape_args(args)
     rs = build_root_system(letter, rank)
     values = [Fraction(v) for v in args.labels.split(",")]
@@ -72,11 +60,14 @@ def _component_args(args):
 
 
 def _algebra_args(args):
+    from .hecke_algebra import algebra
+    from .root_data import BasedRootDatum
     _, rs, lf = _component_args(args)
     return algebra(BasedRootDatum(rs), lf)
 
 
 def _family_args(args):
+    from .param_catalog import ClassicalFamily
     return ClassicalFamily(args.case, t=args.t, f=args.f, a_plus=args.a_plus,
                            a=args.a, a_minus=args.a_minus,
                            n_dual=args.n_dual, d_rho=args.d_rho)
@@ -109,11 +100,13 @@ def _report_rows(rows):
 # -- verbs --------------------------------------------------------------------
 
 def _cmd_table1(args):
+    from .param_catalog import table1, table1_csv
     _emit(args, {"rows": [r.to_json() for r in table1()]}, table1_csv())
     return 0
 
 
 def _cmd_match_labels(args):
+    from .isogeny_transfer import component_match
     typ, _, lf = _component_args(args)
     mr = component_match((typ, lf))
     _emit(args, {"component": typ, "labels": lf.to_json(), "match": mr.to_json()})
@@ -121,17 +114,20 @@ def _cmd_match_labels(args):
 
 
 def _cmd_classical(args):
+    from .param_catalog import classical_labels
     _emit(args, classical_labels(_family_args(args)).to_json())
     return 0
 
 
 def _cmd_bound(args):
+    from .param_catalog import classical_bound_check
     chk = classical_bound_check(_family_args(args))
     _emit(args, chk.to_json())
     return 0 if chk.ok else 1
 
 
 def _cmd_parity(args):
+    from .param_catalog import parity_allows, parity_rule
     rule = parity_rule(args.family, args.t)
     payload = {"family": args.family, "t": args.t, "rule": rule}
     code = 0
@@ -156,6 +152,7 @@ def _segments_arg(text):
 
 
 def _cmd_unitary_ps(args):
+    from .param_catalog import descriptor_csv, unitary_ps_descriptor
     comps = unitary_ps_descriptor(args.n, args.ramified, _segments_arg(args.segments))
     matches = [c.match() for c in comps]
     payload = {"n": args.n, "ramified": args.ramified,
@@ -166,12 +163,15 @@ def _cmd_unitary_ps(args):
 
 
 def _cmd_ps_q(args):
+    from .label_params import q_power_str
+    from .param_catalog import quasisplit_ps_q
     e = quasisplit_ps_q(args.w_orbit, args.i_orbit)
     _emit(args, {"exponent": e, "q_alpha": q_power_str(e)})
     return 0
 
 
 def _cmd_case(args):
+    from .param_catalog import case_lookup, db_integrity_report, db_records, db_version
     if args.group is None:
         rows = db_integrity_report()
         bad = [r for r in rows if not r[4].ok]
@@ -186,6 +186,9 @@ def _cmd_case(args):
 
 
 def _cmd_transfer(args):
+    from .isogeny_transfer import (TransferCase, class_preserved, component_match,
+                                   transfer)
+    from .root_data import parse_type
     typ, _, lf = _component_args(args)
     case = TransferCase(args.case)
     before = (typ, lf)
@@ -204,6 +207,8 @@ def _cmd_transfer(args):
 
 
 def _cmd_mu(args):
+    from .label_params import q_power_str
+    from .mu_function import mu_factor, poles_zeros, q_from_poles
     f = mu_factor(Fraction(args.qa), Fraction(args.qs), Fraction(args.c_prime))
     if args.action == "show":
         payload = {"q_alpha": q_power_str(f.pair.e_alpha),
@@ -220,6 +225,7 @@ def _cmd_mu(args):
 
 
 def _cmd_jmatrix(args):
+    from .intertwiner_rank1 import j_matrix
     if args.direction:
         payload = j_matrix(args.direction).to_json()
     else:
@@ -229,6 +235,9 @@ def _cmd_jmatrix(args):
 
 
 def _cmd_scalar(args):
+    from .intertwiner_rank1 import (compose, composite_scalar, is_scalar_identity,
+                                    j_matrix, reciprocal_scalar_profile,
+                                    reducibility_points)
     a, b = (j_matrix(d) for d in J_DIRECTIONS)
     s = composite_scalar()
     ok = is_scalar_identity(compose(a, b), s) and is_scalar_identity(compose(b, a), s)
@@ -239,6 +248,8 @@ def _cmd_scalar(args):
 
 
 def _cmd_charsum(args):
+    from .intertwiner_rank1 import (AUDIT_PHI_CAP, FiniteCharacter, char_sum,
+                                    ramified_rule)
     m = args.modulus
     if args.index is not None:
         chi = FiniteCharacter(m, args.index)
@@ -259,6 +270,7 @@ def _cmd_charsum(args):
 
 
 def _cmd_mul(args):
+    from .hecke_algebra import multiply, normal_form
     alg = _algebra_args(args)
     left = normal_form(alg, _tokens(args.left, alg.d))
     right = normal_form(alg, _tokens(args.right, alg.d))
@@ -269,6 +281,7 @@ def _cmd_mul(args):
 
 
 def _cmd_normal_form(args):
+    from .hecke_algebra import normal_form
     alg = _algebra_args(args)
     out = normal_form(alg, _tokens(args.word, alg.d))
     _emit(args, {"element": out.to_json(), "display": repr(out)})
@@ -276,6 +289,7 @@ def _cmd_normal_form(args):
 
 
 def _cmd_check_relations(args):
+    from .hecke_algebra import check_relations
     alg = _algebra_args(args)
     report = check_relations(alg, sample_count=args.samples, seed=args.seed)
     _emit(args, {"type": args.type, "labels": alg.lf.to_json(),
@@ -284,6 +298,7 @@ def _cmd_check_relations(args):
 
 
 def _cmd_decompose(args):
+    from .root_data import build_root_system, decompose_extended
     letter, rank = _shape_args(args)
     rs = build_root_system(letter, rank)
     matrix = [[int(v) for v in row.split(",")] for row in args.matrix.split(";")]

@@ -24,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .label_params import LabelFunction, _frac
-from .param_catalog import MatchResult, parse_type, table1_match
-from .root_data import build_root_system
+from .param_catalog import MatchResult, table1_match
+from .root_data import build_root_system, parse_type
 
 _N_BY_TAG = {
     "i": (Fraction(1), Fraction(1)),

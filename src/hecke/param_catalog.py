@@ -25,6 +25,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .label_params import LabelFunction, ParamPair, QBase, _fmt, _frac
+from .root_data import parse_type
 
 
 # ---------------------------------------------------------------------------
@@ -139,28 +140,6 @@ def table1_csv() -> str:
                     row.cols[0].describe(), row.cols[1].describe(),
                     row.cols[2].describe()])
     return buf.getvalue()
-
-
-def parse_type(component):
-    """(letter, rank) of a component name such as 'B2' or 'B'; rank None if absent."""
-    s = str(component).replace("_", "").replace(" ", "")
-    letter = s[:1].upper()
-    if letter not in "ABCDEFG":
-        raise ValueError(f"unknown component type {component!r}")
-    rank = None
-    if len(s) > 1:
-        if not s[1:].isdigit():
-            raise ValueError(f"unknown component type {component!r}")
-        rank = int(s[1:])
-        if rank < 1:
-            raise ValueError(f"component rank must be positive, got {component!r}")
-    if letter == "F" and rank not in (None, 4):
-        raise ValueError(f"no component of type {component!r}")
-    if letter == "G" and rank not in (None, 2):
-        raise ValueError(f"no component of type {component!r}")
-    if letter == "E" and rank not in (None, 6, 7, 8):
-        raise ValueError(f"no component of type {component!r}")
-    return letter, rank
 
 
 class MatchResult:

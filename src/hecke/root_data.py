@@ -249,6 +249,28 @@ def _solve(mat, rhs):
     return [m[i][n] for i in range(n)]
 
 
+def parse_type(component):
+    """(letter, rank) of a component name such as 'B2' or 'B'; rank None if absent."""
+    s = str(component).replace("_", "").replace(" ", "")
+    letter = s[:1].upper()
+    if letter not in "ABCDEFG":
+        raise ValueError(f"unknown component type {component!r}")
+    rank = None
+    if len(s) > 1:
+        if not s[1:].isdigit():
+            raise ValueError(f"unknown component type {component!r}")
+        rank = int(s[1:])
+        if rank < 1:
+            raise ValueError(f"component rank must be positive, got {component!r}")
+    if letter == "F" and rank not in (None, 4):
+        raise ValueError(f"no component of type {component!r}")
+    if letter == "G" and rank not in (None, 2):
+        raise ValueError(f"no component of type {component!r}")
+    if letter == "E" and rank not in (None, 6, 7, 8):
+        raise ValueError(f"no component of type {component!r}")
+    return letter, rank
+
+
 def build_root_system(cartan_type: str, rank: int) -> RootSystem:
     """Construct the full root system for an irreducible Cartan type, rank <= 8."""
     if not isinstance(rank, int) or rank < 1:

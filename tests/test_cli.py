@@ -170,11 +170,64 @@ def test_decompose():
     assert flip["length"] == 3
 
 
+# the modules `import hecke.cli` may load; every verb loads them anyway
+TOP_MODULES = {"cli", "qfield", "root_data"}
+
+# run in a fresh interpreter: main(argv) unless argv is null, then report
+# [exit status, hecke modules loaded]
+_LOADED = """
+import contextlib, io, json, sys
+from hecke.cli import main
+argv, status = json.loads(sys.argv[1]), None
+if argv is not None:
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+print(json.dumps([status, sorted(m[6:] for m in sys.modules if m.startswith("hecke."))]))
+"""
+
+
+def _loaded(argv=None):
+    proc = subprocess.run([sys.executable, "-c", _LOADED, json.dumps(argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    status, modules = json.loads(proc.stdout)
+    return status, set(modules)
+
+
+def test_each_verb_loads_only_its_modules():
+    assert _loaded()[1] <= TOP_MODULES
+    algebra_side = {"hecke_algebra", "mu_function", "xlaurent", "intertwiner_rank1"}
+    for argv in (["table1"], ["case"]):
+        status, modules = _loaded(argv)
+        assert status == 0 and not modules & algebra_side, (argv, modules)
+    status, modules = _loaded(["mu", "--qa", "1", "poles"])
+    assert status == 0 and not modules & {"param_catalog", "hecke_algebra"}, modules
+    catalog_side = {"param_catalog", "mu_function", "isogeny_transfer"}
+    for argv in (["mul", "--type", "A1", "--labels", "1,1", "T0", "T0"],
+                 ["check-relations", "--type", "A1", "--labels", "1,1",
+                  "--samples", "2"]):
+        status, modules = _loaded(argv)
+        assert status == 0 and "hecke_algebra" in modules, (argv, modules)
+        assert not modules & catalog_side, (argv, modules)
+    assert _loaded(["decompose", "--type", "B2", "--matrix=-1,0;0,-1"]) == \
+        (0, TOP_MODULES)
+
+
 def test_usage_errors_exit_two():
     assert run("no-such-verb").returncode == 2
     assert run("match-labels", "--type", "B2").returncode == 2
     assert run("match-labels", "--type", "B2", "--labels", "1,2,3,4").returncode == 2
     assert run("case", "--group", "H8").returncode == 2
+    assert run().returncode == 2
+    assert run("--help").returncode == 0
+    # the usage paths exit in the parser, before any verb's imports
+    for argv, status in (([], 2), (["--help"], 0)):
+        code, modules = _loaded(argv)
+        assert code == status and modules <= TOP_MODULES, (argv, code, modules)
 
 
 def _refused(*argv):

@@ -14,12 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .label_params import ParamPair
-from .qfield import VR_ONE, VRat
+from .qfield import VRat
 from .root_data import RootSystem, SizeLimitError
-from .xlaurent import L_ONE, Laurent, shaped_roots
+from .xlaurent import Laurent, shaped_roots
 
 # largest q_F-exponent of q_alpha (v-degrees grow with it); recovering the worst
-# accepted pair, (1024, 1023), from its poles takes 0.6 s on a 2-core machine
+# accepted pair, (1024, 1023), from its poles takes about 0.3 s on a 2-core machine
 MU_EXP_CAP = 1024
 
 
@@ -28,6 +28,13 @@ def _half_vexp(e: Fraction) -> int:
     if two_e.denominator != 1:
         raise ValueError(f"exponent {e} is not a half-integer")
     return int(two_e)
+
+
+def _in_s(p, r) -> Laurent:
+    """(p0 + p1 s)(r0 + r1 s) with s = X + X^-1, so s^2 = X^2 + 2 + X^-2."""
+    (p0, p1), (r0, r1) = p, r
+    mid, top = p0 * r1 + p1 * r0, p1 * r1
+    return Laurent({-2: top, -1: mid, 0: p0 * r0 + 2 * top, 1: mid, 2: top})
 
 
 class MuFactor:
@@ -42,19 +49,16 @@ class MuFactor:
         c_prime = Fraction(c_prime)
         if c_prime <= 0:
             raise ValueError(f"c' must be positive, got {c_prime}")
-        qa_inv = VRat.v_pow(-_half_vexp(pair.e_alpha))
-        qs_inv = VRat.v_pow(-_half_vexp(pair.e_star))
-        x, xi = Laurent.x_pow(1), Laurent.x_pow(-1)
-        num = Laurent.const(VRat.from_fraction(c_prime))
-        den = L_ONE
+        a = VRat.v_pow(-_half_vexp(pair.e_alpha))
+        b = VRat.v_pow(-_half_vexp(pair.e_star))
+        # with s = X + X^-1: (1-X)(1-X^-1) = 2 - s, (1+X)(1+X^-1) = 2 + s,
+        # (1-aX)(1-aX^-1) = (1+a^2) - a s, (1+bX)(1+bX^-1) = (1+b^2) + b s.
         # q = 1 on a block cancels it exactly; keep the reduced form so that
         # evaluation is defined away from the true poles only
-        if pair.e_alpha > 0:
-            num = num * (L_ONE - x) * (L_ONE - xi)
-            den = den * (L_ONE - Laurent.x_pow(1, qa_inv)) * (L_ONE - Laurent.x_pow(-1, qa_inv))
-        if pair.e_star > 0:
-            num = num * (L_ONE + x) * (L_ONE + xi)
-            den = den * (L_ONE + Laurent.x_pow(1, qs_inv)) * (L_ONE + Laurent.x_pow(-1, qs_inv))
+        num = _in_s((2, -1) if pair.e_alpha > 0 else (1, 0),
+                    (2, 1) if pair.e_star > 0 else (1, 0)) * VRat.from_fraction(c_prime)
+        den = _in_s((1 + a * a, -a) if pair.e_alpha > 0 else (1, 0),
+                    (1 + b * b, b) if pair.e_star > 0 else (1, 0))
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "c_prime", c_prime)
         object.__setattr__(self, "symbol", symbol)
@@ -162,10 +166,11 @@ class PoleZeroProfile:
 
 
 def ratio_profile(num: Laurent, den: Laurent) -> PoleZeroProfile:
-    """Net pole/zero profile of num/den, whose roots all have the shape sign * v^k."""
+    """Net pole/zero profile of num/den; ValueError unless every root is sign * v^k."""
     zn, rn = shaped_roots(num)
     zd, rd = shaped_roots(den)
-    assert len(rn.terms()) == 1 and len(rd.terms()) == 1, "non-shaped roots left over"
+    if len(rn.c) != 1 or len(rd.c) != 1:
+        raise ValueError(f"non-shaped roots left over: {rn.to_str()} / {rd.to_str()}")
     net: dict = dict(zn)
     for key, o in zd.items():
         net[key] = net.get(key, 0) - o

@@ -2,10 +2,13 @@
 
 Used for the lattice direction X_alpha in cross relations and mu-factors, and
 for the variable z in rank-one intertwiners.  Coefficients are VRat.
+`ldivmod` is the long division behind `div_exact`; `synth_div` divides by
+X - r in one Horner pass, and its remainder is the exact test by which
+`shaped_roots` keeps or drops each candidate root sign * v^k.
 """
 from __future__ import annotations
 
-from .qfield import VR_ONE, VR_ZERO, VRat
+from .qfield import VR_ZERO, VRat
 
 
 class Laurent:
@@ -169,12 +172,19 @@ def div_exact(f: Laurent, g: Laurent) -> Laurent:
 def synth_div(f: Laurent, root: VRat) -> tuple["Laurent", VRat]:
     """Divide f by (X - root); returns (quotient, rem) with f = (X-root)*quotient + rem*X^min.
 
-    rem is zero iff root is a root of f (roots must be invertible values).
+    One Horner pass over the exponents of f, highest first (a missing
+    exponent counts as zero): acc = acc*root + c_e gives each quotient
+    coefficient in turn and, at min(f), rem = f(root) * root^-min(f).  So rem
+    is zero iff root is a root of f (roots must be invertible values).
     """
     if not root:
         raise ZeroDivisionError("synthetic division needs an invertible root")
-    quo, rem = ldivmod(f, Laurent({1: VR_ONE, 0: -root}))
-    return quo.shift(f.min_exp()), rem.c.get(0, VR_ZERO)
+    c, lo, hi = f.c, f.min_exp(), f.max_exp()
+    acc, quo = c.get(hi, VR_ZERO), {}
+    for e in range(hi - 1, lo - 1, -1):
+        quo[e] = acc
+        acc = acc * root + c[e] if e in c else acc * root
+    return Laurent(quo), acc
 
 
 def newton_exponents(f: Laurent) -> list[int]:
@@ -208,8 +218,8 @@ def shaped_roots(f: Laurent):
     of that shape.  The candidates for k are the integer slopes of the v-adic Newton polygon
     of f (see newton_exponents); the roots of each quotient are roots of f,
     so the candidates of f serve throughout.  Each candidate, with either
-    sign, is tested exactly by evaluation and removed by synthetic division
-    as often as it divides.
+    sign, is tested exactly by the remainder of one synthetic division, and
+    the quotient is kept for as long as that remainder is zero.
     """
     if f.is_zero():
         raise ZeroDivisionError("zero polynomial has no root profile")
@@ -218,10 +228,11 @@ def shaped_roots(f: Laurent):
     for sign in (1, -1):
         for k in ks:
             val = VRat.v_pow(k) * sign
-            while f.subst(val).is_zero():
-                f, rem = synth_div(f, val)
-                assert rem.is_zero()
+            quo, rem = synth_div(f, val)
+            while not rem:
+                f = quo
                 roots[(sign, k)] = roots.get((sign, k), 0) + 1
+                quo, rem = synth_div(f, val)
     return roots, f
 
 

@@ -5,9 +5,10 @@ import pytest
 
 from hecke.label_params import LabelFunction, ParamPair, q_from_labels, validate
 from hecke.mu_function import (MuFactor, PoleZeroProfile, mu_factor, poles_zeros,
-                               q_from_poles, sigma_O_mu)
+                               q_from_poles, ratio_profile, sigma_O_mu)
 from hecke.qfield import VRat
 from hecke.root_data import build_root_system
+from hecke.xlaurent import L_ONE, Laurent
 
 F = Fraction
 
@@ -34,6 +35,40 @@ def test_profile_equal_unequal_and_trivial_parameters():
     assert poles_zeros(mu_factor(F(1, 2), F(1, 2))) == profile(
         {(1, 0): 2, (-1, 0): 2},
         {(1, F(1, 2)): 1, (1, -F(1, 2)): 1, (-1, F(1, 2)): 1, (-1, -F(1, 2)): 1})
+
+
+def _eight_factor_product(e_alpha, e_star, c_prime):
+    """Oracle: num and den as the products of their linear factors in X^+-1."""
+    x, xi = Laurent.x_pow(1), Laurent.x_pow(-1)
+    qa_inv, qs_inv = VRat.v_pow(-int(2 * e_alpha)), VRat.v_pow(-int(2 * e_star))
+    num, den = Laurent.const(VRat.from_fraction(F(c_prime))), L_ONE
+    if e_alpha > 0:
+        num = num * (L_ONE - x) * (L_ONE - xi)
+        den = den * (L_ONE - Laurent.x_pow(1, qa_inv)) * (L_ONE - Laurent.x_pow(-1, qa_inv))
+    if e_star > 0:
+        num = num * (L_ONE + x) * (L_ONE + xi)
+        den = den * (L_ONE + Laurent.x_pow(1, qs_inv)) * (L_ONE + Laurent.x_pow(-1, qs_inv))
+    return num, den
+
+
+@pytest.mark.parametrize("c_prime", [1, F(3, 7), 5], ids=str)
+def test_closed_form_matches_the_eight_factor_product(c_prime):
+    halves = [F(k, 2) for k in range(17)]
+    pairs = [(a, s) for a in halves for s in halves if s <= a] + [(F(1024), F(1023))]
+    assert len(pairs) == 154
+    for e_alpha, e_star in pairs:
+        f = MuFactor(e_alpha, e_star, c_prime)
+        assert (f.num, f.den) == _eight_factor_product(e_alpha, e_star, c_prime), \
+            (e_alpha, e_star)
+
+
+def test_ratio_profile_rejects_non_shaped_leftover():
+    # X^2 + v: Newton slope 1/2, so no root of the shape sign * v^k
+    odd = Laurent({2: 1, 0: VRat.v_pow(1)})
+    with pytest.raises(ValueError, match="non-shaped"):
+        ratio_profile(odd, L_ONE)
+    with pytest.raises(ValueError, match="non-shaped"):
+        ratio_profile(mu_factor(1).num, odd * mu_factor(1).den)
 
 
 def test_factor_construction_guards():

@@ -1,21 +1,24 @@
-"""Differential checks of the two division kernels and of the algebra's packed
-Z[v^-1, v] coefficients against sympy.
+"""Differential checks of the two division kernels, of the shaped roots and of
+the algebra's packed Z[v^-1, v] coefficients against sympy.
 
 sympy is a test-only dependency: the module is skipped when it is missing.
 Every input is seeded, so a failure reproduces from the printed case.
 """
 import random
+from fractions import Fraction
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
 from hecke.hecke_algebra import AHA  # noqa: E402
+from hecke.intertwiner_rank1 import composite_scalar  # noqa: E402
 from hecke.label_params import LabelFunction  # noqa: E402
+from hecke.mu_function import mu_factor  # noqa: E402
 from hecke.qfield import (K, PONE, VRat, pdiv_exact, pdivmod, pgcd, pmul,  # noqa: E402
                           pnorm, pprimitive, pshift)
 from hecke.root_data import BasedRootDatum  # noqa: E402
-from hecke.xlaurent import Laurent, div_exact, synth_div  # noqa: E402
+from hecke.xlaurent import Laurent, div_exact, shaped_roots, synth_div  # noqa: E402
 
 V, X = sympy.symbols("v X")
 QQV = sympy.QQ.frac_field(V)
@@ -171,6 +174,63 @@ def test_synth_div_matches_sympy_over_qv():
         quo, rem = synth_div(f, root)
         assert _sym(quo, m) == q, (f, root)
         assert _sym(Laurent.const(rem), 0) == r, (f, root)
+
+
+# -- shaped roots: the linear factors of sympy's factorization -----------------
+
+def _factor_roots(f):
+    """{(sign, k): multiplicity} of the factors a*X + b with -b/a = sign * v^k in
+    sympy's factorization of X^-min(f) * f, its denominators cleared into Z[v, X]."""
+    num, _ = sympy.fraction(sympy.together(_sym(f, f.min_exp()).as_expr()))
+    roots = {}
+    for g, mult in sympy.factor_list(num, X, V)[1]:
+        p = sympy.Poly(g, X)
+        if p.degree() != 1:
+            continue
+        a, b = (sympy.Poly(c, V).terms() for c in p.all_coeffs())
+        if len(a) != 1 or len(b) != 1:
+            continue
+        ((i,), ca), ((j,), cb) = a[0], b[0]
+        if cb == ca or cb == -ca:
+            key = (1 if cb == -ca else -1, j - i)
+            roots[key] = roots.get(key, 0) + mult
+    return roots
+
+
+def _check_shaped_roots(f):
+    roots, leftover = shaped_roots(f)
+    assert roots == _factor_roots(f), f
+    assert _factor_roots(leftover) == {}, f
+
+
+def test_shaped_roots_match_sympy_on_mu_factors():
+    halves = [Fraction(k, 2) for k in range(9)]
+    grid = [(a, s) for a in halves for s in halves if a >= s]
+    for e_alpha, e_star in grid + [(Fraction(11, 2), Fraction(5, 2)), (8, Fraction(1, 2)),
+                                   (8, 8)]:
+        f = mu_factor(e_alpha, e_star)
+        _check_shaped_roots(f.num)
+        _check_shaped_roots(f.den)
+
+
+def test_shaped_roots_match_sympy_on_composite_scalar():
+    s = composite_scalar()
+    _check_shaped_roots(s.num)
+    _check_shaped_roots(s.den)
+
+
+def test_shaped_roots_match_sympy_with_several_slopes():
+    v = VRat.v_pow
+
+    def lin(c):
+        return Laurent({1: 1, 0: -c})
+
+    f = (lin(v(3)) * lin(v(3)) * lin(-v(-1)) * lin(-v(-1)) * lin(v(0)) * lin(-v(-2))
+         * lin(VRat((1, 1))) * Laurent({2: 1, 0: v(1)})
+         * Laurent({0: VRat((1,), (1, 1))})).shift(-3)
+    _check_shaped_roots(f)
+    _check_shaped_roots(f.inv_x() * Laurent({0: VRat((2, 0, 3), (1, 0, 1))}))
+    assert _factor_roots(f) == {(1, 0): 1, (1, 3): 2, (-1, -2): 1, (-1, -1): 2}
 
 
 # -- packed coefficients: v^-e * P with P in Z[v] held as the int P(2^K) -------

@@ -41,6 +41,23 @@ def test_synth_div():
     assert not rem2.is_zero()
 
 
+@pytest.mark.parametrize("f,root,is_root", [
+    # exponent gaps and a non-monomial coefficient
+    ((_x(1) - _x(0, VRat.v_pow(-2))) * (_x(4) + _x(0, VRat((0, 1), (1, 1)))),
+     VRat.v_pow(-2), True),
+    (_x(5, VRat((1, 2))) - _x(1) + _x(-3, VRat.v_pow(-2)), VRat.v_pow(-3), False),
+    (_x(4, VRat((0, 3), (1, 1))), -VRat.v_pow(2), False),     # a single term
+    (_x(-2, 7), VRat.v_pow(1), False),
+    (_x(2) - _x(-2), -VRat.v_pow(-1), False),                  # negative root exponent
+    (_x(2) - _x(0, VRat.v_pow(-2)), -VRat.v_pow(-1), True),
+], ids=str)
+def test_synth_div_identity(f, root, is_root):
+    quo, rem = synth_div(f, root)
+    assert f == (_x(1) - Laurent.const(root)) * quo + _x(f.min_exp(), rem)
+    assert all(f.min_exp() <= e < f.max_exp() for e in quo.c)
+    assert rem.is_zero() == is_root
+
+
 def test_shaped_roots():
     one = VRat.v_pow(0)
     f = ((L_ONE - _x(1)) * (L_ONE + _x(1))

@@ -290,19 +290,20 @@ class AHA:
         """terms * T_j, and the bound m grown by at most l1(A_j) + l1(qq_j)."""
         (ap, ar), q = self.A[j], self.qq[j]
         qn, qsh = q.n, K * q.val
-        ws, lengths = self.ws_table, self.lengths
+        ws = self.ws_table
         out: dict = {}
         get = out.get
-        grow = 1
+        down = False
         for (x, ui), c in terms.items():
             usi = ws[ui][j]
-            if lengths[usi] > lengths[ui]:
-                out[x, usi] = get((x, usi), 0) + c
+            key = x, usi
+            if usi > ui:   # W is listed by length and l(us) = l(u) +- 1
+                out[key] = get(key, 0) + c
             else:   # T_u T_s = A T_u + qq T_us when us < u
-                grow = 2 + q.h
+                down = True
                 out[x, ui] = get((x, ui), 0) + (c << ap) - (c << ar)
-                out[x, usi] = get((x, usi), 0) + ((c * qn) << qsh)
-        return out, m * grow
+                out[key] = get(key, 0) + ((c * qn) << qsh)
+        return out, (m * (2 + q.h) if down else m)
 
     def __repr__(self):
         rs = self.datum.root_system
@@ -352,6 +353,8 @@ class AHAElement:
         return hash((e, frozenset(ints.items())))
 
     def __add__(self, other: "AHAElement") -> "AHAElement":
+        if other.algebra is not self.algebra:
+            raise ValueError("elements belong to different algebra handles")
         a, b = (self, other) if self.e >= other.e else (other, self)
         sh = K * (a.e - b.e)
         out = dict(a.ints)
@@ -401,10 +404,12 @@ class AHAElement:
         return {k: f for k, f in out.items() if f}
 
     def to_json(self) -> dict:
-        rows = sorted(self.ints.items(),
-                      key=lambda kv: (self.algebra.W[kv[0][1]].word, kv[0][0]))
-        return {"terms": [{"x": list(x), "w": list(self.algebra.W[wi].word),
-                           "coeff": packed_str(-self.e, n)} for (x, wi), n in rows]}
+        W = self.algebra.W
+        rows = sorted(self.ints.items(), key=lambda kv: (W[kv[0][1]].word, kv[0][0]))
+        # all rows share e, so a coefficient's string depends on n only
+        strs = {n: packed_str(-self.e, n) for n in set(self.ints.values())}
+        return {"terms": [{"x": list(x), "w": list(W[wi].word), "coeff": strs[n]}
+                          for (x, wi), n in rows]}
 
     def __repr__(self):
         bits = []

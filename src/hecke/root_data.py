@@ -426,9 +426,10 @@ def _compose_word(rs, word):
 class BasedRootDatum:
     """Root datum on the lattice Z^d in simple-root coordinates.
 
-    The roots are coefficient vectors of the system's roots; the coroot of a
-    simple root is the matching column of the Cartan matrix, extended to the
-    other roots by the dual reflection action.  <root_i, coroot_i> = 2 always.
+    The roots are coefficient vectors of the system's roots.  The coroot of a
+    root b is the functional x -> <x, b^vee>, whose k-th entry is the Cartan
+    integer <alpha_k, b^vee> = 2 (alpha_k, b) / (b, b); padded coordinates are
+    W-fixed and pair to zero.  So <b, b^vee> = 2 for every root b.
     """
 
     def __init__(self, rs: RootSystem | None, lattice_rank: int | None = None):
@@ -437,62 +438,24 @@ class BasedRootDatum:
         self.lattice_rank = lattice_rank if lattice_rank is not None else base_rank
         if self.lattice_rank < base_rank:
             raise ValueError("lattice rank smaller than the root lattice rank")
-        pad = self.lattice_rank - base_rank
+        pad = (0,) * (self.lattice_rank - base_rank)
         if rs is None:
             self.roots = ()
             self.coroots = ()
             self.basis = ()
             return
-        roots = [c + (0,) * pad for c in rs.coeffs]
-        coroots = []
-        # simple coroots first, then close under dual reflections alongside roots
-        simple_cor = [tuple(rs.cartan[k][j] for k in range(rs.rank)) + (0,) * pad
-                      for j in range(rs.rank)]
-        cor_by_root: dict[tuple, tuple] = {}
-        for j, s in enumerate(rs.simple_roots):
-            cor_by_root[rs.coeffs[rs.index[s]]] = simple_cor[j]
-        changed = True
-        while changed:
-            changed = False
-            for c, cor in list(cor_by_root.items()):
-                for j in range(rs.rank):
-                    c2 = _reflect_coords(rs, j, c)
-                    if c2 not in cor_by_root:
-                        cor_by_root[c2] = _reflect_functional(rs, j, cor)
-                        changed = True
-                neg = tuple(-x for x in c)
-                if neg not in cor_by_root:
-                    cor_by_root[neg] = tuple(-x for x in cor)
-                    changed = True
-        for c in roots:
-            coroots.append(cor_by_root[c[:rs.rank] if pad else c])
-        self.roots = tuple(roots)
-        self.coroots = tuple(coroots)
+        self.roots = tuple(c + pad for c in rs.coeffs)
+        self.coroots = tuple(
+            tuple(2 * _dot(a, b) // _dot(b, b) for a in rs.simple_roots) + pad
+            for b in rs.all_roots)
         self.basis = tuple(rs.index[s] for s in rs.simple_roots)
-        for r, c in zip(self.roots, self.coroots):
-            assert _dot(r, c) == 2
 
     def pairing(self, x, coroot) -> int:
         return _dot(x, coroot)
 
     def reflect(self, i: int, x) -> tuple[int, ...]:
         """Reflection in the i-th simple root, on lattice coordinates."""
-        rs = self.root_system
         root = self.roots[self.basis[i]]
         coroot = self.coroots[self.basis[i]]
         k = _dot(x, coroot)
         return tuple(a - k * b for a, b in zip(x, root))
-
-
-def _reflect_coords(rs, j, c):
-    pairing = sum(c[k] * rs.cartan[k][j] for k in range(rs.rank))
-    out = list(c)
-    out[j] -= pairing
-    return tuple(out)
-
-
-def _reflect_functional(rs, j, cor):
-    # (s_j f)(x) = f(s_j x) = f(x) - f_j * <x, j-coroot>
-    col = [rs.cartan[k][j] for k in range(rs.rank)] + [0] * (len(cor) - rs.rank)
-    fj = cor[j]
-    return tuple(a - fj * b for a, b in zip(cor, col))

@@ -92,6 +92,17 @@ def test_mismatched_handles_rejected():
     a2 = _alg("A", 1, (1, 1))
     with pytest.raises(ValueError):
         multiply(a1.one(), a2.one())
+    # + and - too, also when the Weyl groups differ (their w-indices mean other words)
+    a2_ = _alg("A", 2, (1, 1))
+    g2 = _alg("G", 2, (1, 3))
+    for x, y in [(a1.one(), a2.one()), (a2_.t_simple(0), g2.t((0, 1, 0))),
+                 (g2.t((1, 0)), a2_.theta((1, 0)))]:
+        with pytest.raises(ValueError):
+            x + y
+        with pytest.raises(ValueError):
+            x - y
+        with pytest.raises(ValueError):
+            y - x
 
 
 def test_json_roundtrip():

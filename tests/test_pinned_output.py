@@ -7,12 +7,15 @@ printed in canonical num/den form.
 """
 import hashlib
 import json
+import os
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import hecke
 from hecke.hecke_algebra import algebra
 from hecke.label_params import LabelFunction, QBase
 from hecke.qfield import VRat
@@ -38,6 +41,8 @@ T_W0_THETA = [
     ("B", 2, "3,3,1", (1, 1), "98c4b5c1bd24a69c4d2d61a32a7e24b60fe1d38d7d4c6bfeb84e9653b1cdd748"),
     ("G", 2, "1,3", (1, 0), "49fb7a62c3a623d6f24063b65248b7a4678b15589d6356fe5a790bf7985c6205"),
     ("G", 2, "1,3", (-1, 1), "161be68e8d016b9d81bbabfe2bc63f74f8008a2ff0299f56f89b48dcfeabcb89"),
+    # 2251 terms, 766 distinct coefficients; pinned before to_json printed each once
+    ("F", 4, "2,1", (1, 0, 0, 0), "5e1f8b6e2819c0486bc2b6c32b18abec2ec6cbe9f17793c3286ead13ad305936"),
 ]
 
 
@@ -45,6 +50,21 @@ T_W0_THETA = [
 def test_t_w0_theta_pinned(letter, rank, labels, y, want):
     alg, w0 = _alg(letter, rank, labels)
     assert _digest((alg.t(w0) * alg.theta(y)).to_json()) == want
+
+
+def test_repeated_coefficients_print_as_their_own_strings():
+    """Every row's coeff is the ZLaurent string of its own term, also after a
+    shift by v^-3 (to_json prints each distinct packed int once and reuses it)."""
+    alg, w0 = _alg("F", 4, "2,1")
+    el = alg.t(w0) * alg.theta((1, 0, 0, 0))
+    for elem in (el, el.scale(VRat.v_pow(-3))):
+        terms = elem.terms
+        rows = elem.to_json()["terms"]
+        assert len(rows) == len(terms)
+        assert len({r["coeff"] for r in rows}) < len(rows) // 2   # mostly repeats
+        for r in rows:
+            key = (tuple(r["x"]), alg._word_index(r["w"]))
+            assert r["coeff"] == str(terms[key])
 
 
 def test_negative_powers_pinned():
@@ -123,3 +143,28 @@ def test_cli_mix_pinned(argv, code, want):
     proc = subprocess.run([sys.executable, "-m", "hecke.cli", *argv], capture_output=True)
     assert proc.returncode == code, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == want
+
+
+def test_cli_mix_pinned_on_the_oldest_supported_python():
+    """requires-python is >= 3.10: the same 21 invocations under python3.10.
+
+    The runtime is stdlib only, so the interpreter needs no packages.  A pyenv
+    shim runs python3.10 only when that version is selected; PYENV_VERSION
+    selects it there and is ignored by any other python3.10.
+    """
+    exe = shutil.which("python3.10")
+    if exe is None:
+        pytest.skip("no python3.10 on PATH")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hecke.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYENV_VERSION="3.10", PYTHONPATH=os.pathsep.join(path))
+    probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
+                           capture_output=True, text=True, env=env)
+    if probe.returncode != 0:
+        pytest.skip("python3.10 on PATH does not start")
+    assert probe.stdout.strip() == "(3, 10)"
+    for argv, code, want in CLI_MIX:
+        proc = subprocess.run([exe, "-m", "hecke.cli", *argv], capture_output=True,
+                              env=env)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert hashlib.sha256(proc.stdout).hexdigest() == want, argv

@@ -124,3 +124,36 @@ def test_based_root_datum_padded_lattice():
     assert y[2:] == (5, -2)  # extra coordinates are W-fixed
     empty = BasedRootDatum(None, lattice_rank=2)
     assert empty.roots == ()
+
+
+@pytest.mark.parametrize("t,n", [(t, n) for t, n, _ in ROOT_TABLE] + [("A", 3), ("C", 4)])
+@pytest.mark.parametrize("pad", [0, 2])
+def test_coroots_satisfy_the_root_datum_axioms(t, n, pad):
+    """<b, b^vee> = 2, (-b)^vee = -b^vee, and s_b permutes the roots, for every b."""
+    rs = build_root_system(t, n)
+    datum = BasedRootDatum(rs, lattice_rank=n + pad)
+    roots = set(datum.roots)
+    cor = dict(zip(datum.roots, datum.coroots))
+    assert len(roots) == len(cor) == len(datum.roots)
+    for b, bv in cor.items():
+        assert datum.pairing(b, bv) == 2
+        assert cor[tuple(-c for c in b)] == tuple(-c for c in bv)
+        for x in datum.roots:
+            k = datum.pairing(x, bv)
+            assert tuple(p - k * q for p, q in zip(x, b)) in roots
+
+
+@pytest.mark.parametrize("t,n", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2),
+                                 ("B", 3), ("B", 4), ("C", 3), ("D", 4), ("F", 4),
+                                 ("G", 2)])
+def test_weyl_order_is_by_length(t, n):
+    """W is listed by length, so w*s is longer than w exactly when its index is
+    larger (the algebra's right multiplication by T_s reads the order)."""
+    rs = build_root_system(t, n)
+    W = weyl_group(rs)
+    ws_table = rs._cache["ws_table"]
+    lengths = [len(w.word) for w in W]
+    assert lengths == sorted(lengths)
+    for i, row in enumerate(ws_table):
+        for usi in row:
+            assert (usi > i) == (lengths[usi] > lengths[i])

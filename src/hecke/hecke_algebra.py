@@ -16,10 +16,12 @@ is a Laurent polynomial unless the pairing <y, a#> is odd in X_a-units and
 q_{a*} != 1, which admissible data never gives and which raises ArithmeticError.
 
 As lambda >= lambda* >= 0, every structure constant (qq_s, A, B, the
-coefficients of D_s(y)) lies in Z[v].  So a coefficient is a plain int
+coefficients of D_s(y)) lies in Z[v]: qq_s is a v-power, a shift, and A, B
+and the d_k are differences of two.  So a coefficient is a plain int
 n = P(2^K) with P in Z[v] (see qfield), an element is v^-e times a sum of
 such terms, and one l1 bound per element and per cached T_w theta_y keeps
-every P decodable.  Inputs outside Z[v, v^-1] raise ValueError.
+every P decodable.  Coefficients come in through qfield.pack (ValueError
+outside Z[v, v^-1]) and go out of AHAElement.terms as VRat.
 """
 from __future__ import annotations
 
@@ -29,8 +31,8 @@ from functools import reduce
 from operator import add, or_
 
 from .label_params import LabelFunction, validate
-from .qfield import (K, VR_ZERO, VRat, ZLaurent, l1_norm, low_slots, packed_str,
-                     peval, value_at_one)
+from .qfield import (K, VR_ZERO, VRat, l1_norm, low_slots, pack, packed_str,
+                     packed_vrat, value_at_one)
 from .root_data import BasedRootDatum, SizeLimitError, WeylElement, weyl_group
 
 # Input caps, chosen so that an accepted input runs in seconds on a 2-core
@@ -95,10 +97,10 @@ class AHA:
             self.ws_table = ((),)
             self.pos_coroots = ()
         self.lengths = tuple(len(w.word) for w in self.W)
-        # per-simple constants; labels must give integral v-exponents.  qq is
-        # a ZLaurent, and A, B, each a difference v^p - v^r of two v-powers
-        # (zero when p = r), are kept as the slot shifts (K p, K r)
-        self.qq, self.A, self.B, self.x_points = [], [], [], []
+        # per-simple constants; labels must give integral v-exponents.  The
+        # v-power qq is kept as its slot shift, and B = v^p - v^r (zero when
+        # p = r) as the slot shifts (K p, K r); A = qq - 1 is (qq, 0)
+        self.qq, self.B, self.x_points = [], [], []
         for j in range(self.rank):
             lam, ls = lf.values(j)
             if lam > LABEL_CAP:
@@ -108,8 +110,7 @@ class AHA:
                 raise ValueError(
                     f"simple {j}: q-parameters v^{ea}, v^{es} are not v-powers")
             ea, es = int(ea), int(es)
-            self.qq.append(ZLaurent.v_pow(ea + es))
-            self.A.append((K * (ea + es), 0))
+            self.qq.append(K * (ea + es))
             self.B.append((K * ea, K * es))
             root = datum.roots[datum.basis[j]]
             if x_points is not None and j in x_points:
@@ -126,18 +127,13 @@ class AHA:
     # -- element constructors --------------------------------------------
 
     def element(self, terms: dict) -> "AHAElement":
-        """sum c theta_x T_w for {(x, w-index): c}, c an int, Fraction, VRat or
-        ZLaurent in Z[v, v^-1]; 1/2 or 1/(1+v) raise ValueError."""
-        zs = {}
-        for (x, wi), c in terms.items():
-            c = ZLaurent.coerce(c)
-            if c.n:
-                zs[(tuple(x), wi)] = c
-        e = -min((c.val for c in zs.values()), default=0)
-        bound = _bounded(sum(c.h for c in zs.values()),
-                         lambda: sum(l1_norm(c.n) for c in zs.values()))
-        return AHAElement(self, e, {k: c.n << K * (c.val + e) for k, c in zs.items()},
-                          bound)
+        """sum c theta_x T_w for {(x, w-index): c}, c an int, Fraction or VRat
+        in Z[v, v^-1] (see qfield.pack); 1/2 or 1/(1+v) raise ValueError."""
+        zs = {(tuple(x), wi): z for (x, wi), c in terms.items() if (z := pack(c))[1]}
+        e = -min((val for val, _, _ in zs.values()), default=0)
+        ints = {k: n << K * (val + e) for k, (val, n, _) in zs.items()}
+        bound = sum(h for _, _, h in zs.values())   # exact: each h is an l1 norm
+        return AHAElement(self, e, ints, _bounded(bound, lambda: bound))
 
     def one(self) -> "AHAElement":
         return self.element({((0,) * self.d, 0): 1})
@@ -239,7 +235,7 @@ class AHA:
         wpi = self.ws_table[wi][s]
         first, m1 = self._t_times_theta(wpi, self.datum.reflect(s, y))
         out, m = self._right_mult_ts(first, m1, s)
-        pieces = [(2 + self.qq[s].h, first)]
+        pieces = [(3, first)]
         xs = self.x_points[s]
         for k, (p, r) in self._dcoeffs(s, self._pair(y, s)):
             shifted = tuple(a + k * b for a, b in zip(y, xs))
@@ -274,7 +270,7 @@ class AHA:
         key = (j, n)
         hit = self._d_cache.get(key)
         if hit is None:
-            a, b = self.A[j], self.B[j]
+            a, b = (self.qq[j], 0), self.B[j]
             if n % 2 and a != b:
                 raise ArithmeticError(
                     f"D_{j} at odd pairing {n} needs A = B, that is q_a* = 1")
@@ -287,9 +283,8 @@ class AHA:
         return hit
 
     def _right_mult_ts(self, terms: dict, m: int, j: int) -> tuple:
-        """terms * T_j, and the bound m grown by at most l1(A_j) + l1(qq_j)."""
-        (ap, ar), q = self.A[j], self.qq[j]
-        qn, qsh = q.n, K * q.val
+        """terms * T_j, and the bound m grown by at most 3 = l1(A_j) + l1(qq_j)."""
+        qsh = self.qq[j]
         ws = self.ws_table
         out: dict = {}
         get = out.get
@@ -301,9 +296,10 @@ class AHA:
                 out[key] = get(key, 0) + c
             else:   # T_u T_s = A T_u + qq T_us when us < u
                 down = True
-                out[x, ui] = get((x, ui), 0) + (c << ap) - (c << ar)
-                out[key] = get(key, 0) + ((c * qn) << qsh)
-        return out, (m * (2 + q.h) if down else m)
+                cq = c << qsh
+                out[x, ui] = get((x, ui), 0) + cq - c
+                out[key] = get(key, 0) + cq
+        return out, (m * 3 if down else m)
 
     def __repr__(self):
         rs = self.datum.root_system
@@ -317,7 +313,7 @@ class AHAElement:
     ints maps (x, w-index) to P(2^K) != 0; bound is at least the sum of the l1
     norms of all the P and stays below 2^(K-1), so every P decodes.  The
     common v-power is taken out only at ==, hash and output.  terms gives the
-    coefficients as ZLaurent.  Build elements with AHA.element.
+    coefficients as VRat.  Build elements with AHA.element.
     """
 
     __slots__ = ("algebra", "e", "ints", "bound")
@@ -331,8 +327,8 @@ class AHAElement:
 
     @property
     def terms(self) -> dict:
-        """{(x, w-index): the coefficient of theta_x T_w as a ZLaurent}."""
-        return {k: ZLaurent(-self.e, n, self.bound) for k, n in self.ints.items()}
+        """{(x, w-index): the coefficient of theta_x T_w as a VRat}."""
+        return {k: packed_vrat(-self.e, n) for k, n in self.ints.items()}
 
     def _canonical(self) -> tuple:
         """(e, ints) with the common v-power taken out; zero is (0, {})."""
@@ -382,12 +378,12 @@ class AHAElement:
         return self.scale(other)
 
     def scale(self, c) -> "AHAElement":
-        c = ZLaurent.coerce(c)
-        if not c.n:
+        val, cn, h = pack(c)
+        if not cn:
             return AHAElement(self.algebra, 0, {}, 0)
-        bound = _bounded(self.bound * c.h, lambda: _norm(self.ints) * l1_norm(c.n))
-        return AHAElement(self.algebra, self.e - c.val,
-                          {k: n * c.n for k, n in self.ints.items()}, bound)
+        bound = _bounded(self.bound * h, lambda: _norm(self.ints) * h)
+        return AHAElement(self.algebra, self.e - val,
+                          {k: n * cn for k, n in self.ints.items()}, bound)
 
     def specialize(self, v: Fraction) -> dict:
         """Evaluate all coefficients at a numeric v; map (x, w-index) -> Fraction.
@@ -399,8 +395,7 @@ class AHAElement:
         if v == 1:
             out = {k: Fraction(value_at_one(n)) for k, n in self.ints.items()}
         else:
-            out = {k: peval(c.c, Fraction(v)) * Fraction(v) ** c.val
-                   for k, c in self.terms.items()}
+            out = {k: c.eval(Fraction(v)) for k, c in self.terms.items()}
         return {k: f for k, f in out.items() if f}
 
     def to_json(self) -> dict:
@@ -476,7 +471,7 @@ def _random_element(alg: AHA, rng: random.Random, max_len=3, box=2) -> AHAElemen
         x = tuple(rng.randint(-box, box) for _ in range(alg.d))
         wi = rng.choice(short)
         k, m = rng.randint(-2, 2), rng.randint(1, 3)
-        terms[(x, wi)] = ZLaurent(k, m, m)
+        terms[(x, wi)] = VRat.v_pow(k) * m
     return alg.element(terms)
 
 
@@ -495,7 +490,7 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
     if sample_count > SAMPLES_CAP:
         raise SizeLimitError(f"sample count {sample_count} exceeds {SAMPLES_CAP}")
     # qq_s = v^(2 lambda_s): the widest label sets the coefficient widths
-    work = sample_count * len(alg.W) ** 2 * (20 + max((q.val for q in alg.qq), default=0))
+    work = sample_count * len(alg.W) ** 2 * (20 + max(alg.qq, default=0) // K)
     if work > SAMPLE_WORK_CAP:
         raise SizeLimitError(f"{sample_count} samples on |W| = {len(alg.W)}: "
                              f"work {work} exceeds {SAMPLE_WORK_CAP}")
@@ -506,7 +501,7 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
     for j in range(alg.rank):
         ts = alg.t_simple(j)
         lhs = ts * ts
-        qq = VRat(alg.qq[j].num, alg.qq[j].den)
+        qq = VRat.v_pow(alg.qq[j] // K)
         rhs = ts.scale(qq - 1) + one.scale(qq)
         if lhs != rhs:
             report["quadratic"] = False
@@ -530,7 +525,7 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
             th, thsx = alg.element({(x, 0): 1}), alg.element({(sx, 0): 1})
             lhs = th * alg.t_simple(j) - alg.t_simple(j) * thsx
             rhs = {(tuple(a + k * b for a, b in zip(x, alg.x_points[j])), 0):
-                   ZLaurent(0, (1 << p) - (1 << r), 2)
+                   VRat.v_pow(p // K) - VRat.v_pow(r // K)
                    for k, (p, r) in alg._dcoeffs(j, alg._pair(x, j))}
             if lhs != alg.element(rhs):
                 report["cross"] = False

@@ -25,7 +25,10 @@ from fractions import Fraction
 from importlib import resources
 
 from .label_params import LabelFunction, ParamPair, QBase, _fmt, _frac
-from .root_data import parse_type
+from .root_data import SizeLimitError, parse_type
+
+# unitary_ps_descriptor's cost is linear in n: about 1 ms and 140 kB of JSON at the cap
+UNITARY_N_CAP = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +582,8 @@ def unitary_ps_descriptor(n, ramified, segments):
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if n > UNITARY_N_CAP:
+        raise SizeLimitError(f"n = {n} exceeds {UNITARY_N_CAP}")
     segments = [(tag, int(size)) for tag, size in segments]
     n0 = 0
     if segments and segments[-1][0] == "trivial":

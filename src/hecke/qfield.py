@@ -6,8 +6,8 @@ coefficients is plain structural equality.  The affine Hecke algebra keeps
 its coefficients, all in Z[v, v^-1], as plain ints n = P(2^K) (Kronecker
 substitution v -> 2^K, one balanced K-bit slot per coefficient of P), so that
 its sums and products are single big-int operations; l1_norm, value_at_one
-and low_slots read such ints, and ZLaurent is the coefficient type at the
-algebra's boundary, converted from VRat, int or Fraction and decoded for output.
+and low_slots read such ints, pack converts an int, Fraction or VRat into one,
+and packed_vrat and packed_str decode one for output.
 """
 from __future__ import annotations
 
@@ -418,6 +418,37 @@ def value_at_one(n: int) -> int:
     return r - _ONES if r >> (K - 1) else r
 
 
+def pack(x) -> tuple[int, int, int]:
+    """x (int, Fraction or VRat) in Z[v, v^-1] as (val, n, h): x = v^val * P.
+
+    n = P(2^K) with P(0) != 0, so zero low slots are in val, and h is the l1
+    norm of P; zero is (0, 0, 0).  ValueError outside Z[v, v^-1], and
+    SizeLimitError when h reaches 2^(K-1), past which a slot no longer decodes.
+    """
+    if isinstance(x, int):
+        val, num = 0, (x,) if x else PZERO
+    else:
+        if not isinstance(x, VRat):
+            x = VRat.from_fraction(Fraction(x))
+        val, num = 1 - len(x.den), x.num
+        if x.den != pshift(PONE, -val):
+            raise ValueError(f"coefficient {x} is not in Z[v, v^-1]")
+    h = sum(map(abs, num))
+    if h >> (K - 1):
+        raise SizeLimitError(f"coefficient bound {h} reaches 2^{K - 1}")
+    k = _valuation(num) if num else 0
+    n = 0
+    for c in reversed(num[k:]):
+        n = (n << K) + c
+    return val + k, n, h
+
+
+def packed_vrat(val: int, n: int) -> VRat:
+    """v^val * P for n = P(2^K) as a VRat."""
+    c = _unpack(n)
+    return VRat(pshift(c, val), PONE) if val >= 0 else VRat(c, pshift(PONE, -val))
+
+
 def packed_str(val: int, n: int) -> str:
     """v^val * P for n = P(2^K), printed as its canonical VRat pair '(num)/(den)'."""
     c = _unpack(n)
@@ -428,78 +459,3 @@ def packed_str(val: int, n: int) -> str:
 def low_slots(n: int) -> int:
     """The number of zero low K-bit slots of n != 0: the v-adic valuation of P."""
     return ((n & -n).bit_length() - 1) // K
-
-
-class ZLaurent:
-    """Element v^val * P(v) of Z[v, v^-1] with P(0) != 0, packed as n = P(2^K).
-
-    The coefficient type at the boundary of the algebra: coerce converts its
-    inputs, and c, num, den and str decode its output.  h >= the l1 norm of P
-    stays below 2^(K-1), so every coefficient fits its balanced K-bit slot: n
-    decodes to exactly one P, n == 0 only for P = 0, and equal (val, n) means
-    equal elements.  Zero low slots of n move into val.  Zero is val 0, n 0.
-    """
-
-    __slots__ = ("val", "n", "h")
-
-    def __init__(self, val: int, n: int, h: int):
-        if h >> (K - 1):
-            raise SizeLimitError(f"coefficient bound {h} reaches 2^{K - 1}")
-        if n:
-            k = low_slots(n)
-            val, n = val + k, n >> K * k
-        else:
-            val = 0
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "h", h)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ZLaurent is immutable")
-
-    @staticmethod
-    def v_pow(k: int) -> "ZLaurent":
-        return ZLaurent(k, 1, 1)
-
-    @staticmethod
-    def coerce(x) -> "ZLaurent":
-        """x (ZLaurent, VRat, int or Fraction) in Z[v, v^-1]; ValueError outside it."""
-        if type(x) is ZLaurent:
-            return x
-        if isinstance(x, int):
-            return ZLaurent(0, x, abs(x))
-        if not isinstance(x, VRat):
-            x = VRat.from_fraction(Fraction(x))
-        k = len(x.den) - 1
-        if x.den != pshift(PONE, k):
-            raise ValueError(f"coefficient {x} is not in Z[v, v^-1]")
-        n = 0
-        for c in reversed(x.num):
-            n = (n << K) + c
-        return ZLaurent(-k, n, sum(map(abs, x.num)))
-
-    @property
-    def c(self) -> Poly:
-        """The coefficients of P, decoded in C (see _unpack)."""
-        return _unpack(self.n)
-
-    @property
-    def num(self) -> Poly:
-        return pshift(self.c, self.val) if self.val > 0 else self.c
-
-    @property
-    def den(self) -> Poly:
-        return pshift(PONE, -self.val) if self.val < 0 else PONE
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not ZLaurent:
-            return NotImplemented
-        return self.val == other.val and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.val, self.n))
-
-    def __str__(self) -> str:
-        return packed_str(self.val, self.n)
-
-    __repr__ = __str__

@@ -2,9 +2,9 @@
 
 Used for the lattice direction X_alpha in cross relations and mu-factors, and
 for the variable z in rank-one intertwiners.  Coefficients are VRat.
-`ldivmod` is the long division behind `div_exact`; `synth_div` divides by
-X - r in one Horner pass, and its remainder is the exact test by which
-`shaped_roots` keeps or drops each candidate root sign * v^k.
+`div_exact` is the one long division in X; `synth_div` divides by X - r in
+one Horner pass, and its remainder is the exact test by which `shaped_roots`
+keeps or drops each candidate root sign * v^k.
 """
 from __future__ import annotations
 
@@ -126,15 +126,13 @@ def _coeff_str(x: VRat) -> str:
     return str(x)
 
 
-L_ZERO = Laurent()
 L_ONE = Laurent.const(1)
 
 
-def ldivmod(f: Laurent, g: Laurent) -> tuple[Laurent, Laurent]:
-    """Long division in X once X^min is cleared from f and g.
+def div_exact(f: Laurent, g: Laurent) -> Laurent:
+    """Exact Laurent division f/g; raises ArithmeticError on nonzero remainder.
 
-    Returns (quo, rem), polynomials in X with
-    f * X^-min(f) = quo * (g * X^-min(g)) + rem and deg rem < deg g.
+    Long division in X, highest term first, once X^min is cleared from f and g.
     """
     if g.is_zero():
         raise ZeroDivisionError("Laurent division by zero")
@@ -154,19 +152,13 @@ def ldivmod(f: Laurent, g: Laurent) -> tuple[Laurent, Laurent]:
             continue
         if not lead.is_one():
             q = q / lead
-        quo[dr - dg] = q
+        quo[dr - dg + mf - mg] = q
         for e, x in tail:
             k = e + dr - dg
             rem[k] = rem.get(k, VR_ZERO) + q * x
-    return Laurent(quo), Laurent(rem)
-
-
-def div_exact(f: Laurent, g: Laurent) -> Laurent:
-    """Exact Laurent division f/g; raises ArithmeticError on nonzero remainder."""
-    quo, rem = ldivmod(f, g)
-    if not rem.is_zero():
+    if any(rem.values()):
         raise ArithmeticError("inexact Laurent division")
-    return quo.shift(f.min_exp() - g.min_exp())
+    return Laurent(quo)
 
 
 def synth_div(f: Laurent, root: VRat) -> tuple["Laurent", VRat]:

@@ -223,7 +223,7 @@ def test_op_chains_agree_with_the_oracle(case, seed, ops):
         else:
             z, want = z * b, rep.act(z, rep.act(b, f))
         assert rep.act(z, f) == want, (op, z)
-        assert z.bound >= sum(sum(map(abs, c.c)) for c in z.terms.values())
+        assert z.bound >= sum(sum(map(abs, c.num)) for c in z.terms.values())
 
 
 def _sum(f: dict, g: dict, sign=1) -> dict:

@@ -251,6 +251,12 @@ def test_mu_exponent_cap():
     assert _refused("mu", "--qa", "1e100", "recover")
 
 
+def test_unitary_ps_cap():
+    from hecke.param_catalog import UNITARY_N_CAP
+    n = UNITARY_N_CAP + 1
+    assert _refused("unitary-ps", "--n", str(n), "--segments", f"not-skew:{n // 2}")
+
+
 def test_label_cap():
     from hecke.hecke_algebra import LABEL_CAP
     big = str(LABEL_CAP + 1)

@@ -9,8 +9,9 @@ from hecke.param_catalog import (
     case_lookup, classical_bound_check, classical_labels, db_integrity_report,
     db_records, db_version, descriptor_csv, parity_allows, parity_rule,
     quasisplit_ps_q, table1, table1_csv, table1_match, type_a_divisibility,
-    unitary_ps_descriptor,
+    unitary_ps_descriptor, UNITARY_N_CAP,
 )
+from hecke.root_data import SizeLimitError
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +338,13 @@ def test_unitary_signature_rejections():
         unitary_ps_descriptor(8, True, [("weird", 4)])
     with pytest.raises(ValueError):
         unitary_ps_descriptor(7, True, [("skew-trivial", 0), ("trivial", 3)])
+
+
+def test_unitary_n_cap():
+    # a signature that fills the torus is still refused, before any work
+    n = UNITARY_N_CAP + 1
+    with pytest.raises(SizeLimitError):
+        unitary_ps_descriptor(n, False, [("not-skew", n // 2)])
 
 
 def test_unitary_conformance_all_signatures():

@@ -53,7 +53,7 @@ def test_t_w0_theta_pinned(letter, rank, labels, y, want):
 
 
 def test_repeated_coefficients_print_as_their_own_strings():
-    """Every row's coeff is the ZLaurent string of its own term, also after a
+    """Every row's coeff is the VRat string of its own term, also after a
     shift by v^-3 (to_json prints each distinct packed int once and reuses it)."""
     alg, w0 = _alg("F", 4, "2,1")
     el = alg.t(w0) * alg.theta((1, 0, 0, 0))

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hecke.qfield import (K, PONE, VR_ONE, VR_ZERO, SizeLimitError, VRat, ZLaurent,
-                          l1_norm, low_slots, pdiv_exact, pgcd, pmul, pnorm, pparse,
-                          pshift, pstr, value_at_one)
+from hecke.qfield import (K, PONE, VR_ONE, VR_ZERO, SizeLimitError, VRat, _unpack,
+                          l1_norm, low_slots, pack, packed_str, packed_vrat, pdiv_exact,
+                          pgcd, pmul, pnorm, pparse, pshift, pstr, value_at_one)
 
 
 def test_poly_str_parse_roundtrip():
@@ -76,7 +76,7 @@ def test_vrat_field_axioms(a, b, c):
         assert (x / y) * y == x
 
 
-# v^val * poly as a VRat built by hand: the reference each ZLaurent is held to
+# v^val * poly as a VRat built by hand: the reference each packed value is held to
 _laurent = st.tuples(st.integers(min_value=-5, max_value=5),
                      st.lists(st.integers(min_value=-6, max_value=6), max_size=5))
 
@@ -85,53 +85,47 @@ def _pair(spec):
     val, coeffs = spec
     p = pnorm(tuple(coeffs))
     x = VRat(pshift(p, max(val, 0)), pshift(PONE, max(-val, 0)))
-    return ZLaurent.coerce(x), x
+    return pack(x), x
 
 
 def _same(z, x):
-    assert isinstance(z, ZLaurent)
-    assert (z.num, z.den) == (x.num, x.den)
-    assert str(z) == str(x)
-    if z.n:
-        assert z.c[0] and z.c[-1]
+    val, n, h = z
+    assert packed_vrat(val, n) == x
+    assert packed_str(val, n) == str(x)
+    if n:
+        c = _unpack(n)
+        assert c[0] and c[-1] and h >= sum(map(abs, c))
     else:
-        assert (z.val, z.c) == (0, ())
+        assert z == (0, 0, 0)
 
 
 @given(_laurent, _laurent)
-def test_zlaurent_agrees_with_vrat(s1, s2):
+def test_pack_agrees_with_vrat(s1, s2):
     (z1, x1), (z2, x2) = _pair(s1), _pair(s2)
     _same(z1, x1)
-    assert z1.h == sum(map(abs, x1.num))
+    assert z1[2] == sum(map(abs, x1.num))
     assert (z1 == z2) == (x1 == x2)
-    if z1 == z2:
-        assert hash(z1) == hash(z2)
-    assert bool(z1.n) == bool(x1)
-    assert ZLaurent.coerce(z1) is z1
+    assert bool(z1[1]) == bool(x1)
+    assert pack(packed_vrat(*z1[:2])) == z1
 
 
-def test_zlaurent_constants_and_refusals():
-    assert ZLaurent.coerce(0) == ZLaurent(3, 0, 0) and not ZLaurent.coerce(0).n
-    assert ZLaurent.coerce(Fraction(1)) == ZLaurent.v_pow(0)
-    assert str(ZLaurent.coerce(VRat.v_pow(-2) * -3)) == "(-3)/(v^2)"
+def test_pack_constants_and_refusals():
+    assert pack(0) == pack(VR_ZERO) == pack(Fraction(0)) == (0, 0, 0)
+    assert pack(Fraction(1)) == pack(VR_ONE) == pack(1) == (0, 1, 1)
+    assert packed_str(*pack(VRat.v_pow(-2) * -3)[:2]) == "(-3)/(v^2)"
+    assert packed_vrat(*pack(VRat.v_pow(-2) * -3)[:2]) == VRat.v_pow(-2) * -3
     for bad in (Fraction(1, 2), VRat(1, 2), VRat(PONE, pnorm((1, 1))),
                 VRat(pnorm((0, 1)), pnorm((0, 2)))):
         with pytest.raises(ValueError):
-            ZLaurent.coerce(bad)
-    with pytest.raises(AttributeError):
-        ZLaurent.v_pow(0).val = 3
+            pack(bad)
 
 
 # -- the packed representation: n = P(2^K), h >= l1 norm of P < 2^(K-1) ------
 
 def _zl(val, p):
-    """v^val * p as a ZLaurent, built through VRat like every boundary value."""
+    """v^val * p packed, built through VRat like every boundary value."""
     num, den = (pshift(p, val), PONE) if val >= 0 else (p, pshift(PONE, -val))
-    return ZLaurent.coerce(VRat(num, den))
-
-
-def _l1(z):
-    return sum(map(abs, z.c))
+    return pack(VRat(num, den))
 
 
 @pytest.mark.parametrize("p", [(2**62,), (-2**62,), (2**62 - 1,), (-(2**62 - 1),),
@@ -140,50 +134,54 @@ def _l1(z):
 def test_packed_round_trip_at_slot_edges(p):
     for val in (-3, 0, 2):
         z = _zl(val, p)
-        assert (z.val, z.c, z.h) == (val, p, _l1(z)) == (val, p, l1_norm(z.n))
-        assert z.n == sum(c << K * i for i, c in enumerate(p))
-        assert _zl(val, p) == z and hash(_zl(val, p)) == hash(z)
-        assert ZLaurent(val, -z.n, z.h).c == tuple(-c for c in p)
-        assert value_at_one(z.n) == sum(p)
+        v, n, h = z
+        assert (v, _unpack(n), h) == (val, p, sum(map(abs, p))) == (val, p, l1_norm(n))
+        assert n == sum(c << K * i for i, c in enumerate(p))
+        assert _zl(val, p) == z
+        assert _unpack(-n) == tuple(-c for c in p)
+        assert value_at_one(n) == sum(p)
         # zero low slots move into val
-        assert ZLaurent(val - 4, z.n << 4 * K, z.h) == z
-        assert str(z) == str(VRat(z.num, z.den))
+        assert pack(packed_vrat(val - 4, n << 4 * K)) == z
+        x = packed_vrat(val, n)
+        assert packed_str(val, n) == str(x) == str(VRat(x.num, x.den))
 
 
 def test_single_negative_slot():
-    z = ZLaurent(5, -7, 7)
-    assert (z.val, z.n, z.c, str(z)) == (5, -7, (-7,), "(-7*v^5)/(1)")
-    assert z != ZLaurent(5, 7, 7) and value_at_one(z.n) == -7
+    z = _zl(5, (-7,))
+    assert z == (5, -7, 7) and _unpack(-7) == (-7,)
+    assert packed_str(5, -7) == "(-7*v^5)/(1)"
+    assert packed_vrat(5, -7) != packed_vrat(5, 7) and value_at_one(-7) == -7
 
 
 def test_sums_that_cancel_low_slots():
     # aligned packed ints add slot by slot; the slots that cancel are the low
-    # zero slots of the sum, which the constructor moves into val
+    # zero slots of the sum, which pack moves into val
     a = _zl(-3, (1, 0, 0, 2, 1))       # v^-3 + 2 + v
     b = _zl(-3, (-1, 0, 0, -2))        # -v^-3 - 2
-    s = ZLaurent(-3, a.n + b.n, a.h + b.h)
-    assert (s.val, s.n, s.c) == (1, 1, (1,)) and s == ZLaurent.v_pow(1)
-    assert low_slots(a.n + b.n) == 4
+    s = packed_vrat(-3, a[1] + b[1])
+    assert s == VRat.v_pow(1) and pack(s) == (1, 1, 1)
+    assert low_slots(a[1] + b[1]) == 4
     # the cancelled slots may hold big coefficients, and the rest be negative
     a = _zl(0, (2**60, -2**60, 5, -1))
     b = _zl(0, (-2**60, 2**60))
-    s = ZLaurent(0, a.n + b.n, a.h + b.h)
-    assert (s.val, s.c) == (2, (5, -1))
-    assert ZLaurent(0, a.n - a.n, 0) == ZLaurent.coerce(0)
+    val, n, h = pack(packed_vrat(0, a[1] + b[1]))
+    assert (val, _unpack(n), h) == (2, (5, -1), 6)
+    assert packed_vrat(0, a[1] - a[1]) == VR_ZERO and pack(VR_ZERO) == (0, 0, 0)
 
 
 def test_bound_refusals():
     with pytest.raises(SizeLimitError):
-        ZLaurent.coerce(2**63)
+        pack(2**63)
     with pytest.raises(SizeLimitError):
-        ZLaurent.coerce(-(2**63))
+        pack(-(2**63))
     with pytest.raises(SizeLimitError):
         _zl(0, (2**62, 2**62))
     with pytest.raises(SizeLimitError):
-        ZLaurent(0, 1, 2**63)
-    assert ZLaurent.coerce(2**63 - 1).c == (2**63 - 1,)
+        _zl(-1, (2**63,))
+    assert pack(2**63 - 1) == (0, 2**63 - 1, 2**63 - 1)
+    assert _unpack(pack(2**63 - 1)[1]) == (2**63 - 1,)
     # comparing with an int is an answer, not a refusal
-    assert ZLaurent.v_pow(0) != 2**63 and ZLaurent.coerce(0) != -(2**64)
+    assert packed_vrat(0, 1) != 2**63 and packed_vrat(0, 0) != -(2**64)
 
 
 def test_wide_sparse_products_agree_with_vrat():
@@ -195,5 +193,6 @@ def test_wide_sparse_products_agree_with_vrat():
     for sa in wide:
         for sb in dense:
             (za, xa), (zb, xb) = _pair(sa), _pair(sb)
-            _same(ZLaurent(za.val + zb.val, za.n * zb.n, za.h * zb.h), xa * xb)
+            _same((za[0] + zb[0], za[1] * zb[1], za[2] * zb[2]), xa * xb)
+            assert pack(xa * xb)[:2] == (za[0] + zb[0], za[1] * zb[1])
 

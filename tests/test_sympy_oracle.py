@@ -15,8 +15,8 @@ from hecke.hecke_algebra import AHA  # noqa: E402
 from hecke.intertwiner_rank1 import composite_scalar  # noqa: E402
 from hecke.label_params import LabelFunction  # noqa: E402
 from hecke.mu_function import mu_factor  # noqa: E402
-from hecke.qfield import (K, PONE, VRat, pdiv_exact, pdivmod, pgcd, pmul,  # noqa: E402
-                          pnorm, pprimitive, pshift)
+from hecke.qfield import (K, PONE, VRat, _unpack, pack, pdiv_exact, pdivmod,  # noqa: E402
+                          pgcd, pmul, pnorm, pprimitive, pshift)
 from hecke.root_data import BasedRootDatum  # noqa: E402
 from hecke.xlaurent import Laurent, div_exact, shaped_roots, synth_div  # noqa: E402
 
@@ -274,10 +274,10 @@ def _agree(el, val, poly, case):
     if not any(coeffs):
         assert el.is_zero() and el == _LAURENT.element({}), case
         return
-    z = el.terms[_AT_ZERO]
+    zval, n, _ = pack(el.terms[_AT_ZERO])
     k = next(i for i, c in enumerate(coeffs) if c)
-    assert (z.val, z.c) == (val + k, tuple(coeffs[k:])), case
-    assert z.n == int(_sp(tuple(coeffs[k:])).eval(2 ** K)), case
+    assert (zval, _unpack(n)) == (val + k, tuple(coeffs[k:])), case
+    assert n == int(_sp(tuple(coeffs[k:])).eval(2 ** K)), case
     assert el.bound >= sum(map(abs, coeffs)), case
 
 

@@ -145,6 +145,32 @@ def test_cli_mix_pinned(argv, code, want):
     assert hashlib.sha256(proc.stdout).hexdigest() == want
 
 
+# Verbs that reach the root search outside the benchmark's mix: the largest
+# accepted mu-factor, a c' that is not an integer, and c' with a content or a
+# denominator far past one K-bit slot.  `scalar` and `jmatrix`, which reach it
+# through ratio_profile, are pinned in CLI_MIX above.
+ROOT_SEARCH_CLI = [
+    (["mu", "--qa", "1024", "--qs", "1023", "poles"], 0,
+     "4bec6ada1c208d50a4f588ad29f6bea177429feac1c2b97a0301a2d94c358c4d"),
+    (["mu", "--qa", "1024", "--qs", "1023", "recover"], 0,
+     "523b65cf13e41ba3c61a94724ac7da39dc645059b81f919f3289b40b0acfc2a8"),
+    (["mu", "--qa", "8", "--qs", "1/2", "--c-prime", "3/2", "poles"], 0,
+     "9e78887401b5e1dcada3b9ef80866c3aa20054ca261afd6d80ecf5430853a36b"),
+    (["mu", "--qa", "2", "--c-prime", "100000000000000000000000000000", "poles"], 0,
+     "f8f8be65ff7a07fe97c0329643cea18ed532ff66f1c95d7b6118a9c052a54592"),
+    (["mu", "--qa", "2", "--c-prime", "1/100000000000000000000000000007", "poles"], 0,
+     "f8f8be65ff7a07fe97c0329643cea18ed532ff66f1c95d7b6118a9c052a54592"),
+]
+
+
+@pytest.mark.parametrize("argv,code,want", ROOT_SEARCH_CLI,
+                         ids=[" ".join(a) for a, _, _ in ROOT_SEARCH_CLI])
+def test_root_search_cli_pinned(argv, code, want):
+    proc = subprocess.run([sys.executable, "-m", "hecke.cli", *argv], capture_output=True)
+    assert proc.returncode == code, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == want
+
+
 def test_cli_mix_pinned_on_the_oldest_supported_python():
     """requires-python is >= 3.10: the same 21 invocations under python3.10.
 

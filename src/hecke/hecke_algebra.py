@@ -31,8 +31,8 @@ from functools import reduce
 from operator import add, or_
 
 from .label_params import LabelFunction, validate
-from .qfield import (K, VR_ZERO, VRat, l1_norm, low_slots, pack, packed_str,
-                     packed_vrat, value_at_one)
+from .qfield import (K, VR_ZERO, VRat, bounded, l1_norm, low_slots, pack,
+                     packed_str, packed_vrat, value_at_one)
 from .root_data import BasedRootDatum, SizeLimitError, WeylElement, weyl_group
 
 # Input caps, chosen so that an accepted input runs in seconds on a 2-core
@@ -58,20 +58,6 @@ SAMPLE_WORK_CAP = 400_000
 def _norm(ints: dict) -> int:
     """The exact l1 mass of packed ints whose bound is below 2^(K-1)."""
     return sum(map(l1_norm, ints.values()))
-
-
-def _bounded(bound: int, exact) -> int:
-    """bound, or exact() when bound reaches 2^(K-1); SizeLimitError if that does too.
-
-    Bounds only grow (cancellation never lowers them), so a bound that reaches
-    2^(K-1) is taken again from exact(): the exact norms of the operands, which
-    decode because their own bounds are below 2^(K-1).
-    """
-    if bound >> (K - 1):
-        bound = exact()
-        if bound >> (K - 1):
-            raise SizeLimitError(f"coefficient bound {bound} reaches 2^{K - 1}")
-    return bound
 
 
 class AHA:
@@ -133,7 +119,7 @@ class AHA:
         e = -min((val for val, _, _ in zs.values()), default=0)
         ints = {k: n << K * (val + e) for k, (val, n, _) in zs.items()}
         bound = sum(h for _, _, h in zs.values())   # exact: each h is an l1 norm
-        return AHAElement(self, e, ints, _bounded(bound, lambda: bound))
+        return AHAElement(self, e, ints, bounded(bound, lambda: bound))
 
     def one(self) -> "AHAElement":
         return self.element({((0,) * self.d, 0): 1})
@@ -151,6 +137,8 @@ class AHA:
         return self.element({(x, 0): 1})
 
     def t_simple(self, j: int) -> "AHAElement":
+        if not 0 <= j < self.rank:
+            raise ValueError(f"T{j}: simple index out of range for rank {self.rank}")
         perm = self.datum.root_system.simple_reflection_perm(j)
         return self.element({((0,) * self.d, self.windex[perm]): 1})
 
@@ -197,8 +185,8 @@ class AHA:
                 key = (tuple(map(add, x, z)), ui)
                 out[key] = get(key, 0) + ((c * c2) << sh)
         top = max((m for _, m in parts.values()), default=0)
-        bound = _bounded(a.bound * b.bound * top,
-                         lambda: _norm(a.ints) * _norm(b.ints) * top)
+        bound = bounded(a.bound * b.bound * top,
+                        lambda: _norm(a.ints) * _norm(b.ints) * top)
         return AHAElement(self, a.e + b.e, {k: n for k, n in out.items() if n}, bound)
 
     def _t_times_elem(self, wi: int, ints: dict) -> tuple:
@@ -244,7 +232,7 @@ class AHA:
             m += 2 * mp
             for key2, c in part.items():
                 out[key2] = out.get(key2, 0) + (c << p) - (c << r)
-        m = _bounded(m, lambda: sum(f * _norm(piece) for f, piece in pieces))
+        m = bounded(m, lambda: sum(f * _norm(piece) for f, piece in pieces))
         hit = self._tt_cache[key] = {k: n for k, n in out.items() if n}, m
         return hit
 
@@ -359,7 +347,7 @@ class AHAElement:
         out = {k: n for k, n in out.items() if n}
         if not out:   # every slot cancelled exactly
             return AHAElement(self.algebra, 0, out, 0)
-        bound = _bounded(a.bound + b.bound, lambda: _norm(a.ints) + _norm(b.ints))
+        bound = bounded(a.bound + b.bound, lambda: _norm(a.ints) + _norm(b.ints))
         return AHAElement(self.algebra, a.e, out, bound)
 
     def __neg__(self) -> "AHAElement":
@@ -381,7 +369,7 @@ class AHAElement:
         val, cn, h = pack(c)
         if not cn:
             return AHAElement(self.algebra, 0, {}, 0)
-        bound = _bounded(self.bound * h, lambda: _norm(self.ints) * h)
+        bound = bounded(self.bound * h, lambda: _norm(self.ints) * h)
         return AHAElement(self.algebra, self.e - val,
                           {k: n * cn for k, n in self.ints.items()}, bound)
 
@@ -487,6 +475,8 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
     Each failure is a dict naming the relation and the inputs that reproduce
     it (elements as to_json(), for AHA.from_json).
     """
+    if sample_count < 0:
+        raise ValueError(f"sample count {sample_count} is negative")
     if sample_count > SAMPLES_CAP:
         raise SizeLimitError(f"sample count {sample_count} exceeds {SAMPLES_CAP}")
     # qq_s = v^(2 lambda_s): the widest label sets the coefficient widths

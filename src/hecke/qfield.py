@@ -437,10 +437,32 @@ def pack(x) -> tuple[int, int, int]:
     if h >> (K - 1):
         raise SizeLimitError(f"coefficient bound {h} reaches 2^{K - 1}")
     k = _valuation(num) if num else 0
-    n = 0
-    for c in reversed(num[k:]):
-        n = (n << K) + c
-    return val + k, n, h
+    num = num[k:]
+    # one pass, the inverse of _unpack: each slot goes into an int64 view as
+    # c mod 2^K, and the bytes read as one int; xor with the 2^(K-1) bias
+    # gives c + 2^(K-1) per slot, so subtracting the bias leaves P(2^K).
+    # A shift-and-add per slot would copy the growing int each time.
+    buf = bytearray(K // 8 * len(num))
+    view = memoryview(buf).cast("q")
+    for i, c in enumerate(num):
+        if c:
+            view[i] = c
+    bias = int.from_bytes(_HALF_SLOT * len(num), "little")
+    return val + k, (int.from_bytes(buf, byteorder) ^ bias) - bias, h
+
+
+def bounded(bound: int, exact) -> int:
+    """bound, or exact() when bound reaches 2^(K-1); SizeLimitError if that does too.
+
+    Bounds only grow (cancellation never lowers them), so a bound that reaches
+    2^(K-1) is taken again from exact(): the exact norms of the operands, which
+    decode because their own bounds are below 2^(K-1).
+    """
+    if bound >> (K - 1):
+        bound = exact()
+        if bound >> (K - 1):
+            raise SizeLimitError(f"coefficient bound {bound} reaches 2^{K - 1}")
+    return bound
 
 
 def packed_vrat(val: int, n: int) -> VRat:

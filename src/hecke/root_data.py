@@ -373,6 +373,9 @@ class DatumAutomorphism:
 
 
 def _perm_from_matrix(matrix, rs: RootSystem):
+    if len(matrix) != rs.dim or any(len(row) != rs.dim for row in matrix):
+        raise ValueError(f"matrix must be {rs.dim} x {rs.dim}, got rows of "
+                         f"lengths {[len(row) for row in matrix]}")
     perm = []
     for r in rs.all_roots:
         img = tuple(sum(row[k] * r[k] for k in range(rs.dim)) for row in matrix)

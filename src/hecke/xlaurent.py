@@ -3,12 +3,17 @@
 Used for the lattice direction X_alpha in cross relations and mu-factors, and
 for the variable z in rank-one intertwiners.  Coefficients are VRat.
 `div_exact` is the one long division in X; `synth_div` divides by X - r in
-one Horner pass, and its remainder is the exact test by which `shaped_roots`
-keeps or drops each candidate root sign * v^k.
+one Horner pass over VRat.  `shaped_roots` makes the same pass for each
+candidate root sign * v^k on the packed ints of qfield (every coefficient it
+divides lies in Z[v, v^-1] once one scalar clears the denominators), keeps
+or drops the candidate by the exact remainder, and decodes only the leftover.
 """
 from __future__ import annotations
 
-from .qfield import VR_ZERO, VRat
+from math import gcd
+
+from .qfield import (K, PONE, VR_ONE, VR_ZERO, VRat, bounded, l1_norm, low_slots,
+                     pack, packed_vrat, pmul)
 
 
 class Laurent:
@@ -203,6 +208,38 @@ def newton_exponents(f: Laurent) -> list[int]:
     return sorted(ks)
 
 
+def _integral(f: Laurent) -> tuple[VRat, dict[int, VRat]]:
+    """(s, {e: s * c_e}) for one scalar s != 0 that puts every coefficient in
+    Z[v, v^-1] with integer content 1.  s is 1 unless a denominator is not a
+    v-power or the coefficients share an integer factor (c' != 1 in a mu-factor).
+    """
+    s, cs, d = VR_ONE, f.c, PONE
+    for x in cs.values():
+        if x.den[-1] != 1 or x.den.count(0) != len(x.den) - 1:   # not a v-power
+            d = pmul(d, x.den)
+    if d != PONE:
+        s = VRat(d)
+        cs = {e: x * s for e, x in cs.items()}
+    g = 0
+    for x in cs.values():
+        g = gcd(g, *x.num)
+    if g != 1:
+        s = s / g
+        cs = {e: x / g for e, x in cs.items()}
+    return s, cs
+
+
+def _horner(ys: list[int], sign: int) -> tuple[list[int], int]:
+    """Divide sum ys[i] Y^i by Y - sign on packed ints: (quotient, remainder)."""
+    acc, quo = 0, []
+    for y in reversed(ys):
+        acc = y + acc if sign > 0 else y - acc
+        quo.append(acc)
+    rem = quo.pop()
+    quo.reverse()
+    return quo, rem
+
+
 def shaped_roots(f: Laurent):
     """Extract all roots of the shape sign * v^k with multiplicity.
 
@@ -212,20 +249,54 @@ def shaped_roots(f: Laurent):
     so the candidates of f serve throughout.  Each candidate, with either
     sign, is tested exactly by the remainder of one synthetic division, and
     the quotient is kept for as long as that remainder is zero.
+
+    The divisions run on the packed ints of s * f (see _integral): X = v^k Y
+    puts every coefficient at one v-offset m, so dividing by Y - sign adds
+    ints.  A pass over coefficients of total l1 norm h keeps every slot below
+    h, so its zero test is exact while h < 2^(K-1); a quotient of n
+    coefficients has norm at most n h.  Only the leftover is decoded.
     """
     if f.is_zero():
         raise ZeroDivisionError("zero polynomial has no root profile")
     ks = newton_exponents(f)
+    s, cs = _integral(f)
+    lo, size = f.min_exp(), f.max_exp() - f.min_exp() + 1
+    # the coefficient of X^(lo+i) is v^vals[i] * ns[i], with ns[i] = P(2^K)
+    vals, ns, bound = [0] * size, [0] * size, 0
+    for e, x in cs.items():
+        vals[e - lo], ns[e - lo], h = pack(x)
+        bound += h
+    bound = bounded(bound, lambda: bound)
     roots: dict[tuple[int, int], int] = {}
     for sign in (1, -1):
         for k in ks:
-            val = VRat.v_pow(k) * sign
-            quo, rem = synth_div(f, val)
+            m = min(val + k * e for e, (val, n) in enumerate(zip(vals, ns), lo) if n)
+            ys = [n << K * (val + k * e - m) if n else 0
+                  for e, (val, n) in enumerate(zip(vals, ns), lo)]
+            kept = 0
+            quo, rem = _horner(ys, sign)
             while not rem:
-                f = quo
-                roots[(sign, k)] = roots.get((sign, k), 0) + 1
-                quo, rem = synth_div(f, val)
-    return roots, f
+                kept += 1
+                bound = bounded(bound * len(quo), lambda: sum(map(l1_norm, quo)))
+                ys = quo
+                quo, rem = _horner(ys, sign)
+            if kept:
+                roots[(sign, k)] = kept
+                # X - sign v^k = v^k (Y - sign), so X^(lo+i) carries
+                # v^(m - k (kept + lo + i)) ys[i]; zero low slots go into val
+                vals, ns = [], []
+                for i, y in enumerate(ys):
+                    z = low_slots(y) if y else 0
+                    vals.append(m - k * (kept + lo + i) + z)
+                    ns.append(y >> K * z)
+    if not roots:
+        return roots, f
+    left = {}
+    for i in range(len(ns) - 1, -1, -1):   # highest first, as synth_div builds it
+        if ns[i]:
+            x = packed_vrat(vals[i], ns[i])
+            left[lo + i] = x if s.is_one() else x / s
+    return roots, Laurent(left)
 
 
 class LaurentRatio:

@@ -4,6 +4,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 _BIN = shutil.which("hecke")
 HECKE = [_BIN] if _BIN else [sys.executable, "-m", "hecke.cli"]
 
@@ -289,6 +291,22 @@ def test_sample_work_cap():
     assert _refused("check-relations", "--type", "B3", "--labels", "3,3,1")
     assert _refused("check-relations", "--type", "B3", "--labels", "3,3,1",
                     "--samples", "7")
+
+
+@pytest.mark.parametrize("argv", [
+    ("mul", "--type", "A", "--rank", "1", "--labels", "1,1", "x1", "T5"),
+    ("normal-form", "--type", "A", "--rank", "1", "--labels", "1,1", "T3"),
+    ("decompose", "--type", "B", "--rank", "2", "--matrix=1,0;0"),
+    ("decompose", "--type", "E", "--rank", "8", "--matrix=1"),
+    ("check-relations", "--type", "A1", "--labels", "1,1", "--samples", "-5"),
+], ids=" ".join)
+def test_malformed_input_exits_two(argv):
+    """A simple index at or above the rank, a matrix that is not dim x dim and
+    a negative sample count are refused as input, not by a traceback."""
+    proc = run(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_byte_stable_output():

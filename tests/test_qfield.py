@@ -146,6 +146,39 @@ def test_packed_round_trip_at_slot_edges(p):
         assert packed_str(val, n) == str(x) == str(VRat(x.num, x.den))
 
 
+def _long_coefficients():
+    import random
+    rng = random.Random(31)
+    edge = 2 ** 62
+    # 8192 dense slots of up to 49 bits and mixed signs: l1 norm below 2^62
+    dense = [rng.randint(-2 ** 49, 2 ** 49) for _ in range(8192)]
+    dense[0], dense[-1] = dense[0] or 1, dense[-1] or -1
+    # slot edges at both ends of 8001 slots, and a sparse run of mixed signs
+    sparse = [0] * 8001
+    sparse[0], sparse[-1] = -edge, edge - 1
+    mixed = [0] * 8500
+    for i, c in zip(range(0, 8500, 1000), (2 ** 59, -2 ** 59, -1, 1, 2 ** 60, -3, -2 ** 58, 5, 7)):
+        mixed[i] = c
+    mixed[-1] = -(2 ** 61)
+    top = [0] * 8100
+    top[0], top[-1] = 1, -(2 ** 63 - 2)
+    return [tuple(dense), tuple(sparse), tuple(mixed), tuple(top)]
+
+
+@pytest.mark.parametrize("p", _long_coefficients(), ids=("dense", "edges", "mixed", "top"))
+def test_pack_round_trip_on_long_coefficients(p):
+    want = sum(c << K * i for i, c in enumerate(p) if c)
+    for val in (-8200, 0, 3):
+        z = _zl(val, p)
+        assert z == (val, want, sum(map(abs, p)))
+        num, den = (pshift(p, val), PONE) if val >= 0 else (p, pshift(PONE, -val))
+        x = packed_vrat(val, z[1])
+        assert x == VRat(num, den)
+        assert pack(x) == z and _unpack(z[1]) == p
+    # more zero low slots go into val
+    assert _zl(1, (0,) * 8000 + p) == (8001, want, sum(map(abs, p)))
+
+
 def test_single_negative_slot():
     z = _zl(5, (-7,))
     assert z == (5, -7, 7) and _unpack(-7) == (-7,)

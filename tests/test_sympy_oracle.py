@@ -303,3 +303,40 @@ def test_packed_products_match_sympy():
         budget = rng.randint(1, 61)
         a, b = _operand(rng, 40, budget), _operand(rng, 40, 62 - budget)
         _agree(_packed(*a) * _packed(*b), a[0] + b[0], _sp(a[1]) * _sp(b[1]), (a, b))
+
+
+def test_packed_search_matches_sympy_at_c_prime_three_halves():
+    for e_alpha, e_star in ((Fraction(1, 2), 0), (2, Fraction(1, 2)), (Fraction(7, 2), 3),
+                            (8, Fraction(1, 2))):
+        f = mu_factor(e_alpha, e_star, Fraction(3, 2))
+        _check_shaped_roots(f.num)
+        _check_shaped_roots(f.den)
+
+
+def test_packed_search_matches_sympy_on_denominators_negative_k_and_multiplicity():
+    v = VRat.v_pow
+
+    def lin(c):
+        return Laurent({1: 1, 0: -c})
+
+    w = VRat((1,), (1, 0, 1))                       # 1/(1+v^2)
+    f = lin(v(2)) * lin(-v(-1)) * Laurent({1: w, 0: VRat((2,), (1, 1))})
+    _check_shaped_roots(f)
+    assert _factor_roots(f) == {(1, 2): 1, (-1, -1): 1}
+    g = lin(v(-1)) * lin(v(-1)) * lin(v(-1)) * lin(-v(-5)) * lin(-v(-5)) * lin(-v(-5)) \
+        * lin(-v(-5)) * lin(VRat((1, 0, 1))) * Laurent({0: w})
+    _check_shaped_roots(g.shift(-2))
+    _check_shaped_roots(g.inv_x())
+    assert _factor_roots(g) == {(1, -1): 3, (-1, -5): 4}
+
+
+def test_packed_search_matches_sympy_on_random_inputs():
+    rng = random.Random(29)
+    for _ in range(25):
+        f = _rand_laurent(rng, 3)
+        if f.is_zero():
+            continue
+        for _ in range(rng.randint(1, 3)):
+            r = VRat.v_pow(rng.randint(-3, 3)) * rng.choice((1, -1))
+            f = f * Laurent({1: 1, 0: -r})
+        _check_shaped_roots(f)

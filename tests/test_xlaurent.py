@@ -5,7 +5,7 @@ import pytest
 
 from hecke.intertwiner_rank1 import composite_scalar
 from hecke.mu_function import mu_factor
-from hecke.qfield import VRat
+from hecke.qfield import SizeLimitError, VRat
 from hecke.xlaurent import (L_ONE, Laurent, LaurentRatio, div_exact,
                             newton_exponents, shaped_roots, synth_div)
 
@@ -144,3 +144,116 @@ def test_shaped_roots_match_exhaustive_search_on_several_slopes():
     assert newton_exponents(f) == [-2, -1, 0, 3]
     _assert_matches_oracle(f)
     _assert_matches_oracle(f.inv_x() * Laurent.const(VRat((2, 0, 3), (1, 0, 1))))
+
+
+# -- the packed search against the VRat synth_div oracle ------------------------
+#
+# shaped_roots runs on packed Z[v^-1, v] ints after one clearing scalar; the
+# exhaustive oracle above divides with VRat coefficients only.  These inputs
+# reach what the benchmark's mu-factors (c' = 1, v-power denominators) never
+# do: a non-integral c', non-monomial denominators, negative and repeated
+# roots, the exponent cap, and the slot bound.
+
+def _lin(c):
+    return _x(1) - Laurent.const(c)
+
+
+def _power(f, n):
+    out = L_ONE
+    for _ in range(n):
+        out = out * f
+    return out
+
+
+@pytest.mark.parametrize("e_alpha,e_star", [
+    (Fraction(1, 2), 0), (1, 1), (2, Fraction(1, 2)), (Fraction(7, 2), 3), (8, Fraction(1, 2)),
+], ids=str)
+def test_packed_search_matches_exhaustive_search_at_c_prime_three_halves(e_alpha, e_star):
+    f = mu_factor(e_alpha, e_star, Fraction(3, 2))
+    _assert_matches_oracle(f.num)
+    _assert_matches_oracle(f.den)
+    assert f.num.c[0] == mu_factor(e_alpha, e_star).num.c[0] * VRat((3,), (2,))
+
+
+def test_packed_search_with_denominator_one_plus_v_squared():
+    v = VRat.v_pow
+    w = VRat((1,), (1, 0, 1))                     # 1/(1+v^2)
+    tail = _x(1, w) + Laurent.const(VRat((2,), (1, 1)))   # root -(1+v^2)/(2+2v): unshaped
+    f = _lin(v(2)) * _lin(-v(-1)) * tail
+    roots, leftover = shaped_roots(f)
+    assert roots == {(1, 2): 1, (-1, -1): 1}
+    assert leftover == tail
+    _assert_matches_oracle(f)
+    _assert_matches_oracle(f * Laurent.const(VRat((3, 0, 1), (1, 0, 1))))
+
+
+def test_packed_search_with_negative_k_and_multiplicity():
+    v = VRat.v_pow
+    f = (_power(_lin(v(-1)), 3) * _power(_lin(-v(-5)), 4) * _lin(v(2))
+         * _lin(VRat((1, 0, 1)))).shift(-2)        # 1+v^2: slope 0, not a root
+    roots, leftover = shaped_roots(f)
+    assert roots == {(1, -1): 3, (1, 2): 1, (-1, -5): 4}
+    assert leftover == _lin(VRat((1, 0, 1))).shift(-2)
+    _assert_matches_oracle(f)
+    _assert_matches_oracle(f.inv_x())
+
+
+def test_packed_search_matches_exhaustive_search_on_random_inputs():
+    import random
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(60):
+        coeffs = {}
+        for _ in range(rng.randint(1, 3)):
+            num = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 3)))
+            den = ((0,) * rng.randint(0, 2) + (1,) if rng.random() < 0.7
+                   else (rng.randint(1, 3), rng.randint(0, 2)))
+            if any(num):
+                coeffs[rng.randint(-2, 2)] = VRat(num, den)
+        f = Laurent(coeffs)
+        if f.is_zero():
+            continue
+        for _ in range(rng.randint(0, 4)):
+            f = f * _lin(VRat.v_pow(rng.randint(-3, 3)) * rng.choice((1, -1)))
+        _assert_matches_oracle(f)
+        checked += 1
+    assert checked > 50
+
+
+@pytest.mark.parametrize("e_alpha,e_star", [
+    (1024, 1023), (1024, Fraction(1, 2)), (Fraction(1023, 2), 0),
+], ids=str)
+def test_packed_search_at_the_exponent_cap(e_alpha, e_star):
+    """Zeros at +-1 (order 2, -1 cancels when q_a* = 1), poles at q_a^{+-1}
+    and -q_a*^{+-1}: the closed form in the mu_function docstring."""
+    from hecke.mu_function import poles_zeros
+    f = mu_factor(e_alpha, e_star)
+    ea, es = Fraction(e_alpha), Fraction(e_star)
+    zeros = {(1, Fraction(0)): 2}
+    poles = {(1, ea): 1, (1, -ea): 1}
+    if es:
+        zeros[(-1, Fraction(0))] = 2
+        poles.update({(-1, es): 1, (-1, -es): 1})
+    prof = poles_zeros(f)
+    assert (prof.zeros, prof.poles) == (zeros, poles)
+    roots, leftover = shaped_roots(f.den)
+    assert sum(roots.values()) == f.den.max_exp() - f.den.min_exp()
+    assert len(leftover.c) == 1
+
+
+def test_packed_search_refuses_a_bound_past_one_slot():
+    big = 2 ** 62
+    # (1 + 2^62 v)(X - 1): content 1, total l1 norm 2^63 + 2
+    f = _lin(1) * Laurent.const(VRat((1, big)))
+    with pytest.raises(SizeLimitError):
+        shaped_roots(f)
+    assert _exhaustive_shaped_roots(f)[0] == {(1, 0): 1}
+    # a common integer factor is taken out first, so c' = 2^62 is no refusal
+    assert shaped_roots(_lin(1) * Laurent.const(big))[0] == {(1, 0): 1}
+    # (1 + 2^60 v)(X + 1)^2 has norm 2^62 + 4: the first quotient's bound,
+    # 2 (2^62 + 4), passes 2^63 and is retaken exactly (2^61 + 2), so the
+    # second root is found too
+    c = VRat((1, 2 ** 60))
+    f = _power(_lin(-1), 2) * Laurent.const(c)
+    assert shaped_roots(f) == ({(-1, 0): 2}, Laurent.const(c))
+    _assert_matches_oracle(f)

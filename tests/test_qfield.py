@@ -1,5 +1,6 @@
 """Coefficients: exact ratios of integer polynomials in v (v^2 = q-base), and
 the ring Z[v, v^-1] checked against them."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -147,7 +148,6 @@ def test_packed_round_trip_at_slot_edges(p):
 
 
 def _long_coefficients():
-    import random
     rng = random.Random(31)
     edge = 2 ** 62
     # 8192 dense slots of up to 49 bits and mixed signs: l1 norm below 2^62

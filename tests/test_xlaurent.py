@@ -1,10 +1,11 @@
 """Laurent polynomials in X over the v-field: exact division, shaped roots."""
+import random
 from fractions import Fraction
 
 import pytest
 
 from hecke.intertwiner_rank1 import composite_scalar
-from hecke.mu_function import mu_factor
+from hecke.mu_function import mu_factor, poles_zeros
 from hecke.qfield import SizeLimitError, VRat
 from hecke.xlaurent import (L_ONE, Laurent, LaurentRatio, div_exact,
                             newton_exponents, shaped_roots, synth_div)
@@ -199,7 +200,6 @@ def test_packed_search_with_negative_k_and_multiplicity():
 
 
 def test_packed_search_matches_exhaustive_search_on_random_inputs():
-    import random
     rng = random.Random(23)
     checked = 0
     for _ in range(60):
@@ -226,7 +226,6 @@ def test_packed_search_matches_exhaustive_search_on_random_inputs():
 def test_packed_search_at_the_exponent_cap(e_alpha, e_star):
     """Zeros at +-1 (order 2, -1 cancels when q_a* = 1), poles at q_a^{+-1}
     and -q_a*^{+-1}: the closed form in the mu_function docstring."""
-    from hecke.mu_function import poles_zeros
     f = mu_factor(e_alpha, e_star)
     ea, es = Fraction(e_alpha), Fraction(e_star)
     zeros = {(1, Fraction(0)): 2}

@@ -37,6 +37,14 @@ def _emit(args, payload, csv_text=None):
             fh.write(json.dumps(payload, indent=2) + "\n")
 
 
+def fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator refused as malformed input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _shape_args(args):
     from .root_data import parse_type
     letter, rank = parse_type(args.type)
@@ -54,7 +62,7 @@ def _component_args(args):
     from .root_data import build_root_system
     letter, rank = _shape_args(args)
     rs = build_root_system(letter, rank)
-    values = [Fraction(v) for v in args.labels.split(",")]
+    values = [fraction(v) for v in args.labels.split(",")]
     lf = LabelFunction.for_system(rs, values, QBase(args.base_exp))
     return f"{letter}{rank}", rs, lf
 
@@ -209,7 +217,7 @@ def _cmd_transfer(args):
 def _cmd_mu(args):
     from .label_params import q_power_str
     from .mu_function import mu_factor, poles_zeros, q_from_poles
-    f = mu_factor(Fraction(args.qa), Fraction(args.qs), Fraction(args.c_prime))
+    f = mu_factor(fraction(args.qa), fraction(args.qs), fraction(args.c_prime))
     if args.action == "show":
         payload = {"q_alpha": q_power_str(f.pair.e_alpha),
                    "q_star": q_power_str(f.pair.e_star),
@@ -334,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--labels", required=True,
                        help="per-orbit labels, long orbit first; one trailing "
                             "extra value is lambda* of the short orbit")
-        p.add_argument("--base-exp", type=Fraction, default=Fraction(1),
+        p.add_argument("--base-exp", type=fraction, default=Fraction(1),
                        metavar="R", help="labels live at base q_F^R")
 
     def family_flags(p):

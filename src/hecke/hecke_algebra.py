@@ -144,10 +144,14 @@ class AHA:
 
     def t(self, word) -> "AHAElement":
         """T_w for the element with the given reduced word (lengths must add)."""
-        out = self.one()
-        for j in word:
-            out = self.multiply(out, self.t_simple(j))
-        return out
+        word = tuple(word)
+        if not all(0 <= j < self.rank for j in word):
+            raise ValueError(f"word {word}: a simple index is out of range for "
+                             f"rank {self.rank}")
+        wi = self._word_index(word)
+        if self.lengths[wi] != len(word):
+            raise ValueError(f"word {word} is not reduced")
+        return self.element({((0,) * self.d, wi): 1})
 
     def from_json(self, data: dict) -> "AHAElement":
         terms: dict = {}

@@ -13,29 +13,57 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .label_params import ParamPair
-from .qfield import VRat
+from .label_params import ParamPair, _frac
+from .qfield import VR_ZERO, VRat
 from .root_data import RootSystem, SizeLimitError
 from .xlaurent import Laurent, shaped_roots
 
 # largest q_F-exponent of q_alpha (v-degrees grow with it); recovering the worst
-# accepted pair, (1024, 1023), from its poles takes about 40-60 ms in-process
-# and `mu --qa 1024 --qs 1023 recover` about 0.15 s on a 2-core machine
+# accepted pair, (1024, 1023), from its poles takes about 10-12 ms in-process
+# and `mu --qa 1024 --qs 1023 recover` 0.16-0.20 s on a loaded 2-core machine,
+# where `python -c pass` alone takes 0.09-0.13 s
 MU_EXP_CAP = 1024
 
 
 def _half_vexp(e: Fraction) -> int:
-    two_e = 2 * e
-    if two_e.denominator != 1:
+    if 2 % e.denominator:
         raise ValueError(f"exponent {e} is not a half-integer")
-    return int(two_e)
+    return e.numerator * 2 // e.denominator
 
 
-def _in_s(p, r) -> Laurent:
-    """(p0 + p1 s)(r0 + r1 s) with s = X + X^-1, so s^2 = X^2 + 2 + X^-2."""
+def _pair(k: int, sign: int, on: bool) -> tuple[dict, dict]:
+    """(1 + sign v^-k X)(1 + sign v^-k X^-1) = (1 + v^-2k) + sign v^-k s as
+    the v-exponent maps {exponent: int} of its two s-coefficients; 1 when off."""
+    if not on:
+        return {0: 1}, {}
+    return ({0: 2} if k == 0 else {0: 1, -2 * k: 1}), {-k: sign}
+
+
+def _coeff(n: int, d: int, *products) -> VRat:
+    """n/d times the sum of m p r over (m, p, r), p and r v-exponent maps, as one VRat."""
+    terms: dict = {}
+    for m, p, r in products:
+        for i, x in p.items():
+            for j, y in r.items():
+                terms[i + j] = terms.get(i + j, 0) + m * x * y
+    ks = [k for k, x in terms.items() if x]
+    if not ks:
+        return VR_ZERO
+    lo = min(ks)
+    poly = [0] * (max(ks) - lo + 1)
+    for k in ks:
+        poly[k - lo] = n * terms[k]
+    # v^lo P / d: the v-power goes to whichever side keeps both in Z[v]
+    return VRat((0,) * max(lo, 0) + tuple(poly), (0,) * max(-lo, 0) + (d,))
+
+
+def _in_s(p, r, n: int = 1, d: int = 1) -> Laurent:
+    """n/d (p0 + p1 s)(r0 + r1 s) with s = X + X^-1, so s^2 = X^2 + 2 + X^-2."""
     (p0, p1), (r0, r1) = p, r
-    mid, top = p0 * r1 + p1 * r0, p1 * r1
-    return Laurent({-2: top, -1: mid, 0: p0 * r0 + 2 * top, 1: mid, 2: top})
+    top = _coeff(n, d, (1, p1, r1))
+    mid = _coeff(n, d, (1, p0, r1), (1, p1, r0))
+    return Laurent({-2: top, -1: mid, 0: _coeff(n, d, (1, p0, r0), (2, p1, r1)),
+                    1: mid, 2: top})
 
 
 class MuFactor:
@@ -50,16 +78,15 @@ class MuFactor:
         c_prime = Fraction(c_prime)
         if c_prime <= 0:
             raise ValueError(f"c' must be positive, got {c_prime}")
-        a = VRat.v_pow(-_half_vexp(pair.e_alpha))
-        b = VRat.v_pow(-_half_vexp(pair.e_star))
+        ka, kb = _half_vexp(pair.e_alpha), _half_vexp(pair.e_star)
         # with s = X + X^-1: (1-X)(1-X^-1) = 2 - s, (1+X)(1+X^-1) = 2 + s,
-        # (1-aX)(1-aX^-1) = (1+a^2) - a s, (1+bX)(1+bX^-1) = (1+b^2) + b s.
-        # q = 1 on a block cancels it exactly; keep the reduced form so that
-        # evaluation is defined away from the true poles only
-        num = _in_s((2, -1) if pair.e_alpha > 0 else (1, 0),
-                    (2, 1) if pair.e_star > 0 else (1, 0)) * VRat.from_fraction(c_prime)
-        den = _in_s((1 + a * a, -a) if pair.e_alpha > 0 else (1, 0),
-                    (1 + b * b, b) if pair.e_star > 0 else (1, 0))
+        # (1-aX)(1-aX^-1) = (1+a^2) - a s, (1+bX)(1+bX^-1) = (1+b^2) + b s
+        # for a = v^-ka, b = v^-kb.  q = 1 on a block cancels it exactly; keep
+        # the reduced form so that evaluation is defined away from the true
+        # poles only
+        num = _in_s(_pair(0, -1, ka > 0), _pair(0, 1, kb > 0),
+                    c_prime.numerator, c_prime.denominator)
+        den = _in_s(_pair(ka, -1, ka > 0), _pair(kb, 1, kb > 0))
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "c_prime", c_prime)
         object.__setattr__(self, "symbol", symbol)
@@ -120,8 +147,8 @@ class PoleZeroProfile:
     __slots__ = ("zeros", "poles")
 
     def __init__(self, zeros: dict, poles: dict):
-        zeros = {(int(s), Fraction(e)): int(o) for (s, e), o in zeros.items() if o}
-        poles = {(int(s), Fraction(e)): int(o) for (s, e), o in poles.items() if o}
+        zeros = {(int(s), _frac(e)): int(o) for (s, e), o in zeros.items() if o}
+        poles = {(int(s), _frac(e)): int(o) for (s, e), o in poles.items() if o}
         for name, side in (("zeros", zeros), ("poles", poles)):
             for (s, e), o in side.items():
                 if s not in (1, -1) or o < 0:
@@ -175,12 +202,13 @@ def ratio_profile(num: Laurent, den: Laurent) -> PoleZeroProfile:
     net: dict = dict(zn)
     for key, o in zd.items():
         net[key] = net.get(key, 0) - o
-    zeros, poles = {}, {}
+    zeros, poles, half = {}, {}, {}
     for (s, k), o in net.items():
-        if o > 0:
-            zeros[(s, Fraction(k, 2))] = o
-        elif o < 0:
-            poles[(s, Fraction(k, 2))] = -o
+        if o:
+            e = half.get(k)
+            if e is None:   # +-v^k share one exponent k/2
+                e = half[k] = Fraction(k, 2)
+            (zeros if o > 0 else poles)[(s, e)] = abs(o)
     return PoleZeroProfile(zeros, poles)
 
 

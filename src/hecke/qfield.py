@@ -76,10 +76,7 @@ def pshift(a: Poly, k: int) -> Poly:
 
 
 def pcontent(a: Poly) -> int:
-    c = 0
-    for x in a:
-        c = gcd(c, x)
-    return c
+    return gcd(*a)   # gcd() of nothing is 0
 
 
 def pprimitive(a: Poly) -> Poly:
@@ -140,10 +137,8 @@ def pgcd(a: Poly, b: Poly) -> Poly:
 
 
 def _valuation(p: Poly) -> int:
-    i = 0
-    while not p[i]:
-        i += 1
-    return i
+    """Index of the first nonzero coefficient of p != (); most have p[0] != 0."""
+    return 0 if p[0] else p.index(next(filter(None, p)))
 
 
 def peval(a: Poly, x: Fraction) -> Fraction:

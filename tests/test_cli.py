@@ -1,10 +1,16 @@
 """End-to-end runs of every CLI verb through the installed entry point."""
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hecke import cli
 
 _BIN = shutil.which("hecke")
 HECKE = [_BIN] if _BIN else [sys.executable, "-m", "hecke.cli"]
@@ -307,6 +313,111 @@ def test_malformed_input_exits_two(argv):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# -- in-process fuzz of every verb's flags ------------------------------------
+#
+# Values are small (half of the draws), huge, negative, fractional,
+# zero-denominator, empty and ragged.  Half of the components are valid ones,
+# so that the verbs run past their parsing.  --json is left out: it writes a file.
+
+_HUGE = str(10 ** 30)
+_VALUE = st.sampled_from(["1", "2", "3"]) | st.sampled_from(
+    ["0", "-1", "-7", _HUGE, "-" + _HUGE, "1/2", "3/2", "-1/2", "0.5", "1e100", "1/0",
+     "0/0", "nan", "", "1,,2", "1,2,3,4,5", "x"])
+_LIST = st.lists(_VALUE, max_size=4).map(",".join)
+_TYPE = st.sampled_from(["A", "B", "C", "G", "A1", "B2", "C3", "D4", "G2", "F4",
+                         "E8", "B0", "A-1", "X3", "", "B" + _HUGE])
+_TOKEN = st.sampled_from(["T0", "T1", "T2", "T9", "t1", "T-1", "T", "x1", "x0,1",
+                          "x1,-1", "x-1,0,1", "x1,,2", "x" + _HUGE, "x", "y1", ";"])
+_WORD = st.lists(_TOKEN, max_size=4).map(" ".join)
+_VALID_COMPONENT = st.sampled_from([["--type=A1", "--labels=1,1"],
+                                    ["--type=A", "--rank=2", "--labels=2,2"],
+                                    ["--type=B2", "--labels=3,3,1"],
+                                    ["--type=G2", "--labels=1,3"]])
+
+
+def _flags(*pairs):
+    """Each flag with a drawn value, or left out."""
+    return st.tuples(*(st.one_of(st.just([]), v.map(lambda x, f=f: [f"{f}={x}"]))
+                       for f, v in pairs)).map(lambda t: sum(t, []))
+
+
+_COMPONENT = _VALID_COMPONENT | _flags(("--type", _TYPE), ("--rank", _VALUE),
+                                       ("--labels", _LIST), ("--base-exp", _VALUE))
+_FAMILY = _flags(("--case", st.sampled_from(["a", "b", "c", "d"])), ("--t", _VALUE),
+                 ("--f", _VALUE), ("--a-plus", _VALUE), ("--a", _VALUE),
+                 ("--a-minus", _VALUE), ("--n-dual", _VALUE), ("--d-rho", _VALUE))
+_SEGMENT = st.tuples(st.sampled_from(["not-skew", "skew-nontrivial", "skew-trivial",
+                                      "trivial", "odd", ""]), _VALUE).map(":".join)
+
+
+def _then(*parts):
+    return st.tuples(*parts).map(lambda t: sum(t, []))
+
+
+_VERBS = {
+    "table1": st.sampled_from([[], ["--csv"]]),
+    "match-labels": _COMPONENT,
+    "classical": _FAMILY,
+    "bound": _FAMILY,
+    "parity": _flags(("--family", st.sampled_from(["unramified-SU", "other", "x"])),
+                     ("--t", _VALUE), ("--a", _VALUE), ("--a-minus", _VALUE)),
+    "unitary-ps": _then(_flags(("--n", _VALUE),
+                               ("--segments", st.lists(_SEGMENT, max_size=3).map(",".join))),
+                        st.sampled_from([[], ["--ramified"]])),
+    "ps-q": _flags(("--w-orbit", _VALUE), ("--i-orbit", _VALUE)),
+    "case": _flags(("--group", st.sampled_from(["G2", "3D4", "E7(2)", "H8", ""])),
+                   ("--levi", _LIST)),
+    "transfer": _then(_COMPONENT, _flags(
+        ("--case", st.sampled_from(["i", "ii", "iii", "iv"])),
+        ("--direction", st.sampled_from(["to-quotient", "to-cover"])))),
+    "mu": _then(st.sampled_from([[], ["show"], ["poles"], ["recover"]]),
+                _flags(("--qa", _VALUE), ("--qs", _VALUE), ("--c-prime", _VALUE))),
+    "jmatrix": _flags(("--direction", st.sampled_from(cli.J_DIRECTIONS))),
+    "scalar": st.just([]),
+    "charsum": _flags(("--modulus", _VALUE), ("--index", _VALUE)),
+    "mul": _then(_COMPONENT, st.tuples(_WORD, _WORD).map(lambda t: ["--", *t])),
+    "normal-form": _then(_COMPONENT, _WORD.map(lambda w: ["--", w])),
+    "check-relations": _then(_COMPONENT, _flags(
+        ("--samples", st.sampled_from(["0", "1", "2", "-5", "501", "x"])),
+        ("--seed", _VALUE))),
+    "decompose": _flags(("--type", _TYPE), ("--rank", _VALUE), ("--matrix", st.one_of(
+        st.sampled_from(["1,0;0,1", "0,1;1,0", "-1,0;0,-1", "1,0,0;0,1,0;0,0,1"]),
+        st.lists(_LIST, max_size=3).map(";".join)))),
+}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=5000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(_VERBS)).flatmap(
+    lambda verb: _VERBS[verb].map(lambda rest: [verb, *rest])))
+def test_fuzzed_argv_exits_zero_one_or_two(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:   # argparse refuses usage errors itself
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("mu", "--qa", "1", "--c-prime", "1/0"),
+    ("mu", "--qa", "1/0", "poles"),
+    ("match-labels", "--type", "B2", "--labels", "3,3,1", "--base-exp", "1/0"),
+    ("mul", "--type", "A1", "--labels", "1/0,1", "T0", "T0"),
+], ids=" ".join)
+def test_zero_denominator_is_malformed_input(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 2 and "error: " in err.getvalue(), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_byte_stable_output():

@@ -65,6 +65,23 @@ def test_finite_part_closed_and_length_additive():
                 assert prod == alg.t(W[wi].word + W[vi].word)
 
 
+@pytest.mark.parametrize("typ, labels", [("B", (3, 3, 1)), ("G", (1, 3))])
+def test_t_of_a_reduced_word_is_its_basis_element(typ, labels):
+    alg = _alg(typ, 2, labels)
+    zero = (0,) * alg.d
+    for i, w in enumerate(alg.W):
+        el = alg.t(w.word)
+        assert el == alg.element({(zero, i): 1})
+        # one product per letter, as T_w was built before
+        prod = alg.one()
+        for j in w.word:
+            prod = multiply(prod, alg.t_simple(j))
+        assert el == prod
+    for bad in [(0, 0), (1, 0, 0), (2,), (-1,), (0, 1, 2)]:
+        with pytest.raises(ValueError):
+            alg.t(bad)
+
+
 def test_check_relations_small():
     for t, n, labels in [("A", 1, (1, 1)), ("B", 2, (3, 3, 1))]:
         rep = check_relations(_alg(t, n, labels), sample_count=10, seed=3)

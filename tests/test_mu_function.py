@@ -62,6 +62,23 @@ def test_closed_form_matches_the_eight_factor_product(c_prime):
             (e_alpha, e_star)
 
 
+@pytest.mark.parametrize("c_prime", [1, F(3, 2), F(10**29)], ids=str)
+def test_closed_form_on_the_pool_and_at_the_cap(c_prime):
+    # the benchmark's pool, e_alpha <= 8 in halves, and the widest v-exponents
+    halves = [F(k, 2) for k in range(17)]
+    pairs = [(a, s) for a in halves for s in halves if s <= a]
+    pairs += [(F(1024), F(1023)), (F(1024), F(1, 2)), (F(1023, 2), F(0))]
+    assert len(pairs) == 156
+    for e_alpha, e_star in pairs:
+        f = MuFactor(e_alpha, e_star, c_prime)
+        assert (f.num, f.den) == _eight_factor_product(e_alpha, e_star, c_prime), \
+            (e_alpha, e_star)
+        prof = poles_zeros(f)
+        for key in list(prof.zeros) + list(prof.poles):
+            assert [type(x) for x in key] == [int, F], key
+        assert q_from_poles(prof) == ParamPair(e_alpha, e_star)
+
+
 def test_ratio_profile_rejects_non_shaped_leftover():
     # X^2 + v: Newton slope 1/2, so no root of the shape sign * v^k
     odd = Laurent({2: 1, 0: VRat.v_pow(1)})

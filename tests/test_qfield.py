@@ -2,13 +2,15 @@
 the ring Z[v, v^-1] checked against them."""
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hecke.qfield import (K, PONE, VR_ONE, VR_ZERO, SizeLimitError, VRat, _unpack,
-                          l1_norm, low_slots, pack, packed_str, packed_vrat, pdiv_exact,
-                          pgcd, pmul, pnorm, pparse, pshift, pstr, value_at_one)
+                          _valuation, l1_norm, low_slots, pack, packed_str, packed_vrat,
+                          pcontent, pdiv_exact, pgcd, pmul, pnorm, pparse, pshift, pstr,
+                          value_at_one)
 
 
 def test_poly_str_parse_roundtrip():
@@ -229,3 +231,34 @@ def test_wide_sparse_products_agree_with_vrat():
             _same((za[0] + zb[0], za[1] * zb[1], za[2] * zb[2]), xa * xb)
             assert pack(xa * xb)[:2] == (za[0] + zb[0], za[1] * zb[1])
 
+
+
+def _content_loop(a):
+    c = 0
+    for x in a:
+        c = gcd(c, x)
+    return c
+
+
+def _valuation_loop(p):
+    i = 0
+    while not p[i]:
+        i += 1
+    return i
+
+
+# zero prefixes up to the v^4096 denominators of mu-factors at MU_EXP_CAP
+_prefixed = st.tuples(st.sampled_from([0, 1, 2, 63, 64, 4095, 4096]),
+                      st.lists(st.integers(min_value=-2**70, max_value=2**70),
+                               min_size=1, max_size=6))
+
+
+@given(_prefixed)
+def test_content_and_valuation_agree_with_the_loops(spec):
+    zeros, body = spec
+    p = (0,) * zeros + tuple(body)
+    assert pcontent(p) == _content_loop(p)
+    assert pcontent(tuple(body)) == _content_loop(tuple(body))
+    if any(p):
+        assert _valuation(p) == _valuation_loop(p)
+    assert pcontent(()) == 0

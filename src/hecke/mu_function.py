@@ -19,9 +19,9 @@ from .root_data import RootSystem, SizeLimitError
 from .xlaurent import Laurent, shaped_roots
 
 # largest q_F-exponent of q_alpha (v-degrees grow with it); recovering the worst
-# accepted pair, (1024, 1023), from its poles takes about 10-12 ms in-process
-# and `mu --qa 1024 --qs 1023 recover` 0.16-0.20 s on a loaded 2-core machine,
-# where `python -c pass` alone takes 0.09-0.13 s
+# accepted pair, (1024, 1023), takes about 5-6 ms in-process (the root search of
+# poles_zeros) and `mu --qa 1024 --qs 1023 recover` 0.18-0.20 s on a loaded
+# 2-core machine, where `python -c pass` alone takes 0.12-0.13 s
 MU_EXP_CAP = 1024
 
 
@@ -29,6 +29,14 @@ def _half_vexp(e: Fraction) -> int:
     if 2 % e.denominator:
         raise ValueError(f"exponent {e} is not a half-integer")
     return e.numerator * 2 // e.denominator
+
+
+def _vexps(pair: ParamPair) -> tuple[int, int]:
+    """v-exponents (2 e_alpha, 2 e_star) of a pair: refuses e_alpha above the
+    cap, then an exponent that is not a half-integer."""
+    if pair.e_alpha > MU_EXP_CAP:
+        raise SizeLimitError(f"q_alpha exponent {pair.e_alpha} exceeds {MU_EXP_CAP}")
+    return _half_vexp(pair.e_alpha), _half_vexp(pair.e_star)
 
 
 def _pair(k: int, sign: int, on: bool) -> tuple[dict, dict]:
@@ -69,16 +77,14 @@ def _in_s(p, r, n: int = 1, d: int = 1) -> Laurent:
 class MuFactor:
     """One rank-one factor in factored (numerator, denominator) form."""
 
-    __slots__ = ("pair", "c_prime", "symbol", "num", "den")
+    __slots__ = ("pair", "c_prime", "num", "den")
 
-    def __init__(self, e_alpha, e_star=0, c_prime=1, symbol="X"):
+    def __init__(self, e_alpha, e_star=0, c_prime=1):
         pair = ParamPair(e_alpha, e_star)
-        if pair.e_alpha > MU_EXP_CAP:
-            raise SizeLimitError(f"q_alpha exponent {pair.e_alpha} exceeds {MU_EXP_CAP}")
+        ka, kb = _vexps(pair)
         c_prime = Fraction(c_prime)
         if c_prime <= 0:
             raise ValueError(f"c' must be positive, got {c_prime}")
-        ka, kb = _half_vexp(pair.e_alpha), _half_vexp(pair.e_star)
         # with s = X + X^-1: (1-X)(1-X^-1) = 2 - s, (1+X)(1+X^-1) = 2 + s,
         # (1-aX)(1-aX^-1) = (1+a^2) - a s, (1+bX)(1+bX^-1) = (1+b^2) + b s
         # for a = v^-ka, b = v^-kb.  q = 1 on a block cancels it exactly; keep
@@ -89,7 +95,6 @@ class MuFactor:
         den = _in_s(_pair(ka, -1, ka > 0), _pair(kb, 1, kb > 0))
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "c_prime", c_prime)
-        object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -126,9 +131,8 @@ class MuFactor:
         return all(ka[e] == ratio * kb[e] for e in ka)
 
     def __repr__(self):
-        s = self.symbol
         return (f"MuFactor(q_a=q^{self.pair.e_alpha}, q_a*=q^{self.pair.e_star}, "
-                f"c'={self.c_prime}, var {s})")
+                f"c'={self.c_prime}, var X)")
 
 
 def mu_factor(e_alpha, e_star=0, c_prime=1) -> MuFactor:
@@ -217,6 +221,17 @@ def poles_zeros(f: MuFactor) -> PoleZeroProfile:
     return ratio_profile(f.num, f.den)
 
 
+def _profile_of(pair: ParamPair) -> tuple[dict, dict]:
+    """(zeros, poles) of poles_zeros(MuFactor(*pair)) in closed form: each block
+    with q != 1 has a double zero at sign * 1 and simple poles at sign * q^+-e."""
+    zeros, poles = {}, {}
+    for sign, e, k in zip((1, -1), pair, _vexps(pair)):
+        if k:
+            zeros[(sign, 0)] = 2
+            poles[(sign, e)] = poles[(sign, -e)] = 1
+    return zeros, poles
+
+
 def q_from_poles(p: PoleZeroProfile) -> ParamPair:
     """Recover (q_a, q_{a*}) exponents; rejects profiles that no factor produces."""
     if p.is_empty():
@@ -229,7 +244,7 @@ def q_from_poles(p: PoleZeroProfile) -> ParamPair:
         pair = ParamPair(max(pos), max(neg) if neg else 0)
     except ValueError as err:
         raise ValueError(f"pole positions violate q_a >= q_a* >= 1: {err}") from None
-    if poles_zeros(MuFactor(pair.e_alpha, pair.e_star)) != p:
+    if _profile_of(pair) != (p.zeros, p.poles):
         raise ValueError(
             f"profile is not of mu-factor shape (best candidate {pair!r})")
     return pair

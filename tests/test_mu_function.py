@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from hecke.label_params import LabelFunction, ParamPair, q_from_labels, validate
-from hecke.mu_function import (MuFactor, PoleZeroProfile, mu_factor, poles_zeros,
-                               q_from_poles, ratio_profile, sigma_O_mu)
+from hecke.mu_function import (MuFactor, PoleZeroProfile, _profile_of, mu_factor,
+                               poles_zeros, q_from_poles, ratio_profile, sigma_O_mu)
 from hecke.qfield import VRat
-from hecke.root_data import build_root_system
+from hecke.root_data import SizeLimitError, build_root_system
 from hecke.xlaurent import L_ONE, Laurent
 
 F = Fraction
@@ -77,6 +77,40 @@ def test_closed_form_on_the_pool_and_at_the_cap(c_prime):
         for key in list(prof.zeros) + list(prof.poles):
             assert [type(x) for x in key] == [int, F], key
         assert q_from_poles(prof) == ParamPair(e_alpha, e_star)
+
+
+def test_closed_form_profile_matches_the_root_search():
+    # every half-integer pair with e_alpha <= 20, conforming or not, and the cap
+    halves = [F(k, 2) for k in range(41)]
+    pairs = [(a, s) for a in halves for s in halves if s <= a]
+    pairs += [(F(1024), F(1023)), (F(1024), F(1, 2)), (F(1023, 2), F(0))]
+    assert len(pairs) == 864
+    for e_alpha, e_star in pairs:
+        prof = poles_zeros(MuFactor(e_alpha, e_star))
+        assert _profile_of(ParamPair(e_alpha, e_star)) == (prof.zeros, prof.poles), \
+            (e_alpha, e_star)
+
+
+@pytest.mark.parametrize("zeros, poles, err, msg", [
+    # e_alpha past MU_EXP_CAP, alone and with an e_alpha* block
+    ({(1, 0): 2}, {(1, 1025): 1, (1, -1025): 1},
+     SizeLimitError, "q_alpha exponent 1025 exceeds 1024"),
+    ({(1, 0): 2, (-1, 0): 2}, {(1, 1025): 1, (1, -1025): 1, (-1, 1): 1, (-1, -1): 1},
+     SizeLimitError, "q_alpha exponent 1025 exceeds 1024"),
+    # a pole exponent off the half-integers, in e_alpha and in e_alpha*
+    ({(1, 0): 2}, {(1, F(1, 3)): 1, (1, -F(1, 3)): 1},
+     ValueError, "exponent 1/3 is not a half-integer"),
+    ({(1, 0): 2, (-1, 0): 2}, {(1, 1): 1, (1, -1): 1, (-1, F(1, 3)): 1, (-1, -F(1, 3)): 1},
+     ValueError, "exponent 1/3 is not a half-integer"),
+], ids=["cap", "cap-with-star", "third", "third-in-star"])
+def test_recovery_refusals(zeros, poles, err, msg):
+    with pytest.raises(err) as info:
+        q_from_poles(profile(zeros, poles))
+    assert str(info.value) == msg
+    with pytest.raises(err) as info:     # the factor refuses the same pair alike
+        MuFactor(max(e for s, e in poles if s == 1),
+                 max((e for s, e in poles if s == -1), default=0))
+    assert str(info.value) == msg
 
 
 def test_ratio_profile_rejects_non_shaped_leftover():

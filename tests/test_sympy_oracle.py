@@ -14,7 +14,8 @@ sympy = pytest.importorskip("sympy")
 from hecke.hecke_algebra import AHA  # noqa: E402
 from hecke.intertwiner_rank1 import composite_scalar  # noqa: E402
 from hecke.label_params import LabelFunction  # noqa: E402
-from hecke.mu_function import mu_factor  # noqa: E402
+from hecke.label_params import ParamPair  # noqa: E402
+from hecke.mu_function import _profile_of, mu_factor  # noqa: E402
 from hecke.qfield import (K, PONE, VRat, _unpack, pack, pdiv_exact, pdivmod,  # noqa: E402
                           pgcd, pmul, pnorm, pprimitive, pshift)
 from hecke.root_data import BasedRootDatum  # noqa: E402
@@ -231,6 +232,36 @@ def test_shaped_roots_match_sympy_with_several_slopes():
     _check_shaped_roots(f)
     _check_shaped_roots(f.inv_x() * Laurent({0: VRat((2, 0, 3), (1, 0, 1))}))
     assert _factor_roots(f) == {(1, 0): 1, (1, 3): 2, (-1, -2): 1, (-1, -1): 2}
+
+
+# -- the closed-form profile against mu(X) as sympy cancels it ----------------
+
+def _cancelled_mu_profile(e_alpha, e_star):
+    """(zeros, poles) of the eight-factor mu(X) with q = v^2, read off the linear
+    factors of the numerator and denominator that sympy's cancel leaves."""
+    qa, qs = V ** int(2 * e_alpha), V ** int(2 * e_star)
+    mu = ((1 - X) * (1 - 1 / X) * (1 + X) * (1 + 1 / X)
+          / ((1 - X / qa) * (1 - 1 / (qa * X)) * (1 + X / qs) * (1 + 1 / (qs * X))))
+    sides = []
+    for part in sympy.fraction(sympy.cancel(mu)):
+        side = {}
+        for g, mult in sympy.factor_list(part, X, V)[1]:
+            if g == X or sympy.degree(g, X) == 0:
+                continue
+            a, b = sympy.Poly(g, X).all_coeffs()
+            sign, k = sympy.cancel(-b / a).as_coeff_exponent(V)
+            assert sign in (1, -1), g
+            key = (int(sign), Fraction(int(k), 2))
+            side[key] = side.get(key, 0) + mult
+        sides.append(side)
+    return tuple(sides)
+
+
+@pytest.mark.parametrize("e_alpha, e_star", [
+    (0, 0), (1, 0), (5, 0), (2, 1), (3, 3), (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(7, 2), Fraction(1, 2)), (Fraction(5, 2), 0)], ids=str)
+def test_closed_form_profile_matches_sympy_cancel(e_alpha, e_star):
+    assert _profile_of(ParamPair(e_alpha, e_star)) == _cancelled_mu_profile(e_alpha, e_star)
 
 
 # -- packed coefficients: v^-e * P with P in Z[v] held as the int P(2^K) -------

@@ -13,8 +13,7 @@ sympy = pytest.importorskip("sympy")
 
 from hecke.hecke_algebra import AHA  # noqa: E402
 from hecke.intertwiner_rank1 import composite_scalar  # noqa: E402
-from hecke.label_params import LabelFunction  # noqa: E402
-from hecke.label_params import ParamPair  # noqa: E402
+from hecke.label_params import LabelFunction, ParamPair  # noqa: E402
 from hecke.mu_function import _profile_of, mu_factor  # noqa: E402
 from hecke.qfield import (K, PONE, VRat, _unpack, pack, pdiv_exact, pdivmod,  # noqa: E402
                           pgcd, pmul, pnorm, pprimitive, pshift)

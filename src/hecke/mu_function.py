@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .label_params import ParamPair, _frac
 from .qfield import VR_ZERO, VRat
-from .root_data import RootSystem, SizeLimitError
+from .root_data import RootSystem, SizeLimitError, _dot
 from .xlaurent import Laurent, shaped_roots
 
 # largest q_F-exponent of q_alpha (v-degrees grow with it); recovering the worst
@@ -276,32 +276,9 @@ class SubsystemComponent:
         return f"SubsystemComponent({self.label}, {self.ambient_class}, {len(self.roots)} roots)"
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _span_rank(vectors) -> int:
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][c]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c]:
-                f = rows[i][c] / lead
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _classify(roots) -> str:
-    """Cartan label of one irreducible root set (canonical name, A before D)."""
+def _classify(roots, rank: int) -> str:
+    """Cartan label of one irreducible root set of the given rank (A before D)."""
     count = len(roots)
-    rank = _span_rank(roots)
     norms = sorted({_dot(r, r) for r in roots})
     if len(norms) == 1:
         if count == rank * (rank + 1):
@@ -385,6 +362,6 @@ def sigma_O_mu(rs: RootSystem, factors: dict) -> tuple:
         else:
             tags = {rs.length_class(rs.index[r]) for r in roots}
             tag = tags.pop() if len(tags) == 1 else "mixed"
-        out.append(SubsystemComponent(_classify(roots), tag, roots))
+        out.append(SubsystemComponent(_classify(roots, len(group)), tag, roots))
     out.sort(key=lambda c: (c.label, c.roots))
     return tuple(out)

@@ -263,6 +263,46 @@ def test_sigma_subsystem_single_orbits():
     assert _labels(comps) == [("B3", "mixed")]
 
 
+def _canonical(t, n):
+    """Canonical name of a whole irreducible system (C2 reads B2, D3 reads A3)."""
+    if n == 1:
+        return "A1"
+    return {("C", 2): "B2", ("D", 3): "A3"}.get((t, n), f"{t}{n}")
+
+
+def _expected_sigma(t, n, cls):
+    """Components of Sigma when only the orbit of length class cls is kept."""
+    if t == "D" and n == 2:  # two orthogonal A1 orbits
+        return [("A1", "all")]
+    if cls == "all" or n == 1:
+        return [(_canonical(t, n), "all")]
+    if t == "G":
+        return [("A2", cls)]
+    if t == "F":
+        return [("D4", cls)]
+    if (t, cls) in (("B", "short"), ("C", "long")) or n == 2:  # n x A1 (D2 = 2 x A1)
+        return [("A1", cls)] * n
+    return [(_canonical("D", n), cls)]  # B long, C short
+
+
+@pytest.mark.parametrize("t,n", [(t, n) for t in "ABC" for n in range(1, 9)]
+                         + [("D", n) for n in range(2, 9)]
+                         + [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)],
+                         ids=lambda x: str(x))
+def test_sigma_subsystem_every_class_and_all_orbits(t, n):
+    rs = build_root_system(t, n)
+    orbits = rs.simple_orbits()
+    for k, orbit in enumerate(orbits):
+        cls = rs.length_class(rs.index[rs.simple_roots[orbit[0]]])
+        assert _labels(sigma_O_mu(rs, {k: mu_factor(1)})) == _expected_sigma(t, n, cls)
+    every = sigma_O_mu(rs, {k: mu_factor(1) for k in range(len(orbits))})
+    if t == "D" and n == 2:
+        assert _labels(every) == [("A1", "all")] * 2
+    else:
+        tag = "all" if t in "ADE" or n == 1 else "mixed"
+        assert _labels(every) == [(_canonical(t, n), tag)]
+
+
 def test_sigma_component_json():
     rs = build_root_system("B", 2)
     comp = sigma_O_mu(rs, {0: mu_factor(1)})[0]

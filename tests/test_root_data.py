@@ -1,7 +1,7 @@
 """Root systems, Weyl enumeration, extended-symmetry factorization, root data."""
 import pytest
 
-from hecke.root_data import (BasedRootDatum, SizeLimitError, WeylElement,
+from hecke.root_data import (ROOT_COUNTS, BasedRootDatum, SizeLimitError, WeylElement,
                              build_root_system, decompose_extended,
                              element_from_word, length, weyl_group)
 
@@ -14,6 +14,11 @@ ROOT_TABLE = [
     ("E", 6, 72), ("E", 7, 126), ("E", 8, 240),
 ]
 
+# every type build_root_system accepts (ranks up to BUILD_RANK_CAP)
+BUILDABLE = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(1, 9)]
+             + [("C", n) for n in range(1, 9)] + [("D", n) for n in range(2, 9)]
+             + [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)])
+
 WEYL_TABLE = [
     ("A", 2, 6), ("B", 2, 8), ("G", 2, 12), ("B", 3, 48), ("C", 3, 48),
     ("D", 4, 192), ("A", 4, 120), ("B", 4, 384), ("F", 4, 1152),
@@ -25,6 +30,26 @@ def test_root_counts():
         rs = build_root_system(t, n)
         assert len(rs.all_roots) == count, (t, n)
         assert rs.n_positive * 2 == count
+
+
+@pytest.mark.parametrize("t,n", BUILDABLE, ids=lambda x: str(x))
+def test_root_coefficients_rebuild_the_roots(t, n):
+    """Each root is sum c_i alpha_i in the ambient realization; the positive
+    half has c >= 0 and is sorted by (height, c); negatives follow in order."""
+    rs = build_root_system(t, n)
+    dim = len(rs.simple_roots[0])
+    for root, c in zip(rs.all_roots, rs.coeffs):
+        assert len(c) == n
+        assert root == tuple(sum(ci * a[k] for ci, a in zip(c, rs.simple_roots))
+                             for k in range(dim))
+    np = rs.n_positive
+    pos = rs.coeffs[:np]
+    assert all(ci >= 0 for c in pos for ci in c)
+    assert list(pos) == sorted(pos, key=lambda c: (sum(c), c))
+    assert rs.coeffs[np:] == tuple(tuple(-ci for ci in c) for c in pos)
+    assert len(set(rs.all_roots)) == len(rs.all_roots) == 2 * np
+    count = ROOT_COUNTS[t]
+    assert len(rs.all_roots) == (count(n) if callable(count) else count[n])
 
 
 def test_cartan_matrices():

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add, or_
 
 from .label_params import LabelFunction, validate
@@ -43,11 +43,11 @@ from .root_data import BasedRootDatum, SizeLimitError, WeylElement, weyl_group
 # spread 60 and takes 0.2 s, theta_(-10,10) spread 160 and 10 s, though
 # COORD_CAP admits both.  theta_y needs (spread / 14)^rank <= LATTICE_CAP:
 # spread 112 on rank 2 (G2 1.9 s), 56 on rank 3 (B3 2.1 s), 39 on rank 4
-# (B4 1.7 s and F4 1.5 s at 38).  A sample costs about 0.4 ms on A1, 5 ms on
-# A2 and 14 ms on G2 at labels 1-3, 0.1 s on B3 (labels 3,3,1) and 0.5 s on A2
-# at labels 100,100.  SAMPLE_WORK_CAP bounds samples * |W|^2 * (20 + 2 * widest
-# label): at the cap G2 (labels 1,3) runs 106 samples in 1.5 s, A2 462 in 2.4 s
-# at labels 2,2 but 50 in 25 s at labels 100,100, B3 (3,3,1) 6 in 0.6 s.
+# (B4 1.7 s and F4 1.5 s at 38).  A sample costs about 0.5 ms on A1, 4-6 ms on
+# A2 and 12-13 ms on G2 at labels 1-3, 0.1 s on B3 (labels 3,3,1) and 0.4 s on
+# A2 at labels 100,100.  SAMPLE_WORK_CAP bounds samples * |W|^2 * (20 + 2 *
+# widest label): at the cap G2 (labels 1,3) runs 106 samples in 1.3 s, A2 462
+# in 2 s at labels 2,2 but 50 in 21 s at labels 100,100, B3 (3,3,1) 6 in 0.6 s.
 LABEL_CAP = 100
 COORD_CAP = 10
 LATTICE_CAP = 64
@@ -169,9 +169,14 @@ class AHA:
 
     # -- multiplication ----------------------------------------------------
     #
-    # Coefficients are packed ints (see the module docstring).  A T_w b part
-    # comes with a bound M on the l1 mass of each of its T_w theta_y T_u
-    # pieces, so a product's l1 mass is at most L(a) * L(b) * max M.
+    # Coefficients are packed ints (see the module docstring).  multiply
+    # builds T_w b once per distinct w of a, with a bound M on the l1 mass of
+    # each of its T_w theta_y T_u pieces, so a product's l1 mass is at most
+    # L(a) * L(b) * max M.  _t_times_elem right-multiplies b's pieces summed
+    # per u, so its M can exceed the bound a piece gets alone.  Where the
+    # product's bound reaches 2^(K-1), the exact norms of a and b are taken
+    # with the pieces' own bounds (_piece_top): a product is refused only
+    # where those refuse it too.
 
     def multiply(self, a: "AHAElement", b: "AHAElement") -> "AHAElement":
         if a.algebra is not self or b.algebra is not self:
@@ -189,26 +194,77 @@ class AHA:
                 key = (tuple(map(add, x, z)), ui)
                 out[key] = get(key, 0) + ((c * c2) << sh)
         top = max((m for _, m in parts.values()), default=0)
-        bound = bounded(a.bound * b.bound * top,
-                        lambda: _norm(a.ints) * _norm(b.ints) * top)
+        bound = bounded(a.bound * b.bound * top, lambda: _norm(a.ints) * _norm(b.ints)
+                        * self._piece_top(parts, b.ints))
         return AHAElement(self, a.e + b.e, {k: n for k, n in out.items() if n}, bound)
 
-    def _t_times_elem(self, wi: int, ints: dict) -> tuple:
-        """T_w * sum n theta_y T_u, and the largest bound of a T_w theta_y T_u."""
-        out: dict = {}
-        get = out.get
+    def _piece_top(self, ws, ints: dict) -> int:
+        """The largest bound of a T_w theta_y T_u, w in ws, each piece built alone."""
         top = 0
-        for (y, vi), c in ints.items():
+        for wi in ws:
+            for y, ui in ints:
+                part, m = self._t_times_theta(wi, y)
+                for j in self.W[ui].word:
+                    part, m = self._right_mult_ts(part, m, j)
+                top = max(top, m)
+        return top
+
+    def _t_times_elem(self, wi: int, ints: dict) -> tuple:
+        """T_w * sum n theta_y T_u, and a bound on each T_w theta_y T_u's l1 mass.
+
+        The pieces n T_w theta_y are summed per u; then, longest u first, each
+        sum P is right-multiplied by the first letter s of u and joins the sum
+        of su: T_u = T_s T_su with l(su) = l(u) - 1, so P T_u = (P T_s) T_su.
+        That is one _right_mult_ts per u of the chains, not one per letter of
+        every term.  A sum carries the largest bound of its pieces, tripled
+        at each step in which any of its keys goes down.  Every key of a
+        piece is a key of its sum (no key is ever dropped), so the bound
+        holds for each T_w theta_y T_u, though it can exceed the bound that
+        piece would get alone.
+        """
+        sums: dict = {}   # u-index -> [sum of pieces, bound]
+        for (y, ui), c in ints.items():
             part, m = self._t_times_theta(wi, y)
-            for j in self.W[vi].word:
-                part, m = self._right_mult_ts(part, m, j)
-            if m > top:
-                top = m
-            sh = low_slots(c) * K
+            sh = low_slots(c) * K   # a v-power factor never widens the products
             c >>= sh
+            acc = sums.get(ui)
+            if acc is None:
+                sums[ui] = [{key: (c * c2) << sh for key, c2 in part.items()}, m]
+                continue
+            if m > acc[1]:
+                acc[1] = m
+            out = acc[0]
+            get = out.get
             for key, c2 in part.items():
                 out[key] = get(key, 0) + ((c * c2) << sh)
-        return out, top
+        if not sums:
+            return {}, 0
+        steps = self._left_steps
+        for ui in range(max(sums), 0, -1):   # W is listed by length
+            acc = sums.pop(ui, None)
+            if acc is None:
+                continue
+            step = steps.get(ui)
+            if step is None:
+                word = self.W[ui].word
+                step = steps[ui] = word[0], self._word_index(word[1:])
+            s, si = step
+            out, m = self._right_mult_ts(acc[0], acc[1], s)
+            into = sums.get(si)
+            if into is None:
+                sums[si] = [out, m]
+                continue
+            big, small = (out, into[0]) if len(out) > len(into[0]) else (into[0], out)
+            get = big.get
+            for key, c in small.items():
+                big[key] = get(key, 0) + c
+            sums[si] = [big, max(m, into[1])]
+        return tuple(sums[0])
+
+    @cached_property
+    def _left_steps(self) -> dict:
+        """u-index -> (s, su-index) with u = s su reduced, filled as the walk needs."""
+        return {}
 
     def _t_times_theta(self, wi: int, y: tuple) -> tuple:
         """T_w theta_y in normal form and a bound on its l1 mass.

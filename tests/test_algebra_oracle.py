@@ -16,6 +16,7 @@ multiplication of the algebra.  A product computed by the algebra must act as
 the composite of its factors' actions.
 """
 import functools
+import itertools
 import random
 
 import pytest
@@ -130,6 +131,13 @@ def _random_element(alg: AHA, rng: random.Random, box=1, terms=3):
     return alg.element(out)
 
 
+def _dense_element(alg: AHA, rng: random.Random):
+    """Every u in W, w0 included, at 2-3 lattice points each."""
+    box = list(itertools.product((-1, 0, 1), repeat=alg.d))
+    return alg.element({(x, wi): VRat.v_pow(rng.randint(-3, 3)) * rng.choice((-2, -1, 1, 3))
+                        for wi in range(len(alg.W)) for x in rng.sample(box, rng.randint(2, 3))})
+
+
 def _random_vector(d: int, rng: random.Random) -> dict:
     f: dict = {}
     for _ in range(rng.randint(1, 2)):
@@ -148,6 +156,21 @@ def test_products_act_as_composites(case, sign):
         a, b = _random_element(alg, rng), _random_element(alg, rng)
         f = _random_vector(alg.d, rng)
         assert rep.act(a * b, f) == rep.act(a, rep.act(b, f)), (a, b, f)
+
+
+@pytest.mark.parametrize("case", CASES[1:], ids=lambda c: f"{c[0]}{c[1]}")
+@pytest.mark.parametrize("sign", [False, True], ids=["trivial", "sign"])
+def test_products_with_every_u_in_the_right_factor(case, sign):
+    # b's pieces are summed per u and walked down first-letter chains, and
+    # steps land on u's that b already holds
+    alg = _alg(*case)
+    rep = Rep(alg, sign)
+    rng = random.Random(f"oracle-dense/{case}/{sign}")
+    a, b = _random_element(alg, rng), _dense_element(alg, rng)
+    f = _random_vector(alg.d, rng)
+    ab = a * b
+    assert rep.act(ab, f) == rep.act(a, rep.act(b, f)), (a, b, f)
+    assert ab.bound >= sum(sum(map(abs, c.num)) for c in ab.terms.values())
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}{c[1]}")

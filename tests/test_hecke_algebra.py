@@ -1,4 +1,5 @@
 """Affine Hecke algebra arithmetic in the theta/T basis."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecke.hecke_algebra import (AHA, _group_algebra_mult, _random_element, algebra,
-                                  check_relations, multiply, normal_form)
+from hecke.hecke_algebra import (AHA, _group_algebra_mult, _norm, _random_element,
+                                  algebra, check_relations, multiply, normal_form)
 from hecke.label_params import LabelFunction
 from hecke.qfield import PONE, VR_ONE, VR_ZERO, VRat, pack
 from hecke.root_data import BasedRootDatum, SizeLimitError, build_root_system
@@ -80,6 +81,75 @@ def test_t_of_a_reduced_word_is_its_basis_element(typ, labels):
     for bad in [(0, 0), (1, 0, 0), (2,), (-1,), (0, 1, 2)]:
         with pytest.raises(ValueError):
             alg.t(bad)
+
+
+@pytest.mark.parametrize("typ, labels", [("B", (3, 3, 1)), ("G", (1, 3))])
+def test_zero_and_identity_products(typ, labels):
+    alg = _alg(typ, 2, labels)
+    rng = random.Random(f"zero/{typ}")
+    a = _random_element(alg, rng) * _random_element(alg, rng)
+    zero, one = alg.element({}), alg.one()
+    for prod in (a * zero, zero * a, zero * zero):
+        assert prod.is_zero() and prod.bound == 0
+    assert a * one == a and one * a == a
+
+
+def test_a_product_right_multiplies_once_per_u_of_the_chains():
+    # a deterministic work count: with a warm T.theta cache, a product makes
+    # one _right_mult_ts per distinct w of a and per u != e on the first-letter
+    # chains of b's u's, at most |W| - 1 of them.  Right-multiplying each term
+    # of b letter by letter made 427 calls on this product (7 now, bound 11)
+    alg = _alg("G", 2, (1, 3))
+    rng = random.Random(1)
+    a, b, c = (_random_element(alg, rng) for _ in range(3))
+    bc = b * c
+    want = a * bc
+    right_mult, calls = alg._right_mult_ts, []
+
+    def counted(terms, m, j):
+        calls.append(j)
+        return right_mult(terms, m, j)
+
+    alg._right_mult_ts = counted
+    assert a * bc == want
+    assert 0 < len(calls) <= len({wi for _, wi in a.ints}) * (len(alg.W) - 1)
+
+
+def _dense(alg, rng, coeffs=(1,)):
+    """Every u in W at three lattice points of the box [-2, 2]^d."""
+    box = list(itertools.product(range(-2, 3), repeat=alg.d))
+    return alg.element({(x, ui): VRat.v_pow(rng.randint(-2, 2)) * rng.choice(coeffs)
+                        for ui in range(len(alg.W)) for x in rng.sample(box, 3)})
+
+
+@pytest.mark.parametrize("typ, labels", [("A", (2, 2)), ("B", (3, 3, 1)), ("G", (1, 3))])
+def test_summed_pieces_keep_a_bound_on_each_piece(typ, labels):
+    # T_w * b with every u in b: the one bound returned covers the l1 mass of
+    # each T_w theta_y T_u, built here letter by letter from the cache
+    alg = _alg(typ, 2, labels)
+    b = _dense(alg, random.Random(f"pieces/{typ}"))
+    for wi in range(len(alg.W)):
+        _, top = alg._t_times_elem(wi, b.ints)
+        for y, ui in b.ints:
+            piece, _ = alg._t_times_theta(wi, y)
+            for j in alg.W[ui].word:
+                piece, _ = alg._right_mult_ts(piece, 0, j)
+            assert _norm(piece) <= top
+
+
+def test_summed_pieces_refuse_no_more_than_the_pieces_alone():
+    # the bound of b's pieces summed per u reaches 2^63 on this product at
+    # 2^42, the pieces' own bounds only at 2^46: near 2^63 a product is
+    # refused exactly where the pieces built alone refuse it
+    alg = _alg("G", 2, (1, 3))
+    rng = random.Random(0)
+    a, b = _random_element(alg, rng), _dense(alg, rng, (-2, -1, 1, 3))
+    ab = a.scale(2**44) * b
+    assert _l1(ab) <= ab.bound < 2**63
+    assert ab == sum((a.scale(2**44) * alg.element({key: 1}).scale(c)
+                      for key, c in b.terms.items()), alg.element({}))
+    with pytest.raises(SizeLimitError):
+        a.scale(2**46) * b
 
 
 def test_check_relations_small():

@@ -36,6 +36,8 @@ QV, V = field("v", sympy.ZZ)
 _VSYM = sympy.Symbol("v")
 
 CASES = [("A", 1, (1, 1)), ("A", 2, (2, 2)), ("B", 2, (3, 3, 1)), ("G", 2, (1, 3))]
+# the components of the cold_products benchmark workload
+RANK34 = [("B", 3, (3, 3, 1)), ("B", 4, (2, 1)), ("F", 4, (2, 1))]
 
 
 def _alg(t, n, labels):
@@ -122,11 +124,12 @@ class Rep:
         return out
 
 
-def _random_element(alg: AHA, rng: random.Random, box=1, terms=3):
+def _random_element(alg: AHA, rng: random.Random, box=1, terms=3, max_len=None):
+    short = [i for i, n in enumerate(alg.lengths) if max_len is None or n <= max_len]
     out = {}
     for _ in range(rng.randint(1, terms)):
         x = tuple(rng.randint(-box, box) for _ in range(alg.d))
-        wi = rng.randrange(len(alg.W))
+        wi = rng.choice(short)
         out[(x, wi)] = VRat.v_pow(rng.randint(-3, 3)) * rng.choice((-3, -2, -1, 1, 2, 3))
     return alg.element(out)
 
@@ -171,6 +174,32 @@ def test_products_with_every_u_in_the_right_factor(case, sign):
     ab = a * b
     assert rep.act(ab, f) == rep.act(a, rep.act(b, f)), (a, b, f)
     assert ab.bound >= sum(sum(map(abs, c.num)) for c in ab.terms.values())
+
+
+@pytest.mark.parametrize("case", RANK34, ids=lambda c: f"{c[0]}{c[1]}")
+@pytest.mark.parametrize("sign", [False, True], ids=["trivial", "sign"])
+def test_short_products_at_rank_3_and_4(case, sign):
+    # acting on f = 1 keeps the oracle cheap: T_w 1 = chi_w, and the support
+    # of T_w f grows along W, so the factors' w have length at most 3
+    alg = _alg(*case)
+    rep = Rep(alg, sign)
+    rng = random.Random(f"oracle-rank34/{case}/{sign}")
+    one = {(0,) * alg.d: QV.one}
+    for _ in range(4):
+        a, b = (_random_element(alg, rng, max_len=3) for _ in range(2))
+        assert rep.act(a * b, one) == rep.act(a, rep.act(b, one)), (a, b)
+
+
+@pytest.mark.parametrize("case, y", [(RANK34[0], (1, -1, 1)), (RANK34[1], (0, 1, 0, 0))],
+                         ids=["B3", "B4"])
+def test_longest_element_times_theta_on_the_sign_module(case, y):
+    # T_w0 theta_y from an empty T.theta cache (895 terms on B3) against the
+    # oracle's T_w0 X^y; F4's T_w0 theta_y costs the oracle about 5 s
+    alg = _alg(*case)
+    rep = Rep(alg, True)
+    t_w0 = alg.t(alg.W[-1].word)   # W is listed by length
+    prod = t_w0 * alg.theta(y)
+    assert rep.act(prod, {(0,) * alg.d: QV.one}) == rep.act(t_w0, {y: QV.one})
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}{c[1]}")

@@ -56,3 +56,23 @@ def test_product_gauges_read_the_terms():
     counts = trace.raw()["counts"]
     assert counts["terms_out"] == counts["max_terms"] == len(prod.ints) > 0
     assert counts["max_coeff_len"] >= 2 and counts["multiply_calls"] == 1
+
+
+def test_a_repeated_product_reads_cache_hits():
+    # layers.py probes alg._tt_cache with the (wi, y) that _t_times_theta is
+    # given: a cache key of another form would read 0 hits, not fail
+    rs = build_root_system("G", 2)
+    alg = AHA(BasedRootDatum(rs), LabelFunction.for_system(rs, (1, 3)))
+    a, b = alg.t((0, 1)), alg.theta((1, -1))
+    trace = _layers().LayerTrace()
+    saved = AHA.multiply, AHA._t_times_theta
+    try:
+        trace.wrap_algebra()
+        trace.start()
+        first, second = alg.multiply(a, b), alg.multiply(a, b)
+        trace.stop()
+    finally:
+        AHA.multiply, AHA._t_times_theta = saved
+    counts = trace.raw()["counts"]
+    assert first == second
+    assert 0 < counts["tt_hits"] <= counts["tt_lookups"]

@@ -179,15 +179,19 @@ def test_products_with_every_u_in_the_right_factor(case, sign):
 @pytest.mark.parametrize("case", RANK34, ids=lambda c: f"{c[0]}{c[1]}")
 @pytest.mark.parametrize("sign", [False, True], ids=["trivial", "sign"])
 def test_short_products_at_rank_3_and_4(case, sign):
-    # acting on f = 1 keeps the oracle cheap: T_w 1 = chi_w, and the support
-    # of T_w f grows along W, so the factors' w have length at most 3
+    # the support of T_w f grows along W, so the factors' w have length at
+    # most 3 and f is 1 or one monomial X^y, y in [-1, 1]^d.  On f = 1 each
+    # T_u at the right end of a term acts by chi_u, which only the length of u
+    # fixes: X^y also sees the order of u's letters
     alg = _alg(*case)
     rep = Rep(alg, sign)
     rng = random.Random(f"oracle-rank34/{case}/{sign}")
-    one = {(0,) * alg.d: QV.one}
     for _ in range(4):
         a, b = (_random_element(alg, rng, max_len=3) for _ in range(2))
-        assert rep.act(a * b, one) == rep.act(a, rep.act(b, one)), (a, b)
+        ab = a * b
+        for y in ((0,) * alg.d, tuple(rng.randint(-1, 1) for _ in range(alg.d))):
+            f = {y: QV.one}
+            assert rep.act(ab, f) == rep.act(a, rep.act(b, f)), (a, b, y)
 
 
 @pytest.mark.parametrize("case, y", [(RANK34[0], (1, -1, 1)), (RANK34[1], (0, 1, 0, 0))],

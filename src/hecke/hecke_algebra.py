@@ -22,13 +22,18 @@ n = P(2^K) with P in Z[v] (see qfield), an element is v^-e times a sum of
 such terms, and one l1 bound per element and per cached T_w theta_y keeps
 every P decodable.  Coefficients come in through qfield.pack (ValueError
 outside Z[v, v^-1]) and go out of AHAElement.terms as VRat.
+
+A basis key theta_x T_w is one int too, (X << wb) + w with X = sum x_i 2^(64 i)
+in balanced signed 64-bit fields and wb the bit length of |W| - 1: theta_x
+(theta_z T_u) is a key sum, and T_u T_s moves a key by us - u.  Points are
+decoded (AHA.unkey, memoised) only to fill the T.theta cache and at output.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property, reduce
-from operator import add, or_
+from functools import reduce
+from operator import or_
 
 from .label_params import LabelFunction, validate
 from .qfield import (K, VR_ZERO, VRat, bounded, l1_norm, low_slots, pack,
@@ -53,6 +58,12 @@ COORD_CAP = 10
 LATTICE_CAP = 64
 SAMPLES_CAP = 500
 SAMPLE_WORK_CAP = 400_000
+# Every |coordinate| of an element is at most FIELD_CAP; a product's are within
+# a's plus those of the T_w theta_y it used (right multiplication moves no
+# point).  Those lie in the hull of W y, within 11 |y| (W's row sums on simple-
+# root coordinates, at most 11 up to rank 4): every key formed fits its fields.
+FIELD_CAP = 2 ** 58
+_HALF, _FIELD = 1 << 63, (1 << 64) - 1
 
 
 def _norm(ints: dict) -> int:
@@ -83,6 +94,9 @@ class AHA:
             self.ws_table = ((),)
             self.pos_coroots = ()
         self.lengths = tuple(len(w.word) for w in self.W)
+        self.wb = (len(self.W) - 1).bit_length()
+        self.mask = (1 << self.wb) - 1
+        self._points: dict = {}   # X -> x, memo of unkey
         # per-simple constants; labels must give integral v-exponents.  The
         # v-power qq is kept as its slot shift, and B = v^p - v^r (zero when
         # p = r) as the slot shifts (K p, K r); A = qq - 1 is (qq, 0)
@@ -106,20 +120,46 @@ class AHA:
                 self.x_points.append(pt)
             else:
                 self.x_points.append(root)
-        # (w-index, y) -> (T_w theta_y as {(x, u-index): n}, bound on its l1 mass)
+        self._x_keys = [self.key(pt) for pt in self.x_points]
+        # j -> (u-index -> us-index - u-index), the key move of T_u T_s
+        self._moves = [tuple(row[j] - u for u, row in enumerate(self.ws_table))
+                       for j in range(self.rank)]
+        # (w-index, key of y) -> (T_w theta_y as {key: n}, bound on its l1 mass)
         self._tt_cache: dict = {}
+        self._tt_reach: dict = {}
         self._d_cache: dict = {}
+        self._left_steps: dict = {}   # u-index -> (s, su-index), u = s su reduced
+
+    def key(self, x, w: int = 0) -> int:
+        """The basis key of theta_x T_w (w a W-index)."""
+        return (sum(c << 64 * i for i, c in enumerate(x)) << self.wb) + w
+
+    def unkey(self, k: int) -> tuple:
+        """(x, w-index) of a basis key."""
+        X = k >> self.wb
+        pt = self._points.get(X)
+        if pt is None:   # 2^63 added to every field leaves no borrows
+            X += _HALF * ((1 << 64 * self.d) - 1) // _FIELD
+            pt = self._points[k >> self.wb] = tuple(
+                (X >> 64 * i & _FIELD) - _HALF for i in range(self.d))
+        return pt, k & self.mask
 
     # -- element constructors --------------------------------------------
 
     def element(self, terms: dict) -> "AHAElement":
         """sum c theta_x T_w for {(x, w-index): c}, c an int, Fraction or VRat
-        in Z[v, v^-1] (see qfield.pack); 1/2 or 1/(1+v) raise ValueError."""
-        zs = {(tuple(x), wi): z for (x, wi), c in terms.items() if (z := pack(c))[1]}
+        in Z[v, v^-1] (see qfield.pack); 1/2 or 1/(1+v) raise ValueError, and
+        a coordinate past FIELD_CAP raises SizeLimitError."""
+        if any(len(x) != self.d or not 0 <= wi < len(self.W) for x, wi in terms):
+            raise ValueError(f"a key of {list(terms)} is not (x in Z^{self.d}, w-index)")
+        reach = max((abs(c) for x, _ in terms for c in x), default=0)
+        if reach > FIELD_CAP:
+            raise SizeLimitError(f"a coordinate {reach} exceeds 2^58")
+        zs = {self.key(x, wi): z for (x, wi), c in terms.items() if (z := pack(c))[1]}
         e = -min((val for val, _, _ in zs.values()), default=0)
         ints = {k: n << K * (val + e) for k, (val, n, _) in zs.items()}
         bound = sum(h for _, _, h in zs.values())   # exact: each h is an l1 norm
-        return AHAElement(self, e, ints, bounded(bound, lambda: bound))
+        return AHAElement(self, e, ints, bounded(bound, lambda: bound), reach)
 
     def one(self) -> "AHAElement":
         return self.element({((0,) * self.d, 0): 1})
@@ -184,26 +224,36 @@ class AHA:
         out: dict = {}
         get = out.get
         parts: dict = {}
-        for (x, wi), c in a.ints.items():
+        mask = self.mask
+        for k, c in a.ints.items():
+            wi = k & mask
             part = parts.get(wi)
             if part is None:
                 part = parts[wi] = self._t_times_elem(wi, b.ints)
             sh = low_slots(c) * K   # a v-power factor never widens the products
             c >>= sh
-            for (z, ui), c2 in part[0].items():
-                key = (tuple(map(add, x, z)), ui)
+            x = k - wi
+            for z, c2 in part[0].items():
+                key = x + z
                 out[key] = get(key, 0) + ((c * c2) << sh)
+        ys = {k - (k & mask) for k in b.ints}
+        reach = a.reach + max([b.reach] + [self._tt_reach[wi, y]
+                                           for wi in parts if wi for y in ys])
+        if reach > FIELD_CAP:
+            raise SizeLimitError("a product's coordinates may exceed 2^58")
         top = max((m for _, m in parts.values()), default=0)
         bound = bounded(a.bound * b.bound * top, lambda: _norm(a.ints) * _norm(b.ints)
                         * self._piece_top(parts, b.ints))
-        return AHAElement(self, a.e + b.e, {k: n for k, n in out.items() if n}, bound)
+        return AHAElement(self, a.e + b.e, {k: n for k, n in out.items() if n}, bound,
+                          reach)
 
     def _piece_top(self, ws, ints: dict) -> int:
         """The largest bound of a T_w theta_y T_u, w in ws, each piece built alone."""
         top = 0
         for wi in ws:
-            for y, ui in ints:
-                part, m = self._t_times_theta(wi, y)
+            for k in ints:
+                ui = k & self.mask
+                part, m = self._t_times_theta(wi, k - ui)
                 for j in self.W[ui].word:
                     part, m = self._right_mult_ts(part, m, j)
                 top = max(top, m)
@@ -223,8 +273,10 @@ class AHA:
         piece would get alone.
         """
         sums: dict = {}   # u-index -> [sum of pieces, bound]
-        for (y, ui), c in ints.items():
-            part, m = self._t_times_theta(wi, y)
+        mask = self.mask
+        for k, c in ints.items():
+            ui = k & mask
+            part, m = self._t_times_theta(wi, k - ui)
             sh = low_slots(c) * K   # a v-power factor never widens the products
             c >>= sh
             acc = sums.get(ui)
@@ -261,38 +313,40 @@ class AHA:
             sums[si] = [big, max(m, into[1])]
         return tuple(sums[0])
 
-    @cached_property
-    def _left_steps(self) -> dict:
-        """u-index -> (s, su-index) with u = s su reduced, filled as the walk needs."""
-        return {}
-
-    def _t_times_theta(self, wi: int, y: tuple) -> tuple:
-        """T_w theta_y in normal form and a bound on its l1 mass.
+    def _t_times_theta(self, wi: int, y: int) -> tuple:
+        """T_w theta_y (y a key) in normal form and a bound on its l1 mass.
 
         Peels the last letter s of w = w's: T_w theta_y = T_w' theta_sy T_s +
         sum_k d_k T_w' theta_{y + k X_s}, so the bound is that of the first
-        piece grown by T_s, plus l1(d_k) times the others'.
+        piece grown by T_s, plus l1(d_k) times the others'.  _tt_reach gets a
+        bound on the pieces' |coordinates|: y + k X_s lies between y and sy.
         """
         if wi == 0:
-            return {(y, 0): 1}, 1
+            return {y: 1}, 1
         key = (wi, y)
         hit = self._tt_cache.get(key)
         if hit is not None:
             return hit
         s = self.W[wi].word[-1]
         wpi = self.ws_table[wi][s]
-        first, m1 = self._t_times_theta(wpi, self.datum.reflect(s, y))
+        pt = self.unkey(y)[0]
+        spt = self.datum.reflect(s, pt)
+        zs = [self.key(spt)]
+        first, m1 = self._t_times_theta(wpi, zs[0])
         out, m = self._right_mult_ts(first, m1, s)
         pieces = [(3, first)]
-        xs = self.x_points[s]
-        for k, (p, r) in self._dcoeffs(s, self._pair(y, s)):
-            shifted = tuple(a + k * b for a, b in zip(y, xs))
-            part, mp = self._t_times_theta(wpi, shifted)
+        for k, (p, r) in self._dcoeffs(s, self._pair(pt, s)):
+            zs.append(y + k * self._x_keys[s])
+            part, mp = self._t_times_theta(wpi, zs[-1])
             pieces.append((2, part))
             m += 2 * mp
             for key2, c in part.items():
                 out[key2] = out.get(key2, 0) + (c << p) - (c << r)
         m = bounded(m, lambda: sum(f * _norm(piece) for f, piece in pieces))
+        reach = max(map(abs, pt + spt), default=0)
+        if wpi:
+            reach = max(reach, *(self._tt_reach[wpi, z] for z in zs))
+        self._tt_reach[key] = reach
         hit = self._tt_cache[key] = {k: n for k, n in out.items() if n}, m
         return hit
 
@@ -333,19 +387,20 @@ class AHA:
     def _right_mult_ts(self, terms: dict, m: int, j: int) -> tuple:
         """terms * T_j, and the bound m grown by at most 3 = l1(A_j) + l1(qq_j)."""
         qsh = self.qq[j]
-        ws = self.ws_table
+        moves = self._moves[j]
+        mask = self.mask
         out: dict = {}
         get = out.get
         down = False
-        for (x, ui), c in terms.items():
-            usi = ws[ui][j]
-            key = x, usi
-            if usi > ui:   # W is listed by length and l(us) = l(u) +- 1
+        for k, c in terms.items():
+            move = moves[k & mask]
+            key = k + move
+            if move > 0:   # W is listed by length and l(us) = l(u) +- 1
                 out[key] = get(key, 0) + c
             else:   # T_u T_s = A T_u + qq T_us when us < u
                 down = True
                 cq = c << qsh
-                out[x, ui] = get((x, ui), 0) + cq - c
+                out[k] = get(k, 0) + cq - c
                 out[key] = get(key, 0) + cq
         return out, (m * 3 if down else m)
 
@@ -358,16 +413,17 @@ class AHA:
 class AHAElement:
     """v^-e * sum P(v) theta_x T_w, with P in Z[v] packed as the int P(2^K).
 
-    ints maps (x, w-index) to P(2^K) != 0; bound is at least the sum of the l1
-    norms of all the P and stays below 2^(K-1), so every P decodes.  The
-    common v-power is taken out only at ==, hash and output.  terms gives the
+    ints maps the basis key of (x, w-index) to P(2^K) != 0; bound is at least
+    the sum of the l1 norms of all the P and stays below 2^(K-1), so every P
+    decodes, and reach is at least every |coordinate| of every x.  The common
+    v-power is taken out only at ==, hash and output.  terms gives the
     coefficients as VRat.  Build elements with AHA.element.
     """
 
-    __slots__ = ("algebra", "e", "ints", "bound")
+    __slots__ = ("algebra", "e", "ints", "bound", "reach")
 
-    def __init__(self, algebra: AHA, e: int, ints: dict, bound: int):
-        for name, val in zip(self.__slots__, (algebra, e, ints, bound)):
+    def __init__(self, algebra: AHA, e: int, ints: dict, bound: int, reach: int):
+        for name, val in zip(self.__slots__, (algebra, e, ints, bound, reach)):
             object.__setattr__(self, name, val)
 
     def __setattr__(self, *a):
@@ -376,7 +432,7 @@ class AHAElement:
     @property
     def terms(self) -> dict:
         """{(x, w-index): the coefficient of theta_x T_w as a VRat}."""
-        return {k: packed_vrat(-self.e, n) for k, n in self.ints.items()}
+        return {self.algebra.unkey(k): packed_vrat(-self.e, n) for k, n in self.ints.items()}
 
     def _canonical(self) -> tuple:
         """(e, ints) with the common v-power taken out; zero is (0, {})."""
@@ -406,13 +462,13 @@ class AHAElement:
             out[key] = out.get(key, 0) + (n << sh)
         out = {k: n for k, n in out.items() if n}
         if not out:   # every slot cancelled exactly
-            return AHAElement(self.algebra, 0, out, 0)
+            return AHAElement(self.algebra, 0, out, 0, 0)
         bound = bounded(a.bound + b.bound, lambda: _norm(a.ints) + _norm(b.ints))
-        return AHAElement(self.algebra, a.e, out, bound)
+        return AHAElement(self.algebra, a.e, out, bound, max(a.reach, b.reach))
 
     def __neg__(self) -> "AHAElement":
         return AHAElement(self.algebra, self.e, {k: -n for k, n in self.ints.items()},
-                          self.bound)
+                          self.bound, self.reach)
 
     def __sub__(self, other: "AHAElement") -> "AHAElement":
         return self + (-other)
@@ -428,10 +484,10 @@ class AHAElement:
     def scale(self, c) -> "AHAElement":
         val, cn, h = pack(c)
         if not cn:
-            return AHAElement(self.algebra, 0, {}, 0)
+            return AHAElement(self.algebra, 0, {}, 0, 0)
         bound = bounded(self.bound * h, lambda: _norm(self.ints) * h)
         return AHAElement(self.algebra, self.e - val,
-                          {k: n * cn for k, n in self.ints.items()}, bound)
+                          {k: n * cn for k, n in self.ints.items()}, bound, self.reach)
 
     def specialize(self, v: Fraction) -> dict:
         """Evaluate all coefficients at a numeric v; map (x, w-index) -> Fraction.
@@ -441,18 +497,20 @@ class AHAElement:
         one residue (see qfield.value_at_one).
         """
         if v == 1:
-            out = {k: Fraction(value_at_one(n)) for k, n in self.ints.items()}
+            out = {self.algebra.unkey(k): Fraction(value_at_one(n))
+                   for k, n in self.ints.items()}
         else:
             out = {k: c.eval(Fraction(v)) for k, c in self.terms.items()}
         return {k: f for k, f in out.items() if f}
 
     def to_json(self) -> dict:
-        W = self.algebra.W
-        rows = sorted(self.ints.items(), key=lambda kv: (W[kv[0][1]].word, kv[0][0]))
+        W, unkey = self.algebra.W, self.algebra.unkey
+        rows = sorted((W[wi].word, x, n) for (x, wi), n in
+                      zip(map(unkey, self.ints), self.ints.values()))
         # all rows share e, so a coefficient's string depends on n only
         strs = {n: packed_str(-self.e, n) for n in set(self.ints.values())}
-        return {"terms": [{"x": list(x), "w": list(W[wi].word), "coeff": strs[n]}
-                          for (x, wi), n in rows]}
+        return {"terms": [{"x": list(x), "w": list(word), "coeff": strs[n]}
+                          for word, x, n in rows]}
 
     def __repr__(self):
         bits = []

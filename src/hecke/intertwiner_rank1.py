@@ -164,20 +164,6 @@ class FiniteCharacter:
     def __setattr__(self, *a):
         raise AttributeError("FiniteCharacter is immutable")
 
-    @classmethod
-    def from_table(cls, modulus: int, table: dict) -> "FiniteCharacter":
-        """Build from an explicit unit -> exponent table; must be a homomorphism."""
-        probe = cls(modulus, 0)
-        if set(table) != set(probe.exps):
-            raise ValueError("table keys must be exactly the units")
-        phi = probe.phi
-        index = table[probe.generator] % phi if phi else 0
-        chi = cls(modulus, index)
-        for u, e in table.items():
-            if e % phi != chi.exps[u]:
-                raise ValueError(f"table is not multiplicative at {u}")
-        return chi
-
     def exponent(self, u: int) -> int:
         """chi(u) = zeta_phi^exponent(u)."""
         return self.exps[u % self.modulus]

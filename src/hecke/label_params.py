@@ -232,16 +232,6 @@ class LabelFunction:
         return f"LabelFunction({body}; base_exp={self.base.exp})"
 
 
-def q_from_labels(lf: LabelFunction, orbit: int) -> ParamPair:
-    """Exponent pair of one orbit, relative to q_F."""
-    return lf.pair(orbit)
-
-
-def rescale_base(lf: LabelFunction, r) -> LabelFunction:
-    """Replace the base b by b^r; labels divide by r, q-parameters are unchanged."""
-    return lf.rescale(r)
-
-
 def validate(lf: LabelFunction, rs: RootSystem) -> list[str]:
     """Admissibility report; empty means admissible.
 

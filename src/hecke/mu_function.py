@@ -104,14 +104,6 @@ class MuFactor:
     def is_constant(self) -> bool:
         return self.pair == ParamPair(0, 0)
 
-    def value_at(self, x: VRat) -> VRat:
-        return self.num.subst(x) / self.den.subst(x)
-
-    def inversion_invariant(self) -> bool:
-        left = self.num * self.den.inv_x()
-        right = self.num.inv_x() * self.den
-        return left == right
-
     def __eq__(self, other) -> bool:
         """Equality up to a positive constant (c' is not canonical)."""
         if not isinstance(other, MuFactor):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hecke.hecke_algebra import (AHA, _group_algebra_mult, _norm, _random_element,
-                                  algebra, check_relations, multiply, normal_form)
+from hecke.hecke_algebra import (AHA, FIELD_CAP, _act, _group_algebra_mult, _norm,
+                                  _random_element, algebra, check_relations, multiply,
+                                  normal_form)
 from hecke.label_params import LabelFunction
 from hecke.qfield import PONE, VR_ONE, VR_ZERO, VRat, pack
 from hecke.root_data import BasedRootDatum, SizeLimitError, build_root_system
@@ -112,7 +113,7 @@ def test_a_product_right_multiplies_once_per_u_of_the_chains():
 
     alg._right_mult_ts = counted
     assert a * bc == want
-    assert 0 < len(calls) <= len({wi for _, wi in a.ints}) * (len(alg.W) - 1)
+    assert 0 < len(calls) <= len({wi for _, wi in map(alg.unkey, a.ints)}) * (len(alg.W) - 1)
 
 
 def _dense(alg, rng, coeffs=(1,)):
@@ -130,8 +131,8 @@ def test_summed_pieces_keep_a_bound_on_each_piece(typ, labels):
     b = _dense(alg, random.Random(f"pieces/{typ}"))
     for wi in range(len(alg.W)):
         _, top = alg._t_times_elem(wi, b.ints)
-        for y, ui in b.ints:
-            piece, _ = alg._t_times_theta(wi, y)
+        for y, ui in map(alg.unkey, b.ints):
+            piece, _ = alg._t_times_theta(wi, alg.key(y))
             for j in alg.W[ui].word:
                 piece, _ = alg._right_mult_ts(piece, 0, j)
             assert _norm(piece) <= top
@@ -264,12 +265,12 @@ def test_cached_bounds_are_taken_again():
     # T_10 theta_(1,1) rests on cached T_1 theta_y entries: their bounds
     # loosened to 2^62 sum past 2^63, and are then taken again from their terms
     alg, ref = _alg("B", 2, (3, 3, 1)), _alg("B", 2, (3, 3, 1))
-    w = alg._word_index((1, 0))
-    want = alg._t_times_theta(w, (1, 1))
+    w, y = alg._word_index((1, 0)), alg.key((1, 1))
+    want = alg._t_times_theta(w, y)
     for key, (terms, _) in list(alg._tt_cache.items()):
         alg._tt_cache[key] = terms, 2**62
-    del alg._tt_cache[(w, (1, 1))]
-    got = alg._t_times_theta(w, (1, 1))
+    del alg._tt_cache[(w, y)]
+    got = alg._t_times_theta(w, y)
     assert got[0] == want[0] and got[1] < 2**62
     assert (alg.t((1, 0)) * alg.theta((1, 1))).to_json() == \
         (ref.t((1, 0)) * ref.theta((1, 1))).to_json()
@@ -349,7 +350,7 @@ def test_coefficients_outside_z_v_pm1_rejected():
     key = next(iter(ts.terms))
     scaled = ts.scale(VRat.v_pow(-3) * 2)
     assert scaled.terms[key] == VRat.v_pow(-3) * 2
-    assert pack(scaled.terms[key]) == (-3, 2, 2) == (-scaled.e, scaled.ints[key], 2)
+    assert pack(scaled.terms[key]) == (-3, 2, 2) == (-scaled.e, scaled.ints[alg.key(*key)], 2)
     assert ts.scale(Fraction(4, 2)) == ts.scale(2)
     for bad in (VRat(PONE, (1, 1)), Fraction(1, 2), VRat(1, 2)):
         with pytest.raises(ValueError):
@@ -370,8 +371,8 @@ def test_failures_carry_reproducing_inputs():
         # only qq_0-terms, so doubling them doubles exactly those
         out, m = right_mult(terms, m, j)
         if j == 0:
-            out = {(x, w): 2 * c if alg.ws_table[w][0] > w else c
-                   for (x, w), c in out.items()}
+            out = {k: 2 * c if alg.ws_table[w][0] > w else c
+                   for k, c in out.items() for w in [alg.unkey(k)[1]]}
         return out, 2 * m
 
     alg._right_mult_ts = doubled_qq
@@ -423,3 +424,53 @@ def test_lattice_cap_is_w_invariant():
     # check_relations' cross relation draws x from [-2, 2]^4 (spread up to
     # 116) and multiplies by one T_s only: it stays open on rank 4
     assert check_relations(f4, sample_count=0, seed=1)["cross"]
+
+
+def test_coordinates_past_the_field_cap_are_refused():
+    # a key packs each coordinate in a signed 64-bit field: element takes
+    # |x_i| up to FIELD_CAP and refuses the next one
+    alg = _alg("A", 1, (1, 1))
+    for c in (FIELD_CAP, -FIELD_CAP):
+        el = alg.element({((c,), 1): 1})
+        assert list(el.terms) == [((c,), 1)] and el.reach == FIELD_CAP
+        assert alg.unkey(alg.key((c,), 1)) == ((c,), 1)
+        assert el.to_json()["terms"][0]["x"] == [c]
+    for c in (FIELD_CAP + 1, -FIELD_CAP - 1):
+        with pytest.raises(SizeLimitError):
+            alg.element({((c,), 0): 1})
+    for bad in [((0, 0), 0), ((0,), 2), ((0,), -1)]:
+        with pytest.raises(ValueError):
+            alg.element({bad: 1})
+
+
+def test_a_chain_of_products_is_refused_at_the_field_cap():
+    # the padded coordinate is W-fixed, so z = theta_(1, c) T_s has
+    # z^(2^k) = theta_(0, 2^k c) (theta_(1, 0) T_s)^(2^k): squaring doubles the
+    # coordinate bound, up to FIELD_CAP, and the next product is refused
+    rs = build_root_system("A", 1)
+    alg = AHA(BasedRootDatum(rs, lattice_rank=2), LabelFunction.for_system(rs, (1, 1)))
+    c = FIELD_CAP >> 3
+    z, small = alg.element({((1, c), 1): 1}), alg.element({((1, 0), 1): 1})
+    for k in range(1, 4):
+        z, small = z * z, small * small
+        assert z.reach == c << k
+        assert z.terms == {((x0, x1 + (c << k)), w): coeff
+                           for ((x0, x1), w), coeff in small.terms.items()}
+    ts = alg.t_simple(0)
+    assert z.reach == (z * ts).reach == (ts * z).reach == FIELD_CAP
+    for b in (z, alg.theta((0, 1)), alg.theta((1, 0))):
+        with pytest.raises(SizeLimitError):
+            z * b
+
+
+def test_w_moves_coordinates_by_at_most_11():
+    # FIELD_CAP rests on this: on simple-root coordinates every w in W has
+    # row sums at most 11 (F4), so |w y| <= 11 |y| and 12 FIELD_CAP < 2^63
+    assert 12 * FIELD_CAP < 2**63
+    for typ, n in [("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]:
+        rs = build_root_system(typ, n)
+        alg = AHA(BasedRootDatum(rs), LabelFunction.for_system(rs, 1))
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        for wi in range(len(alg.W)):
+            cols = [_act(alg, wi, e) for e in units]
+            assert max(sum(abs(col[r]) for col in cols) for r in range(n)) <= 11

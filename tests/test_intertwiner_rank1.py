@@ -89,18 +89,6 @@ def test_character_construction():
     assert FiniteCharacter(4, 1).phi == 2
 
 
-def test_character_from_table():
-    quad = {1: 0, 4: 0, 2: 2, 3: 2}
-    chi = FiniteCharacter.from_table(5, quad)
-    assert chi.index == 2
-    bad = dict(quad)
-    bad[3] = 1
-    with pytest.raises(ValueError, match="multiplicative"):
-        FiniteCharacter.from_table(5, bad)
-    with pytest.raises(ValueError, match="units"):
-        FiniteCharacter.from_table(5, {1: 0, 2: 2})
-
-
 def test_char_sum_examples():
     assert char_sum(FiniteCharacter(5, 2)) == 0     # quadratic mod 5
     assert char_sum(FiniteCharacter(5, 0)) == 4     # trivial counts units

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hecke.label_params import (LabelFunction, ParamPair, QBase, labels_from_q,
-                                pair_from_labels, q_from_labels, q_power_str,
-                                rescale_base, validate)
+                                pair_from_labels, q_power_str, validate)
 from hecke.root_data import build_root_system
 
 
@@ -91,15 +90,15 @@ def test_validate():
 def test_rescale_base():
     b2 = build_root_system("B", 2)
     lf = LabelFunction.for_system(b2, (3, 3, 1))
-    half = rescale_base(lf, Fraction(1, 2))
+    half = lf.rescale(Fraction(1, 2))
     assert half.base.exp == Fraction(1, 2)
     assert half.values(1) == (6, 2)
-    assert rescale_base(half, 2) == lf
+    assert half.rescale(2) == lf
     assert half.pairs() == lf.pairs()  # q-parameters are rescaling invariants
-    doubled = rescale_base(LabelFunction.for_system(b2, 2), 2)
+    doubled = LabelFunction.for_system(b2, 2).rescale(2)
     assert doubled.values(0) == (1, 1)
     with pytest.raises(ValueError):
-        rescale_base(lf, 0)
+        lf.rescale(0)
 
 
 def test_conjecture_conformance():
@@ -125,5 +124,5 @@ def test_json_roundtrip():
 def test_q_from_labels_orbitwise():
     b2 = build_root_system("B", 2)
     lf = LabelFunction.for_system(b2, (3, 3, 1))
-    assert q_from_labels(lf, 0) == ParamPair(3, 0)
-    assert q_from_labels(lf, 1) == ParamPair(2, 1)
+    assert lf.pair(0) == ParamPair(3, 0)
+    assert lf.pair(1) == ParamPair(2, 1)

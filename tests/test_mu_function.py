@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hecke.label_params import LabelFunction, ParamPair, q_from_labels, validate
+from hecke.label_params import LabelFunction, ParamPair, validate
 from hecke.mu_function import (MuFactor, PoleZeroProfile, _profile_of, mu_factor,
                                poles_zeros, q_from_poles, ratio_profile, sigma_O_mu)
 from hecke.qfield import VRat
@@ -141,12 +141,14 @@ def test_equality_up_to_positive_scalar():
 
 
 def test_inversion_symmetry_and_evaluation():
+    # mu is invariant under X -> X^-1: num(X) den(X^-1) = num(X^-1) den(X)
     for pair in ((1, 0), (2, 1), (3, 3), (F(1, 2), F(1, 2)), (0, 0)):
-        assert mu_factor(*pair).inversion_invariant()
+        f = mu_factor(*pair)
+        assert f.num * f.den.inv_x() == f.num.inv_x() * f.den
     f = mu_factor(1)
     # reduced form is regular at X = -1 even though both raw blocks vanish
     q_inv = VRat.v_pow(-2)
-    got = f.value_at(VRat(-1))
+    got = f.num.subst(VRat(-1)) / f.den.subst(VRat(-1))
     assert got == VRat(4) / ((VRat(1) + q_inv) * (VRat(1) + q_inv))
     # zeros and poles by direct evaluation
     assert f.num.subst(VRat(1)).is_zero()
@@ -217,7 +219,7 @@ def test_negative_pole_only_with_type_b_short_labels():
     rs = build_root_system("B", 2)
     lf = LabelFunction.for_system(rs, [3, 3, 1])
     assert validate(lf, rs) == []
-    pair = q_from_labels(lf, 1)
+    pair = lf.pair(1)
     assert pair == ParamPair(2, 1)
     prof = poles_zeros(MuFactor(*pair))
     assert prof.poles.get((-1, 1)) == 1

@@ -6,3 +6,7 @@ rank-one mu-factors and intertwiners, and the parameter knowledge base
 """
 
 __version__ = "0.1.0"
+
+
+class SizeLimitError(ValueError):
+    """An input or an intermediate value exceeds a supported size cap."""

@@ -20,8 +20,6 @@ import json
 import sys
 from fractions import Fraction
 
-from .qfield import SizeLimitError
-
 J_DIRECTIONS = ("P->Pop", "Pop->P")
 
 
@@ -256,6 +254,7 @@ def _cmd_scalar(args):
 
 
 def _cmd_charsum(args):
+    from . import SizeLimitError
     from .intertwiner_rank1 import (AUDIT_PHI_CAP, FiniteCharacter, char_sum,
                                     ramified_rule)
     m = args.modulus
@@ -463,7 +462,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, SizeLimitError, OSError) as err:
+    except (ValueError, KeyError, OSError) as err:   # SizeLimitError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ArithmeticError as err:

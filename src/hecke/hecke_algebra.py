@@ -16,43 +16,51 @@ is a Laurent polynomial unless the pairing <y, a#> is odd in X_a-units and
 q_{a*} != 1, which admissible data never gives and which raises ArithmeticError.
 
 As lambda >= lambda* >= 0, every structure constant (qq_s, A, B, the
-coefficients of D_s(y)) lies in Z[v]: qq_s is a v-power, a shift, and A, B
-and the d_k are differences of two.  So a coefficient is a plain int
-n = P(2^K) with P in Z[v] (see qfield), an element is v^-e times a sum of
-such terms, and one l1 bound per element and per cached T_w theta_y keeps
-every P decodable.  Coefficients come in through qfield.pack (ValueError
-outside Z[v, v^-1]) and go out of AHAElement.terms as VRat.
+coefficients of D_s(y)) lies in Z[t], t = v^g, g the gcd of the v-exponents
+of the qq_s and the nonzero B (AHA.g): qq_s is a t-power, a shift, and A, B
+and the d_k are differences of two.  So a coefficient sum_r v^r Q_r(t) of
+theta_x T_w is kept as up to g terms, one per residue r < g, each a plain
+int n = Q_r(2^K) (see qfield), an element is t^-e times a sum of such terms,
+and one l1 bound per element and per cached T_w theta_y keeps every Q_r
+decodable.  Coefficients come in through qfield.pack (ValueError outside
+Z[v, v^-1]) and are split into residues (AHA._split); the parts are joined
+only at output (AHAElement.terms as VRat, to_json, specialize).
 
-A basis key theta_x T_w is one int too, (X << wb) + w with X = sum x_i 2^(64 i)
-in balanced signed 64-bit fields and wb the bit length of |W| - 1: theta_x
-(theta_z T_u) is a key sum, and T_u T_s moves a key by us - u.  Points are
-decoded (AHA.unkey, memoised) only to fill the T.theta cache and at output.
+A basis key is one int too, (X << (wb + rb)) + (r << wb) + w, with X = sum
+x_i 2^(64 i) in balanced signed 64-bit fields, r the residue in rb bits (the
+bit length of g - 1) and wb the bit length of |W| - 1: theta_x (theta_z T_u)
+is a key sum, T_u T_s moves a key by us - u, and residues that add up to g
+or more lose g and gain a factor t.  Points are decoded (AHA.unkey, memoised)
+only to fill the T.theta cache and at output.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import or_
 
 from .label_params import LabelFunction, validate
-from .qfield import (K, VR_ZERO, VRat, bounded, l1_norm, low_slots, pack,
-                     packed_str, packed_vrat, value_at_one)
+from .qfield import (K, VR_ZERO, VRat, _unpack, bounded, interleave, l1_norm, low_slots,
+                     pack, pack_slots, packed_str, packed_vrat, value_at_one)
 from .root_data import BasedRootDatum, SizeLimitError, WeylElement, weyl_group
 
 # Input caps, chosen so that an accepted input runs in seconds on a 2-core
-# machine.  Coefficient widths grow with the labels: check_relations on A1 with
-# 50 samples takes 0.2 s at labels 100 and 5.6 s at 1000.  T_w0 * theta_y has
-# about c * spread^rank terms, spread = sum over positive roots a of
+# machine.  Coefficient widths grow with the labels over g (t = v^g): at labels
+# 100,100 (g = 200) check_relations runs 454 samples on A1 and 50 on A2 in
+# 0.24 s each, but 12 on G2 at labels 100,99 (g = 2) in 5.9 s.  T_w0 * theta_y
+# has about c * spread^rank terms, spread = sum over positive roots a of
 # |<y, a^vee>|, which is W-invariant: on G2 (labels 1,3) theta_(10,10) has
 # spread 60 and takes 0.2 s, theta_(-10,10) spread 160 and 10 s, though
 # COORD_CAP admits both.  theta_y needs (spread / 14)^rank <= LATTICE_CAP:
-# spread 112 on rank 2 (G2 1.9 s), 56 on rank 3 (B3 2.1 s), 39 on rank 4
-# (B4 1.7 s and F4 1.5 s at 38).  A sample costs about 0.5 ms on A1, 4-6 ms on
-# A2 and 12-13 ms on G2 at labels 1-3, 0.1 s on B3 (labels 3,3,1) and 0.4 s on
-# A2 at labels 100,100.  SAMPLE_WORK_CAP bounds samples * |W|^2 * (20 + 2 *
-# widest label): at the cap G2 (labels 1,3) runs 106 samples in 1.3 s, A2 462
-# in 2 s at labels 2,2 but 50 in 21 s at labels 100,100, B3 (3,3,1) 6 in 0.6 s.
+# spread 112 on rank 2 (G2 1.9 s; 0.9 s at labels 100,100), 56 on rank 3 (B3
+# 2.1 s; 15 s at labels 100,100,1, where g = 1), 39 on rank 4 (B4 1.7 s and F4
+# 1.5 s at 38).  A sample costs about 0.5 ms on A1, 4-6 ms on A2 and 12-13 ms
+# on G2 at labels 1-3, 0.1 s on B3 (labels 3,3,1) and 5 ms on A2 at labels
+# 100,100.  SAMPLE_WORK_CAP bounds samples * |W|^2 * (20 + 2 * widest label):
+# at the cap G2 (labels 1,3) runs 106 samples in 0.8 s, A2 462 in 1.5 s at
+# labels 2,2, B3 (3,3,1) 6 in 0.3 s and B2 28 in 4.0 s at labels 100,99,1.
 LABEL_CAP = 100
 COORD_CAP = 10
 LATTICE_CAP = 64
@@ -94,13 +102,8 @@ class AHA:
             self.ws_table = ((),)
             self.pos_coroots = ()
         self.lengths = tuple(len(w.word) for w in self.W)
-        self.wb = (len(self.W) - 1).bit_length()
-        self.mask = (1 << self.wb) - 1
         self._points: dict = {}   # X -> x, memo of unkey
-        # per-simple constants; labels must give integral v-exponents.  The
-        # v-power qq is kept as its slot shift, and B = v^p - v^r (zero when
-        # p = r) as the slot shifts (K p, K r); A = qq - 1 is (qq, 0)
-        self.qq, self.B, self.x_points = [], [], []
+        exps, self.x_points = [], []   # (ea, es): qq = v^(ea+es), B = v^ea - v^es
         for j in range(self.rank):
             lam, ls = lf.values(j)
             if lam > LABEL_CAP:
@@ -109,9 +112,7 @@ class AHA:
             if ea.denominator != 1 or es.denominator != 1:
                 raise ValueError(
                     f"simple {j}: q-parameters v^{ea}, v^{es} are not v-powers")
-            ea, es = int(ea), int(es)
-            self.qq.append(K * (ea + es))
-            self.B.append((K * ea, K * es))
+            exps.append((int(ea), int(es)))
             root = datum.roots[datum.basis[j]]
             if x_points is not None and j in x_points:
                 pt = tuple(x_points[j])
@@ -120,6 +121,18 @@ class AHA:
                 self.x_points.append(pt)
             else:
                 self.x_points.append(root)
+        # t = v^g, g the gcd of the v-exponents of every qq and every nonzero
+        # B.  The v-power qq is kept as its t-slot shift, B = t^p - t^r as the
+        # shifts (K p, K r), (0, 0) when B = 0; A = qq - 1 is (qq, 0)
+        self.g = gcd(*(gcd(ea, es) if ea != es else ea + es for ea, es in exps)) or 1
+        self.qq = [K * (ea + es) // self.g for ea, es in exps]
+        self.B = [(K * ea // self.g, K * es // self.g) if ea != es else (0, 0)
+                  for ea, es in exps]
+        self.wb = (len(self.W) - 1).bit_length()   # key fields: X, then r < g, then w
+        self.mask = (1 << self.wb) - 1
+        self.xs = self.wb + (self.g - 1).bit_length()
+        self.rfield = (1 << self.xs) - 1 - self.mask
+        self.carry = self.g << self.wb   # r + r' >= g: subtract, times t
         self._x_keys = [self.key(pt) for pt in self.x_points]
         # j -> (u-index -> us-index - u-index), the key move of T_u T_s
         self._moves = [tuple(row[j] - u for u, row in enumerate(self.ws_table))
@@ -130,19 +143,25 @@ class AHA:
         self._d_cache: dict = {}
         self._left_steps: dict = {}   # u-index -> (s, su-index), u = s su reduced
 
-    def key(self, x, w: int = 0) -> int:
-        """The basis key of theta_x T_w (w a W-index)."""
-        return (sum(c << 64 * i for i, c in enumerate(x)) << self.wb) + w
+    def key(self, x, w: int = 0, r: int = 0) -> int:
+        """The basis key of theta_x T_w (w a W-index) for the v-residue r."""
+        return (sum(c << 64 * i for i, c in enumerate(x)) << self.xs) + (r << self.wb) + w
 
     def unkey(self, k: int) -> tuple:
         """(x, w-index) of a basis key."""
-        X = k >> self.wb
+        X = k >> self.xs
         pt = self._points.get(X)
         if pt is None:   # 2^63 added to every field leaves no borrows
             X += _HALF * ((1 << 64 * self.d) - 1) // _FIELD
-            pt = self._points[k >> self.wb] = tuple(
+            pt = self._points[k >> self.xs] = tuple(
                 (X >> 64 * i & _FIELD) - _HALF for i in range(self.d))
         return pt, k & self.mask
+
+    def _split(self, val: int, n: int) -> list:
+        """[(q, r, m)]: v^val P = sum t^q v^r Q(t) for n = P(2^K), m = Q(2^K)."""
+        c, g = _unpack(n), self.g
+        return [(*divmod(val + j, g), pack_slots(c[j::g]))
+                for j in range(min(g, len(c))) if any(c[j::g])]
 
     # -- element constructors --------------------------------------------
 
@@ -155,10 +174,13 @@ class AHA:
         reach = max((abs(c) for x, _ in terms for c in x), default=0)
         if reach > FIELD_CAP:
             raise SizeLimitError(f"a coordinate {reach} exceeds 2^58")
-        zs = {self.key(x, wi): z for (x, wi), c in terms.items() if (z := pack(c))[1]}
-        e = -min((val for val, _, _ in zs.values()), default=0)
-        ints = {k: n << K * (val + e) for k, (val, n, _) in zs.items()}
-        bound = sum(h for _, _, h in zs.values())   # exact: each h is an l1 norm
+        zs, bound = [], 0   # exact: each h is an l1 norm
+        for (x, wi), c in terms.items():
+            val, n, h = pack(c)
+            bound += h
+            zs += [(self.key(x, wi, r), q, m) for q, r, m in self._split(val, n)]
+        e = -min((q for _, q, _ in zs), default=0)
+        ints = {k: m << K * (q + e) for k, q, m in zs}
         return AHAElement(self, e, ints, bounded(bound, lambda: bound), reach)
 
     def one(self) -> "AHAElement":
@@ -208,91 +230,56 @@ class AHA:
         return i
 
     # -- multiplication ----------------------------------------------------
-    #
-    # Coefficients are packed ints (see the module docstring).  multiply
-    # builds T_w b once per distinct w of a, with a bound M on the l1 mass of
-    # each of its T_w theta_y T_u pieces, so a product's l1 mass is at most
-    # L(a) * L(b) * max M.  _t_times_elem right-multiplies b's pieces summed
-    # per u, so its M can exceed the bound a piece gets alone.  Where the
-    # product's bound reaches 2^(K-1), the exact norms of a and b are taken
-    # with the pieces' own bounds (_piece_top): a product is refused only
-    # where those refuse it too.
 
     def multiply(self, a: "AHAElement", b: "AHAElement") -> "AHAElement":
+        """a * b: one pass over the pairs of terms, then one walk of the chains.
+
+        theta_x T_w theta_y T_u = theta_x (T_w theta_y) T_u: the pieces c c'
+        theta_x T_w theta_y are summed per u, the residues of c and c' added
+        (from g up: minus g, times t).  Then, longest u first, each sum P is
+        right-multiplied by the first letter s of u into the sum of su (T_u =
+        T_s T_su, l(su) = l(u) - 1): one _right_mult_ts per u of the chains.
+        A sum carries the largest bound of its pieces, tripled at each step in
+        which any of its keys goes down; as no key is dropped, that bounds the
+        l1 mass M of each T_w theta_y T_u, and L(a) L(b) M bounds the product
+        (M can exceed a piece's own bound).  Where that reaches 2^(K-1), the
+        exact norms of a and b are taken with the pieces' own bounds
+        (_piece_top): a product is refused only where those refuse it too.
+        """
         if a.algebra is not self or b.algebra is not self:
             raise ValueError("elements belong to different algebra handles")
-        out: dict = {}
-        get = out.get
-        parts: dict = {}
-        mask = self.mask
+        mask, rfield, carry = self.mask, self.rfield, self.carry
+        bs: dict = {}   # key of (y, u) at residue 0 -> (u, key of y, [(r, c)])
+        for k, c in b.ints.items():
+            r, ui = k & rfield, k & mask
+            bs.setdefault(k - r, (ui, k - r - ui, []))[2].append((r, c))
+        aw: dict = {}   # w-index -> [(key of x with a's residue, residue, c)]
         for k, c in a.ints.items():
             wi = k & mask
-            part = parts.get(wi)
-            if part is None:
-                part = parts[wi] = self._t_times_elem(wi, b.ints)
-            sh = low_slots(c) * K   # a v-power factor never widens the products
-            c >>= sh
-            x = k - wi
-            for z, c2 in part[0].items():
-                key = x + z
-                out[key] = get(key, 0) + ((c * c2) << sh)
-        ys = {k - (k & mask) for k in b.ints}
-        reach = a.reach + max([b.reach] + [self._tt_reach[wi, y]
-                                           for wi in parts if wi for y in ys])
-        if reach > FIELD_CAP:
-            raise SizeLimitError("a product's coordinates may exceed 2^58")
-        top = max((m for _, m in parts.values()), default=0)
-        bound = bounded(a.bound * b.bound * top, lambda: _norm(a.ints) * _norm(b.ints)
-                        * self._piece_top(parts, b.ints))
-        return AHAElement(self, a.e + b.e, {k: n for k, n in out.items() if n}, bound,
-                          reach)
-
-    def _piece_top(self, ws, ints: dict) -> int:
-        """The largest bound of a T_w theta_y T_u, w in ws, each piece built alone."""
-        top = 0
-        for wi in ws:
-            for k in ints:
-                ui = k & self.mask
-                part, m = self._t_times_theta(wi, k - ui)
-                for j in self.W[ui].word:
-                    part, m = self._right_mult_ts(part, m, j)
-                top = max(top, m)
-        return top
-
-    def _t_times_elem(self, wi: int, ints: dict) -> tuple:
-        """T_w * sum n theta_y T_u, and a bound on each T_w theta_y T_u's l1 mass.
-
-        The pieces n T_w theta_y are summed per u; then, longest u first, each
-        sum P is right-multiplied by the first letter s of u and joins the sum
-        of su: T_u = T_s T_su with l(su) = l(u) - 1, so P T_u = (P T_s) T_su.
-        That is one _right_mult_ts per u of the chains, not one per letter of
-        every term.  A sum carries the largest bound of its pieces, tripled
-        at each step in which any of its keys goes down.  Every key of a
-        piece is a key of its sum (no key is ever dropped), so the bound
-        holds for each T_w theta_y T_u, though it can exceed the bound that
-        piece would get alone.
-        """
+            aw.setdefault(wi, []).append((k - wi, k & rfield, c))
         sums: dict = {}   # u-index -> [sum of pieces, bound]
-        mask = self.mask
-        for k, c in ints.items():
-            ui = k & mask
-            part, m = self._t_times_theta(wi, k - ui)
-            sh = low_slots(c) * K   # a v-power factor never widens the products
-            c >>= sh
-            acc = sums.get(ui)
-            if acc is None:
-                sums[ui] = [{key: (c * c2) << sh for key, c2 in part.items()}, m]
-                continue
-            if m > acc[1]:
-                acc[1] = m
-            out = acc[0]
-            get = out.get
-            for key, c2 in part.items():
-                out[key] = get(key, 0) + ((c * c2) << sh)
-        if not sums:
-            return {}, 0
+        for wi, xs in aw.items():
+            for ui, y, cs in bs.values():
+                part, m = self._t_times_theta(wi, y)
+                acc = sums.get(ui)
+                if acc is None:
+                    acc = sums[ui] = [{}, m]
+                elif m > acc[1]:
+                    acc[1] = m
+                out = acc[0]
+                get = out.get
+                for x, r, c in xs:
+                    for r2, c2 in cs:
+                        c12, shift = c * c2, x + r2
+                        if r + r2 >= carry:
+                            c12, shift = c12 << K, shift - carry
+                        sh = low_slots(c12) * K   # a t-power factor never widens the products
+                        c12 >>= sh
+                        for z, c3 in part.items():
+                            key = shift + z
+                            out[key] = get(key, 0) + ((c12 * c3) << sh)
         steps = self._left_steps
-        for ui in range(max(sums), 0, -1):   # W is listed by length
+        for ui in range(max(sums, default=0), 0, -1):   # W is listed by length
             acc = sums.pop(ui, None)
             if acc is None:
                 continue
@@ -311,7 +298,26 @@ class AHA:
             for key, c in small.items():
                 big[key] = get(key, 0) + c
             sums[si] = [big, max(m, into[1])]
-        return tuple(sums[0])
+        out, top = sums.get(0, ({}, 0))
+        reach = a.reach + max([b.reach] + [self._tt_reach[wi, y] for wi in aw if wi
+                                           for _, y, _ in bs.values()])
+        if reach > FIELD_CAP:
+            raise SizeLimitError("a product's coordinates may exceed 2^58")
+        bound = bounded(a.bound * b.bound * top, lambda: _norm(a.ints) * _norm(b.ints)
+                        * self._piece_top(aw, bs.values()))
+        return AHAElement(self, a.e + b.e, {k: n for k, n in out.items() if n}, bound,
+                          reach)
+
+    def _piece_top(self, ws, bs) -> int:
+        """The largest bound of a T_w theta_y T_u, w in ws, each piece built alone."""
+        top = 0
+        for wi in ws:
+            for ui, y, _ in bs:
+                part, m = self._t_times_theta(wi, y)
+                for j in self.W[ui].word:
+                    part, m = self._right_mult_ts(part, m, j)
+                top = max(top, m)
+        return top
 
     def _t_times_theta(self, wi: int, y: int) -> tuple:
         """T_w theta_y (y a key) in normal form and a bound on its l1 mass.
@@ -411,13 +417,13 @@ class AHA:
 
 
 class AHAElement:
-    """v^-e * sum P(v) theta_x T_w, with P in Z[v] packed as the int P(2^K).
+    """t^-e * sum v^r Q(t) theta_x T_w, t = v^g, with Q in Z[t] packed as Q(2^K).
 
-    ints maps the basis key of (x, w-index) to P(2^K) != 0; bound is at least
-    the sum of the l1 norms of all the P and stays below 2^(K-1), so every P
-    decodes, and reach is at least every |coordinate| of every x.  The common
-    v-power is taken out only at ==, hash and output.  terms gives the
-    coefficients as VRat.  Build elements with AHA.element.
+    ints maps the basis key of (x, w-index, residue r < g) to Q(2^K) != 0;
+    bound is at least the sum of the l1 norms of all the Q and stays below
+    2^(K-1), so every Q decodes, and reach is at least every |coordinate| of
+    every x.  The common t-power is taken out only at ==, hash and output.
+    terms gives the coefficients as VRat.  Build elements with AHA.element.
     """
 
     __slots__ = ("algebra", "e", "ints", "bound", "reach")
@@ -432,10 +438,21 @@ class AHAElement:
     @property
     def terms(self) -> dict:
         """{(x, w-index): the coefficient of theta_x T_w as a VRat}."""
-        return {self.algebra.unkey(k): packed_vrat(-self.e, n) for k, n in self.ints.items()}
+        alg = self.algebra
+        return {alg.unkey(k): packed_vrat(-alg.g * self.e, interleave(parts, alg.g))
+                for k, parts in self._parts().items()}
+
+    def _parts(self) -> dict:
+        """{key of (x, w) at residue 0: {r: n}}, the coefficient's t-parts."""
+        rfield, wb = self.algebra.rfield, self.algebra.wb
+        out: dict = {}
+        for k, n in self.ints.items():
+            r = k & rfield
+            out.setdefault(k - r, {})[r >> wb] = n
+        return out
 
     def _canonical(self) -> tuple:
-        """(e, ints) with the common v-power taken out; zero is (0, {})."""
+        """(e, ints) with the common t-power taken out; zero is (0, {})."""
         if not self.ints:
             return 0, {}
         k = low_slots(reduce(or_, self.ints.values()))
@@ -482,12 +499,22 @@ class AHAElement:
         return self.scale(other)
 
     def scale(self, c) -> "AHAElement":
+        alg = self.algebra
         val, cn, h = pack(c)
         if not cn:
-            return AHAElement(self.algebra, 0, {}, 0, 0)
+            return AHAElement(alg, 0, {}, 0, 0)
         bound = bounded(self.bound * h, lambda: _norm(self.ints) * h)
-        return AHAElement(self.algebra, self.e - val,
-                          {k: n * cn for k, n in self.ints.items()}, bound, self.reach)
+        parts = alg._split(val, cn)
+        e = min(q for q, _, _ in parts)
+        out: dict = {}
+        for k, n in self.ints.items():
+            for q, r, m in parts:
+                key, sh = k + (r << alg.wb), q - e
+                if (k & alg.rfield) + (r << alg.wb) >= alg.carry:
+                    key, sh = key - alg.carry, sh + 1
+                out[key] = out.get(key, 0) + (n * m << K * sh)
+        return AHAElement(alg, self.e - e, {k: n for k, n in out.items() if n}, bound,
+                          self.reach)
 
     def specialize(self, v: Fraction) -> dict:
         """Evaluate all coefficients at a numeric v; map (x, w-index) -> Fraction.
@@ -497,20 +524,27 @@ class AHAElement:
         one residue (see qfield.value_at_one).
         """
         if v == 1:
-            out = {self.algebra.unkey(k): Fraction(value_at_one(n))
-                   for k, n in self.ints.items()}
+            out = {self.algebra.unkey(k): Fraction(sum(map(value_at_one, parts.values())))
+                   for k, parts in self._parts().items()}
         else:
             out = {k: c.eval(Fraction(v)) for k, c in self.terms.items()}
         return {k: f for k, f in out.items() if f}
 
     def to_json(self) -> dict:
-        W, unkey = self.algebra.W, self.algebra.unkey
-        rows = sorted((W[wi].word, x, n) for (x, wi), n in
-                      zip(map(unkey, self.ints), self.ints.values()))
-        # all rows share e, so a coefficient's string depends on n only
-        strs = {n: packed_str(-self.e, n) for n in set(self.ints.values())}
-        return {"terms": [{"x": list(x), "w": list(word), "coeff": strs[n]}
-                          for word, x, n in rows]}
+        alg = self.algebra
+        W, unkey, g, val = alg.W, alg.unkey, alg.g, -alg.g * self.e
+        rows, strs = [], {}
+        for k, parts in self._parts().items():
+            x, wi = unkey(k)
+            sig = tuple(parts.items())   # rows share e: a string depends on the parts only
+            if sig not in strs:   # one part is read straight from its t-slots
+                (r, n), *more = sig
+                strs[sig] = packed_str(val, interleave(parts, g)) if more else \
+                    packed_str(val + r, n, g)
+            rows.append((W[wi].word, x, strs[sig]))
+        rows.sort()
+        return {"terms": [{"x": list(x), "w": list(word), "coeff": s}
+                          for word, x, s in rows]}
 
     def __repr__(self):
         bits = []
@@ -598,7 +632,7 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
     if sample_count > SAMPLES_CAP:
         raise SizeLimitError(f"sample count {sample_count} exceeds {SAMPLES_CAP}")
     # qq_s = v^(2 lambda_s): the widest label sets the coefficient widths
-    work = sample_count * len(alg.W) ** 2 * (20 + max(alg.qq, default=0) // K)
+    work = sample_count * len(alg.W) ** 2 * (20 + alg.g * max(alg.qq, default=0) // K)
     if work > SAMPLE_WORK_CAP:
         raise SizeLimitError(f"{sample_count} samples on |W| = {len(alg.W)}: "
                              f"work {work} exceeds {SAMPLE_WORK_CAP}")
@@ -609,7 +643,7 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
     for j in range(alg.rank):
         ts = alg.t_simple(j)
         lhs = ts * ts
-        qq = VRat.v_pow(alg.qq[j] // K)
+        qq = VRat.v_pow(alg.g * alg.qq[j] // K)
         rhs = ts.scale(qq - 1) + one.scale(qq)
         if lhs != rhs:
             report["quadratic"] = False
@@ -633,7 +667,7 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
             th, thsx = alg.element({(x, 0): 1}), alg.element({(sx, 0): 1})
             lhs = th * alg.t_simple(j) - alg.t_simple(j) * thsx
             rhs = {(tuple(a + k * b for a, b in zip(x, alg.x_points[j])), 0):
-                   VRat.v_pow(p // K) - VRat.v_pow(r // K)
+                   VRat.v_pow(alg.g * p // K) - VRat.v_pow(alg.g * r // K)
                    for k, (p, r) in alg._dcoeffs(j, alg._pair(x, j))}
             if lhs != alg.element(rhs):
                 report["cross"] = False

@@ -4,10 +4,12 @@ A polynomial is a tuple of ints, index = degree, no trailing zeros; () is zero.
 VRat is the fraction field, kept in a canonical form so that equality of
 coefficients is plain structural equality.  The affine Hecke algebra keeps
 its coefficients, all in Z[v, v^-1], as plain ints n = P(2^K) (Kronecker
-substitution v -> 2^K, one balanced K-bit slot per coefficient of P), so that
-its sums and products are single big-int operations; l1_norm, value_at_one
-and low_slots read such ints, pack converts an int, Fraction or VRat into one,
-and packed_vrat and packed_str decode one for output.
+substitution, one balanced K-bit slot per coefficient of P, where P is a
+polynomial in v or, in the algebra, in t = v^g), so that its sums and
+products are single big-int operations; l1_norm, value_at_one and low_slots
+read such ints, pack converts an int, Fraction or VRat into one, pack_slots a
+list of coefficients, and packed_vrat, packed_str and interleave decode them
+for output.
 """
 from __future__ import annotations
 
@@ -16,12 +18,9 @@ from math import gcd
 from sys import byteorder
 from typing import Iterable, Tuple
 
+from . import SizeLimitError  # re-exported for the modules and tests that import it here
+
 Poly = Tuple[int, ...]
-
-
-class SizeLimitError(ValueError):
-    """An input or an intermediate value exceeds a supported size cap."""
-
 
 PZERO: Poly = ()
 PONE: Poly = (1,)
@@ -148,8 +147,9 @@ def peval(a: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def pstr(a: Poly, shift: int = 0) -> str:
-    """Print a * v^shift like 'v^2-1', '2*v', '-v^3+v-4', '0'."""
+def pstr(a: Poly, shift: int = 0, step: int = 1) -> str:
+    """Print a(v^step) * v^shift like 'v^2-1', '2*v', '-v^3+v-4', '0'; step g
+    prints a polynomial in t = v^g straight from its slots."""
     parts = []
     for k in range(len(a) - 1, -1, -1):
         c = a[k]
@@ -157,7 +157,7 @@ def pstr(a: Poly, shift: int = 0) -> str:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
-        e = k + shift
+        e = k * step + shift
         if e == 0:
             body = str(mag)
         else:
@@ -432,18 +432,24 @@ def pack(x) -> tuple[int, int, int]:
     if h >> (K - 1):
         raise SizeLimitError(f"coefficient bound {h} reaches 2^{K - 1}")
     k = _valuation(num) if num else 0
-    num = num[k:]
-    # one pass, the inverse of _unpack: each slot goes into an int64 view as
-    # c mod 2^K, and the bytes read as one int; xor with the 2^(K-1) bias
-    # gives c + 2^(K-1) per slot, so subtracting the bias leaves P(2^K).
-    # A shift-and-add per slot would copy the growing int each time.
+    return val + k, pack_slots(num[k:]), h
+
+
+def pack_slots(num) -> int:
+    """P(2^K) for the coefficients num of P, each |c| < 2^(K-1).
+
+    One pass, the inverse of _unpack: each slot goes into an int64 view as
+    c mod 2^K, and the bytes read as one int; xor with the 2^(K-1) bias gives
+    c + 2^(K-1) per slot, so subtracting the bias leaves P(2^K).  A
+    shift-and-add per slot would copy the growing int each time.
+    """
     buf = bytearray(K // 8 * len(num))
     view = memoryview(buf).cast("q")
     for i, c in enumerate(num):
         if c:
             view[i] = c
     bias = int.from_bytes(_HALF_SLOT * len(num), "little")
-    return val + k, (int.from_bytes(buf, byteorder) ^ bias) - bias, h
+    return (int.from_bytes(buf, byteorder) ^ bias) - bias
 
 
 def bounded(bound: int, exact) -> int:
@@ -460,17 +466,27 @@ def bounded(bound: int, exact) -> int:
     return bound
 
 
-def packed_vrat(val: int, n: int) -> VRat:
-    """v^val * P for n = P(2^K) as a VRat."""
-    c = _unpack(n)
+def packed_vrat(val: int, n) -> VRat:
+    """v^val * P as a VRat, for n = P(2^K) or P's coefficients."""
+    c = _unpack(n) if isinstance(n, int) else tuple(n)
     return VRat(pshift(c, val), PONE) if val >= 0 else VRat(c, pshift(PONE, -val))
 
 
-def packed_str(val: int, n: int) -> str:
-    """v^val * P for n = P(2^K), printed as its canonical VRat pair '(num)/(den)'."""
-    c = _unpack(n)
-    d = max(-val - _valuation(c), 0) if c else 0   # the v-power of the denominator
-    return f"({pstr(c, val + d)})/({pstr(PONE, d)})"
+def packed_str(val: int, n, step: int = 1) -> str:
+    """v^val * P(v^step) printed as its canonical VRat pair '(num)/(den)', for
+    n = P(2^K) or P's coefficients."""
+    c = _unpack(n) if isinstance(n, int) else n
+    d = max(-val - step * _valuation(c), 0) if c else 0   # the denominator's v-power
+    return f"({pstr(c, val + d, step)})/({pstr(PONE, d)})"
+
+
+def interleave(parts: dict, g: int) -> list:
+    """The coefficients of sum_r v^r Q_r(v^g), parts {r: Q_r(2^K)}, one slice each."""
+    qs = [(r, _unpack(n)) for r, n in parts.items()]
+    c = [0] * max(r + g * (len(q) - 1) + 1 for r, q in qs)
+    for r, q in qs:
+        c[r:r + g * len(q):g] = q
+    return c
 
 
 def low_slots(n: int) -> int:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .qfield import SizeLimitError  # re-exported: raised across the package
+from . import SizeLimitError  # re-exported: raised across the package
 
 WEYL_RANK_CAP = 4
 # the worst accepted build, E8 (120 positive roots), takes about 3 ms in-process

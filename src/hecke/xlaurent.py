@@ -347,9 +347,6 @@ class LaurentRatio:
             raise ZeroDivisionError("division by zero ratio")
         return LaurentRatio(self.num * other.den, self.den * other.num)
 
-    def inv_x(self) -> "LaurentRatio":
-        return LaurentRatio(self.num.inv_x(), self.den.inv_x())
-
     def to_str(self, symbol: str = "X") -> str:
         return f"({self.num.to_str(symbol)})/({self.den.to_str(symbol)})"
 

@@ -36,8 +36,15 @@ QV, V = field("v", sympy.ZZ)
 _VSYM = sympy.Symbol("v")
 
 CASES = [("A", 1, (1, 1)), ("A", 2, (2, 2)), ("B", 2, (3, 3, 1)), ("G", 2, (1, 3))]
-# the components of the cold_products benchmark workload
-RANK34 = [("B", 3, (3, 3, 1)), ("B", 4, (2, 1)), ("F", 4, (2, 1))]
+# labels at LABEL_CAP: t = v^200, and coefficients v^-3 ... v^3 in the factors
+# make residue sums that pass 200
+HIGH = [("A", 2, (100, 100)), ("B", 2, (100, 100, 0))]
+# the components of the cold_products benchmark workload, and C3
+RANK34 = [("B", 3, (3, 3, 1)), ("B", 4, (2, 1)), ("F", 4, (2, 1)), ("C", 3, (2, 1))]
+
+
+def _id(case) -> str:
+    return f"{case[0]}{case[1]}" + ("-labels100" if case in HIGH else "")
 
 
 def _alg(t, n, labels):
@@ -149,7 +156,7 @@ def _random_vector(d: int, rng: random.Random) -> dict:
     return f
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}{c[1]}")
+@pytest.mark.parametrize("case", CASES + HIGH, ids=_id)
 @pytest.mark.parametrize("sign", [False, True], ids=["trivial", "sign"])
 def test_products_act_as_composites(case, sign):
     alg = _alg(*case)

@@ -179,7 +179,7 @@ def test_decompose():
 
 
 # the modules `import hecke.cli` may load; every verb loads them anyway
-TOP_MODULES = {"cli", "qfield", "root_data"}
+TOP_MODULES = {"cli", "root_data"}
 
 # run in a fresh interpreter: main(argv) unless argv is null, then report
 # [exit status, hecke modules loaded]
@@ -212,6 +212,7 @@ def test_each_verb_loads_only_its_modules():
     for argv in (["table1"], ["case"]):
         status, modules = _loaded(argv)
         assert status == 0 and not modules & algebra_side, (argv, modules)
+        assert "qfield" not in modules, (argv, modules)   # no verb here reads a coefficient
     status, modules = _loaded(["mu", "--qa", "1", "poles"])
     assert status == 0 and not modules & {"param_catalog", "hecke_algebra"}, modules
     catalog_side = {"param_catalog", "mu_function", "isogeny_transfer"}

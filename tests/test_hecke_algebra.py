@@ -1,5 +1,7 @@
 """Affine Hecke algebra arithmetic in the theta/T basis."""
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from hecke.hecke_algebra import (AHA, FIELD_CAP, _act, _group_algebra_mult, _nor
                                   _random_element, algebra, check_relations, multiply,
                                   normal_form)
 from hecke.label_params import LabelFunction
-from hecke.qfield import PONE, VR_ONE, VR_ZERO, VRat, pack
+from hecke.qfield import K, PONE, VR_ONE, VR_ZERO, VRat, pack
 from hecke.root_data import BasedRootDatum, SizeLimitError, build_root_system
 
 
@@ -125,13 +127,15 @@ def _dense(alg, rng, coeffs=(1,)):
 
 @pytest.mark.parametrize("typ, labels", [("A", (2, 2)), ("B", (3, 3, 1)), ("G", (1, 3))])
 def test_summed_pieces_keep_a_bound_on_each_piece(typ, labels):
-    # T_w * b with every u in b: the one bound returned covers the l1 mass of
-    # each T_w theta_y T_u, built here letter by letter from the cache
+    # T_w * b with every u in b: the one bound of the summed walk covers the l1
+    # mass of each T_w theta_y T_u, built here letter by letter from the cache.
+    # T_w has bound 1 and the product's bound stays far below 2^63, so it is
+    # b.bound times the walk's bound
     alg = _alg(typ, 2, labels)
     b = _dense(alg, random.Random(f"pieces/{typ}"))
     for wi in range(len(alg.W)):
-        _, top = alg._t_times_elem(wi, b.ints)
-        for y, ui in map(alg.unkey, b.ints):
+        top = (alg.element({((0, 0), wi): 1}) * b).bound // b.bound
+        for y, ui in b.terms:
             piece, _ = alg._t_times_theta(wi, alg.key(y))
             for j in alg.W[ui].word:
                 piece, _ = alg._right_mult_ts(piece, 0, j)
@@ -350,7 +354,9 @@ def test_coefficients_outside_z_v_pm1_rejected():
     key = next(iter(ts.terms))
     scaled = ts.scale(VRat.v_pow(-3) * 2)
     assert scaled.terms[key] == VRat.v_pow(-3) * 2
-    assert pack(scaled.terms[key]) == (-3, 2, 2) == (-scaled.e, scaled.ints[alg.key(*key)], 2)
+    # v^-3 = t^-2 v at t = v^2: e counts t-powers, and the key carries r = 1
+    assert pack(scaled.terms[key]) == (-3, 2, 2)
+    assert alg.g == 2 and scaled.e == 2 and scaled.ints == {alg.key(*key, r=1): 2}
     assert ts.scale(Fraction(4, 2)) == ts.scale(2)
     for bad in (VRat(PONE, (1, 1)), Fraction(1, 2), VRat(1, 2)):
         with pytest.raises(ValueError):
@@ -474,3 +480,61 @@ def test_w_moves_coordinates_by_at_most_11():
         for wi in range(len(alg.W)):
             cols = [_act(alg, wi, e) for e in units]
             assert max(sum(abs(col[r]) for col in cols) for r in range(n)) <= 11
+
+
+@pytest.mark.parametrize("typ, n, labels, g", [("A", 1, (1, 1), 2), ("A", 2, (2, 2), 4),
+                                               ("B", 2, (100, 100, 0), 200),
+                                               ("B", 3, (100, 100, 1), 1)])
+def test_t_is_read_off_the_labels(typ, n, labels, g):
+    # t = v^g, g the gcd of the v-exponents of every qq = v^(2 lambda) and,
+    # where B != 0, of v^(lambda +- lambda*): B3 (100, 100, 1) has v^101 - v^99
+    alg = _alg(typ, n, labels)
+    assert alg.g == g
+    assert all(q % K == 0 for q in alg.qq) and [q // K * g for q in alg.qq] == \
+        [2 * alg.lf.values(j)[0] for j in range(alg.rank)]
+
+
+@pytest.mark.parametrize("typ, n, labels", [("A", 1, (1, 1)), ("A", 2, (2, 2)),
+                                            ("B", 2, (100, 100, 0))])
+def test_a_coefficient_in_every_residue_round_trips(typ, n, labels):
+    # sum_{r < g} v^r + v^-1 splits into g parts, v^-1 joining r = g - 1
+    alg = _alg(typ, n, labels)
+    g, x, wi = alg.g, (1,) + (0,) * (alg.d - 1), len(alg.W) - 1
+    c = sum((VRat.v_pow(r) for r in range(g)), VRat.v_pow(-1))
+    el = alg.element({(x, wi): c, ((0,) * alg.d, 0): VRat.v_pow(-1) * 3})
+    assert len(el.ints) == g + 1 and el.terms == {(x, wi): c, ((0,) * alg.d, 0):
+                                                   VRat.v_pow(-1) * 3}
+    blob = el.to_json()
+    assert alg.from_json(blob) == el and alg.from_json(blob).to_json() == blob
+    assert [t["coeff"] for t in blob["terms"]] == ["(3)/(v)", str(c)]
+    assert el.specialize(Fraction(1)) == {(x, wi): g + 1, ((0,) * alg.d, 0): 3}
+    for k in (-1, 1, g - 1, g, 2 * g + 1):
+        z = el.scale(VRat.v_pow(k) * 2)
+        assert z.terms == {key: coeff * VRat.v_pow(k) * 2 for key, coeff in el.terms.items()}
+        assert z.scale(VRat.v_pow(-k)) == el.scale(2)
+
+
+@pytest.mark.parametrize("typ, n, labels, want", [
+    ("A", 1, (1, 1), "e7f2fd4fa28aafec"), ("G", 2, (1, 3), "e714e62b6a7d2e26"),
+    ("A", 2, (2, 2), "97c509df5fcf4732"), ("B", 2, (100, 100, 0), "73e72ae330d98f4a")])
+def test_residues_that_pass_g_carry_one_t(typ, n, labels, want):
+    # v^(g-1) theta_x T_0 times v^(g-1) theta_y: every pair's residues sum to
+    # 2g - 2 >= g.  The digests were taken before coefficients were packed in t
+    alg = _alg(typ, n, labels)
+    g, d = alg.g, alg.d
+    a = alg.element({((1,) + (0,) * (d - 1), alg._word_index((0,))): VRat.v_pow(g - 1)})
+    b = alg.element({((1,) + (-1,) * (d - 1), 0): VRat.v_pow(g - 1)})
+    text = json.dumps((a * b).to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == want
+
+
+def test_summed_pieces_refuse_no_more_than_the_pieces_alone_at_labels_100():
+    # the pin of test_summed_pieces_refuse_no_more_than_the_pieces_alone at
+    # t = v^200: the bounds count l1 mass, which packing in t leaves as it is
+    alg = _alg("A", 2, (100, 100))
+    rng = random.Random(0)
+    a, b = _random_element(alg, rng), _dense(alg, rng, (-2, -1, 1, 3))
+    ab = a.scale(2**44) * b
+    assert _l1(ab) <= ab.bound < 2**63
+    with pytest.raises(SizeLimitError):
+        a.scale(2**46) * b

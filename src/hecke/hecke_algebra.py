@@ -10,10 +10,10 @@ defining relations, for a simple reflection s = s_a with orbit labels
     D_s(y) = (A + B X_a^{-1}) (theta_y - theta_{s y}) / (1 - X_a^{-2})
     A = q_a q_{a*} - 1,   B = q_a - q_{a*}
 
-with q_a = v^{lambda+lambda*}, q_{a*} = v^{lambda-lambda*}, X_a the lattice
-point attached to a.  The divided difference has a closed form (_dcoeffs); it
-is a Laurent polynomial unless the pairing <y, a#> is odd in X_a-units and
-q_{a*} != 1, which admissible data never gives and which raises ArithmeticError.
+with q_a = v^{lambda+lambda*}, q_{a*} = v^{lambda-lambda*} and X_a = theta_a
+for the simple root a.  The divided difference has a closed form (_dcoeffs);
+it is a Laurent polynomial unless the pairing <y, a#> is odd and q_{a*} != 1,
+which admissible data never gives and which raises ArithmeticError.
 
 As lambda >= lambda* >= 0, every structure constant (qq_s, A, B, the
 coefficients of D_s(y)) lies in Z[t], t = v^g, g the gcd of the v-exponents
@@ -22,7 +22,8 @@ and the d_k are differences of two.  So a coefficient sum_r v^r Q_r(t) of
 theta_x T_w is kept as up to g terms, one per residue r < g, each a plain
 int n = Q_r(2^K) (see qfield), an element is t^-e times a sum of such terms,
 and one l1 bound per element and per cached T_w theta_y keeps every Q_r
-decodable.  Coefficients come in through qfield.pack (ValueError outside
+decodable; each cached T_w theta_y also keeps a bound on its |coordinates|.
+Coefficients come in through qfield.pack (ValueError outside
 Z[v, v^-1]) and are split into residues (AHA._split); the parts are joined
 only at output (AHAElement.terms as VRat, to_json, specialize).
 
@@ -82,7 +83,7 @@ def _norm(ints: dict) -> int:
 class AHA:
     """Handle for one affine Hecke algebra; caches all Weyl/relation data."""
 
-    def __init__(self, datum: BasedRootDatum, lf: LabelFunction, x_points=None):
+    def __init__(self, datum: BasedRootDatum, lf: LabelFunction):
         self.datum = datum
         self.lf = lf
         rs = datum.root_system
@@ -93,17 +94,15 @@ class AHA:
             if report:
                 raise ValueError("inadmissible labels: " + "; ".join(report))
             self.W = weyl_group(rs)
-            self.windex = rs._cache["weyl_index"]
             self.ws_table = rs._cache["ws_table"]  # w*s, from the Weyl BFS
             self.pos_coroots = datum.coroots[:rs.n_positive]
         else:
             self.W = [WeylElement((), ())]
-            self.windex = {(): 0}
             self.ws_table = ((),)
             self.pos_coroots = ()
         self.lengths = tuple(len(w.word) for w in self.W)
         self._points: dict = {}   # X -> x, memo of unkey
-        exps, self.x_points = [], []   # (ea, es): qq = v^(ea+es), B = v^ea - v^es
+        exps = []   # (ea, es): qq = v^(ea+es), B = v^ea - v^es
         for j in range(self.rank):
             lam, ls = lf.values(j)
             if lam > LABEL_CAP:
@@ -113,14 +112,6 @@ class AHA:
                 raise ValueError(
                     f"simple {j}: q-parameters v^{ea}, v^{es} are not v-powers")
             exps.append((int(ea), int(es)))
-            root = datum.roots[datum.basis[j]]
-            if x_points is not None and j in x_points:
-                pt = tuple(x_points[j])
-                if datum.reflect(j, pt) != tuple(-c for c in pt) or pt[j] == 0:
-                    raise ValueError(f"x_points[{j}] is not anti-invariant under s_{j}")
-                self.x_points.append(pt)
-            else:
-                self.x_points.append(root)
         # t = v^g, g the gcd of the v-exponents of every qq and every nonzero
         # B.  The v-power qq is kept as its t-slot shift, B = t^p - t^r as the
         # shifts (K p, K r), (0, 0) when B = 0; A = qq - 1 is (qq, 0)
@@ -133,13 +124,13 @@ class AHA:
         self.xs = self.wb + (self.g - 1).bit_length()
         self.rfield = (1 << self.xs) - 1 - self.mask
         self.carry = self.g << self.wb   # r + r' >= g: subtract, times t
-        self._x_keys = [self.key(pt) for pt in self.x_points]
+        self._x_keys = [self.key(datum.roots[datum.basis[j]]) for j in range(self.rank)]
         # j -> (u-index -> us-index - u-index), the key move of T_u T_s
         self._moves = [tuple(row[j] - u for u, row in enumerate(self.ws_table))
                        for j in range(self.rank)]
-        # (w-index, key of y) -> (T_w theta_y as {key: n}, bound on its l1 mass)
+        # (w-index, key of y) -> (T_w theta_y as {key: n}, bound on its l1 mass,
+        # bound on the |coordinates| of its points)
         self._tt_cache: dict = {}
-        self._tt_reach: dict = {}
         self._d_cache: dict = {}
         self._left_steps: dict = {}   # u-index -> (s, su-index), u = s su reduced
 
@@ -201,8 +192,7 @@ class AHA:
     def t_simple(self, j: int) -> "AHAElement":
         if not 0 <= j < self.rank:
             raise ValueError(f"T{j}: simple index out of range for rank {self.rank}")
-        perm = self.datum.root_system.simple_reflection_perm(j)
-        return self.element({((0,) * self.d, self.windex[perm]): 1})
+        return self.element({((0,) * self.d, self.ws_table[0][j]): 1})
 
     def t(self, word) -> "AHAElement":
         """T_w for the element with the given reduced word (lengths must add)."""
@@ -258,9 +248,12 @@ class AHA:
             wi = k & mask
             aw.setdefault(wi, []).append((k - wi, k & rfield, c))
         sums: dict = {}   # u-index -> [sum of pieces, bound]
+        reach = b.reach
         for wi, xs in aw.items():
             for ui, y, cs in bs.values():
-                part, m = self._t_times_theta(wi, y)
+                part, m, rp = self._t_times_theta(wi, y)
+                if rp > reach:
+                    reach = rp
                 acc = sums.get(ui)
                 if acc is None:
                     acc = sums[ui] = [{}, m]
@@ -299,8 +292,7 @@ class AHA:
                 big[key] = get(key, 0) + c
             sums[si] = [big, max(m, into[1])]
         out, top = sums.get(0, ({}, 0))
-        reach = a.reach + max([b.reach] + [self._tt_reach[wi, y] for wi in aw if wi
-                                           for _, y, _ in bs.values()])
+        reach += a.reach
         if reach > FIELD_CAP:
             raise SizeLimitError("a product's coordinates may exceed 2^58")
         bound = bounded(a.bound * b.bound * top, lambda: _norm(a.ints) * _norm(b.ints)
@@ -313,22 +305,24 @@ class AHA:
         top = 0
         for wi in ws:
             for ui, y, _ in bs:
-                part, m = self._t_times_theta(wi, y)
+                part, m, _ = self._t_times_theta(wi, y)
                 for j in self.W[ui].word:
                     part, m = self._right_mult_ts(part, m, j)
                 top = max(top, m)
         return top
 
     def _t_times_theta(self, wi: int, y: int) -> tuple:
-        """T_w theta_y (y a key) in normal form and a bound on its l1 mass.
+        """T_w theta_y (y a key) in normal form, a bound on its l1 mass, and a
+        bound on its points' |coordinates| (0 for w = 1: y is a factor's point).
 
         Peels the last letter s of w = w's: T_w theta_y = T_w' theta_sy T_s +
         sum_k d_k T_w' theta_{y + k X_s}, so the bound is that of the first
-        piece grown by T_s, plus l1(d_k) times the others'.  _tt_reach gets a
-        bound on the pieces' |coordinates|: y + k X_s lies between y and sy.
+        piece grown by T_s, plus l1(d_k) times the others'.  Each y + k X_s
+        lies between y and sy, so the coordinate bound is that of y, sy and
+        the pieces.
         """
         if wi == 0:
-            return {y: 1}, 1
+            return {y: 1}, 1, 0
         key = (wi, y)
         hit = self._tt_cache.get(key)
         if hit is not None:
@@ -337,23 +331,19 @@ class AHA:
         wpi = self.ws_table[wi][s]
         pt = self.unkey(y)[0]
         spt = self.datum.reflect(s, pt)
-        zs = [self.key(spt)]
-        first, m1 = self._t_times_theta(wpi, zs[0])
+        first, m1, reach = self._t_times_theta(wpi, self.key(spt))
+        reach = max(reach, *map(abs, pt + spt))
         out, m = self._right_mult_ts(first, m1, s)
         pieces = [(3, first)]
         for k, (p, r) in self._dcoeffs(s, self._pair(pt, s)):
-            zs.append(y + k * self._x_keys[s])
-            part, mp = self._t_times_theta(wpi, zs[-1])
+            part, mp, rp = self._t_times_theta(wpi, y + k * self._x_keys[s])
+            reach = max(reach, rp)
             pieces.append((2, part))
             m += 2 * mp
             for key2, c in part.items():
                 out[key2] = out.get(key2, 0) + (c << p) - (c << r)
         m = bounded(m, lambda: sum(f * _norm(piece) for f, piece in pieces))
-        reach = max(map(abs, pt + spt), default=0)
-        if wpi:
-            reach = max(reach, *(self._tt_reach[wpi, z] for z in zs))
-        self._tt_reach[key] = reach
-        hit = self._tt_cache[key] = {k: n for k, n in out.items() if n}, m
+        hit = self._tt_cache[key] = {k: n for k, n in out.items() if n}, m, reach
         return hit
 
     def _pair(self, y: tuple, j: int) -> int:
@@ -361,20 +351,15 @@ class AHA:
         return sum(a * b for a, b in zip(y, coroot))
 
     def _dcoeffs(self, j: int, n: int) -> tuple:
-        """Pairs (k, d_k) with D_j(y) = sum_k d_k theta_{y + k X_j}, <y,a#> = n.
+        """Pairs (k, d_k) with D_j(y) = sum_k d_k theta_{y + k a}, <y,a#> = n.
 
-        s(y) = y - n a; with X_j = m a the shift is in X_j-units n' = n/m, and
-        D_j(y) = (A + B u^-1)(1 - u^-n') / (1 - u^-2) at u = theta_{X_j}:
-        A + B u^-1 + A u^-2 + ... (n' terms) for n' > 0, and
-        -B u - A u^2 - B u^3 - ... (|n'| terms) for n' < 0.  For odd n' the
-        quotient is a Laurent polynomial only if A = B.  Each d_k is nonzero
-        and, like A and B, given as slot shifts: -(v^p - v^r) = v^r - v^p.
+        s(y) = y - n a for the simple root a, and D_j(y) = (A + B u^-1)(1 -
+        u^-n) / (1 - u^-2) at u = X_j = theta_a: A + B u^-1 + A u^-2 + ...
+        (n terms) for n > 0, and -B u - A u^2 - B u^3 - ... (|n| terms) for
+        n < 0.  For odd n the quotient is a Laurent polynomial only if A = B.
+        Each d_k is nonzero and, like A and B, given as t-slot shifts:
+        -(t^p - t^r) = t^r - t^p.
         """
-        m = self.x_points[j][j]
-        if n % m:
-            raise ArithmeticError(
-                f"pairing {n} not divisible by the X-point multiplier {m}")
-        n = n // m
         key = (j, n)
         hit = self._d_cache.get(key)
         if hit is None:
@@ -499,22 +484,9 @@ class AHAElement:
         return self.scale(other)
 
     def scale(self, c) -> "AHAElement":
+        """c * self for c in Z[v, v^-1]: a product with c theta_0 T_1."""
         alg = self.algebra
-        val, cn, h = pack(c)
-        if not cn:
-            return AHAElement(alg, 0, {}, 0, 0)
-        bound = bounded(self.bound * h, lambda: _norm(self.ints) * h)
-        parts = alg._split(val, cn)
-        e = min(q for q, _, _ in parts)
-        out: dict = {}
-        for k, n in self.ints.items():
-            for q, r, m in parts:
-                key, sh = k + (r << alg.wb), q - e
-                if (k & alg.rfield) + (r << alg.wb) >= alg.carry:
-                    key, sh = key - alg.carry, sh + 1
-                out[key] = out.get(key, 0) + (n * m << K * sh)
-        return AHAElement(alg, self.e - e, {k: n for k, n in out.items() if n}, bound,
-                          self.reach)
+        return alg.multiply(self, alg.element({((0,) * alg.d, 0): c}))
 
     def specialize(self, v: Fraction) -> dict:
         """Evaluate all coefficients at a numeric v; map (x, w-index) -> Fraction.
@@ -555,9 +527,9 @@ class AHAElement:
         return " + ".join(bits) or "AHAElement(0)"
 
 
-def algebra(datum: BasedRootDatum, lf: LabelFunction, **kw) -> AHA:
+def algebra(datum: BasedRootDatum, lf: LabelFunction) -> AHA:
     """Build an algebra handle; labels must be admissible on the datum."""
-    return AHA(datum, lf, **kw)
+    return AHA(datum, lf)
 
 
 def multiply(a: AHAElement, b: AHAElement) -> AHAElement:
@@ -639,11 +611,17 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
     report = {"quadratic": True, "braid": True, "cross": True,
               "finite_rank": len(alg.W), "associativity": 0,
               "group_algebra_spec": True, "failures": []}
-    one = alg.one()
+    # the right sides come from the labels and the defining formulas alone,
+    # not from the handle's structure constants
+    from .xlaurent import Laurent, div_exact
+    one, u = alg.one(), Laurent.x_pow
+    consts = []   # (A, B) = (qq - 1, v^(lam + lam*) - v^(lam - lam*)), qq = v^(2 lam)
     for j in range(alg.rank):
+        lam, ls = alg.lf.values(j)
+        qq = VRat.v_pow(int(2 * lam))
+        consts.append((qq - 1, VRat.v_pow(int(lam + ls)) - VRat.v_pow(int(lam - ls))))
         ts = alg.t_simple(j)
         lhs = ts * ts
-        qq = VRat.v_pow(alg.g * alg.qq[j] // K)
         rhs = ts.scale(qq - 1) + one.scale(qq)
         if lhs != rhs:
             report["quadratic"] = False
@@ -666,9 +644,12 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
             # (which refuses parts of [-2, 2]^4 on rank 4) does not apply
             th, thsx = alg.element({(x, 0): 1}), alg.element({(sx, 0): 1})
             lhs = th * alg.t_simple(j) - alg.t_simple(j) * thsx
-            rhs = {(tuple(a + k * b for a, b in zip(x, alg.x_points[j])), 0):
-                   VRat.v_pow(alg.g * p // K) - VRat.v_pow(alg.g * r // K)
-                   for k, (p, r) in alg._dcoeffs(j, alg._pair(x, j))}
+            # D_s(x) = theta_x (A + B u^-1)(1 - u^-n) / (1 - u^-2), u = theta_a
+            A, B = consts[j]
+            n = alg._pair(x, j)
+            d = div_exact((u(0, A) + u(-1, B)) * (u(0) - u(-n)), u(0) - u(-2))
+            root = alg.datum.roots[alg.datum.basis[j]]
+            rhs = {(tuple(a + k * b for a, b in zip(x, root)), 0): c for k, c in d.terms()}
             if lhs != alg.element(rhs):
                 report["cross"] = False
                 report["failures"].append({"relation": "cross", "seed": seed,

@@ -33,34 +33,24 @@ def q_power_str(e) -> str:
 
 
 class QBase:
-    """The reference power q_F^exp; formal unless a concrete value of q_F is given."""
+    """The reference power q_F^exp of a formal q_F."""
 
-    __slots__ = ("exp", "q")
+    __slots__ = ("exp",)
 
-    def __init__(self, exp=1, q=None):
+    def __init__(self, exp=1):
         exp = _frac(exp)
         if exp <= 0:
             raise ValueError(f"base exponent must be positive, got {exp}")
-        if q is not None:
-            q = _frac(q)
-            if q <= 1:
-                raise ValueError(f"concrete q-base needs q > 1, got {q}")
         self.exp = exp
-        self.q = q
-
-    @property
-    def formal(self) -> bool:
-        return self.q is None
 
     def __eq__(self, other):
-        return isinstance(other, QBase) and (self.exp, self.q) == (other.exp, other.q)
+        return isinstance(other, QBase) and self.exp == other.exp
 
     def __hash__(self):
-        return hash((self.exp, self.q))
+        return hash(self.exp)
 
     def __repr__(self):
-        head = "q_F" if self.formal else f"q_F={self.q}"
-        return f"QBase({head}^{self.exp})" if self.exp != 1 else f"QBase({head})"
+        return f"QBase(q_F^{self.exp})" if self.exp != 1 else "QBase(q_F)"
 
 
 class ParamPair:
@@ -205,7 +195,7 @@ class LabelFunction:
             raise ValueError(f"rescaling factor must be positive, got {r}")
         return LabelFunction(
             [(idx, lam / r, ls / r) for idx, lam, ls in self.orbits],
-            QBase(self.base.exp * r, self.base.q))
+            QBase(self.base.exp * r))
 
     def to_json(self) -> dict:
         return {

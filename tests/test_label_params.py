@@ -47,10 +47,6 @@ def test_q_power_str():
 def test_qbase_validation():
     with pytest.raises(ValueError):
         QBase(0)
-    with pytest.raises(ValueError):
-        QBase(1, q=1)
-    assert QBase(2).formal
-    assert not QBase(1, q=3).formal
 
 
 def test_for_system_spreading():

@@ -3,9 +3,9 @@
 row swap between the generic B and C patterns."""
 from fractions import Fraction
 
-from hecke.isogeny_transfer import (TransferCase, class_preserved,
-                                    component_match, transfer)
+from hecke.isogeny_transfer import TransferCase, class_preserved, transfer
 from hecke.label_params import LabelFunction, QBase
+from hecke.param_catalog import component_match
 
 # C2 with long orbit (3,3) and short orbit 2: eligible for the halving move
 lf = LabelFunction([((0,), Fraction(2), Fraction(2)),

@@ -112,7 +112,7 @@ def _cmd_table1(args):
 
 
 def _cmd_match_labels(args):
-    from .isogeny_transfer import component_match
+    from .param_catalog import component_match
     typ, _, lf = _component_args(args)
     mr = component_match((typ, lf))
     _emit(args, {"component": typ, "labels": lf.to_json(), "match": mr.to_json()})
@@ -193,15 +193,12 @@ def _cmd_case(args):
 
 def _cmd_transfer(args):
     from .isogeny_transfer import (TransferCase, class_preserved, component_match,
-                                   transfer)
-    from .root_data import parse_type
+                                   roundtrip_check, transfer)
     typ, _, lf = _component_args(args)
     case = TransferCase(args.case)
     before = (typ, lf)
     after = transfer(before, case, args.direction)
-    other = "to-cover" if args.direction == "to-quotient" else "to-quotient"
-    back = transfer(after, case, other)
-    ok_round = back[1] == lf and parse_type(back[0]) == parse_type(typ)
+    ok_round = roundtrip_check(before, case, args.direction)
     ok_class = class_preserved(before, after)
     _emit(args, {"case": case.to_json(), "direction": args.direction,
                  "before": {"type": typ, "labels": lf.to_json(),

@@ -251,7 +251,8 @@ class AHA:
         reach = b.reach
         for wi, xs in aw.items():
             for ui, y, cs in bs.values():
-                part, m, rp = self._t_times_theta(wi, y)
+                # T_w theta_0 = T_w: a scale or a product with T_u builds nothing
+                part, m, rp = self._t_times_theta(wi, y) if y else ({wi: 1}, 1, 0)
                 if rp > reach:
                     reach = rp
                 acc = sums.get(ui)

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .label_params import LabelFunction, _frac
-from .param_catalog import MatchResult, table1_match
-from .root_data import build_root_system, parse_type
+from .label_params import LabelFunction
+from .param_catalog import _shape, component_match
+from .root_data import parse_type
 
 _N_BY_TAG = {
     "i": (Fraction(1), Fraction(1)),
@@ -41,23 +41,16 @@ class TransferCase:
     n_alpha_long and n_alpha_short are the rescaling factors on the long
     and short roots of the quotient-side component.  The tag pins them
     (i: all 1; ii: 1/2 on the short roots of the resulting B; iii: 2 on
-    the long roots of the resulting C); constructor arguments may only
-    restate the forced values.
+    the long roots of the resulting C).
     """
 
     __slots__ = ("tag", "n_alpha_long", "n_alpha_short")
 
-    def __init__(self, tag, n_alpha_long=None, n_alpha_short=None):
+    def __init__(self, tag):
         if tag not in _N_BY_TAG:
             raise ValueError(f"transfer case must be 'i', 'ii' or 'iii', got {tag!r}")
-        nl, ns = _N_BY_TAG[tag]
-        if n_alpha_long is not None and _frac(n_alpha_long) != nl:
-            raise ValueError(f"case {tag} forces N_alpha = {nl} on long roots")
-        if n_alpha_short is not None and _frac(n_alpha_short) != ns:
-            raise ValueError(f"case {tag} forces N_alpha = {ns} on short roots")
         self.tag = tag
-        self.n_alpha_long = nl
-        self.n_alpha_short = ns
+        self.n_alpha_long, self.n_alpha_short = _N_BY_TAG[tag]
 
     def inverse(self) -> "TransferCase":
         return TransferCase(_INVERSE_TAG[self.tag])
@@ -78,21 +71,6 @@ class TransferCase:
 
 def _as_case(case) -> TransferCase:
     return case if isinstance(case, TransferCase) else TransferCase(case)
-
-
-def _shape(typ, lf: LabelFunction) -> tuple[str, int]:
-    """(letter, rank), cross-checked against the label coverage."""
-    letter, rank = parse_type(typ)
-    covered = sorted(i for idx, _, _ in lf.orbits for i in idx)
-    if covered != list(range(len(covered))):
-        raise ValueError(f"labels cover simple roots {covered}, not an initial range")
-    if rank is None:
-        rank = len(covered)
-    elif rank != len(covered):
-        raise ValueError(f"type {typ} has rank {rank} but labels cover {len(covered)}")
-    if rank < 1:
-        raise ValueError("component carries no labels")
-    return letter, rank
 
 
 def transfer(component, case, direction="to-quotient"):
@@ -133,54 +111,13 @@ def transfer(component, case, direction="to-quotient"):
     return (f"B{rank}", LabelFunction(rows, lf.base))
 
 
-def roundtrip_check(component, case) -> bool:
+def roundtrip_check(component, case, direction="to-quotient") -> bool:
     """A move followed by its inverse lands exactly on the input."""
     case = _as_case(case)
     typ, lf = component
-    there = transfer(component, case)
-    back_typ, back_lf = transfer(there, case.inverse())
+    there = transfer(component, case, direction)
+    back_typ, back_lf = transfer(there, case.inverse(), direction)
     return parse_type(back_typ) == _shape(typ, lf) and back_lf == lf
-
-
-def _length_classes(letter, rank) -> dict:
-    """Simple indices per length class; single-class types give {'all': ...}."""
-    if letter in ("B", "C") and rank >= 2:
-        head, last = tuple(range(rank - 1)), (rank - 1,)
-        return {"long": head, "short": last} if letter == "B" else \
-               {"short": head, "long": last}
-    if letter == "B":
-        return {"short": (0,)}
-    if letter == "C":
-        return {"long": (0,)}
-    return build_root_system(letter, rank).simple_classes()
-
-
-def component_match(component) -> MatchResult:
-    """Table membership of a component's labels, assembled per length class."""
-    typ, lf = component
-    letter, rank = _shape(typ, lf)
-    classes = _length_classes(letter, rank)
-    comp = f"{letter}{rank}"
-
-    def one(cls):
-        vals = {lf.values(i) for i in classes[cls]}
-        if len(vals) != 1:
-            raise ValueError(f"labels not constant on the {cls} roots of {comp}")
-        return vals.pop()
-
-    if "all" in classes:
-        lam, ls = one("all")
-        return table1_match(comp, None, lam, ls)
-    if "long" not in classes:
-        lam, ls = one("short")
-        return table1_match(comp, None, lam, ls)
-    if "short" not in classes:
-        lam, _ = one("long")
-        return table1_match(comp, lam, None, None)
-    # lambda* of the long orbit never enters the table columns
-    ll = one("long")[0]
-    ls, lx = one("short")
-    return table1_match(comp, ll, ls, lx)
 
 
 def class_preserved(before, after) -> bool:

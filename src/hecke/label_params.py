@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .root_data import RootSystem
+from .root_data import RootSystem, simple_orbits
 
 
 def _frac(x) -> Fraction:
@@ -245,8 +245,7 @@ def validate(lf: LabelFunction, rs: RootSystem) -> list[str]:
             report.append(f"orbit {list(idx)}: need lambda >= lambda* >= 0, "
                           f"got ({lam}, {ls})")
         elif lam != ls:
-            i = idx[0]
-            cls = rs.length_class(rs.index[rs.simple_roots[i]])
+            cls = next(c for c, o in simple_orbits(rs.cartan_type, rs.rank) if idx[0] in o)
             if not (rs.cartan_type == "B" and cls == "short"):
                 report.append(
                     f"orbit {list(idx)}: lambda* != lambda is only admissible on "

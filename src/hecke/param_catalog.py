@@ -25,7 +25,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .label_params import LabelFunction, ParamPair, QBase, _fmt, _frac
-from .root_data import SizeLimitError, parse_type
+from .root_data import SizeLimitError, parse_type, simple_orbits
 
 # unitary_ps_descriptor's cost is linear in n: about 1 ms and 140 kB of JSON at the cap
 UNITARY_N_CAP = 1000
@@ -240,6 +240,52 @@ def table1_match(component, lam_long=None, lam_short=None, lam_star=None) -> Mat
             if row.applies_to(letter, rank) and row.admits(*scaled):
                 return MatchResult("match", i, r, scaled, reduced)
     return MatchResult("none")
+
+
+def _shape(typ, lf: LabelFunction) -> tuple[str, int]:
+    """(letter, rank), cross-checked against the label coverage."""
+    letter, rank = parse_type(typ)
+    covered = sorted(i for idx, _, _ in lf.orbits for i in idx)
+    if covered != list(range(len(covered))):
+        raise ValueError(f"labels cover simple roots {covered}, not an initial range")
+    if rank is None:
+        rank = len(covered)
+    elif rank != len(covered):
+        raise ValueError(f"type {typ} has rank {rank} but labels cover {len(covered)}")
+    if rank < 1:
+        raise ValueError("component carries no labels")
+    return letter, rank
+
+
+def component_match(component) -> MatchResult:
+    """Table membership of a component (type string, LabelFunction), assembled
+    per length class of simple_orbits."""
+    typ, lf = component
+    letter, rank = _shape(typ, lf)
+    classes: dict = {}
+    for cls, idx in simple_orbits(letter, rank):
+        classes.setdefault(cls, []).extend(idx)
+    comp = f"{letter}{rank}"
+
+    def one(cls):
+        vals = {lf.values(i) for i in classes[cls]}
+        if len(vals) != 1:
+            raise ValueError(f"labels not constant on the {cls} roots of {comp}")
+        return vals.pop()
+
+    if "all" in classes:
+        lam, ls = one("all")
+        return table1_match(comp, None, lam, ls)
+    if "long" not in classes:
+        lam, ls = one("short")
+        return table1_match(comp, None, lam, ls)
+    if "short" not in classes:
+        lam, _ = one("long")
+        return table1_match(comp, lam, None, None)
+    # lambda* of the long orbit never enters the table columns
+    ll = one("long")[0]
+    ls, lx = one("short")
+    return table1_match(comp, ll, ls, lx)
 
 
 # ---------------------------------------------------------------------------
@@ -475,30 +521,18 @@ def type_a_divisibility(f, n, e, m, m_prime) -> bool:
 PS_TAGS = ("not-skew", "skew-nontrivial", "skew-trivial")
 
 
-def _labels_a(rank, pair):
-    if rank < 1:
+def _labels(system, rank, long_pair, short_pair=None):
+    """long_pair on the long or simply laced orbits of system+rank, short_pair
+    (default long_pair) on the short one; None for a factor with no simple
+    roots (A_0, D_1, B_0)."""
+    try:
+        orbits = simple_orbits(system, rank)
+    except ValueError:
         return None
-    return LabelFunction([(tuple(range(rank)), *pair)], QBase(1))
-
-
-def _labels_bc(system, rank, long_pair, short_pair):
-    if rank < 1:
-        return None
-    if rank == 1:
-        pair = short_pair if system == "B" else long_pair
-        return LabelFunction([((0,), *pair)], QBase(1))
-    head = long_pair if system == "B" else short_pair
-    tail = short_pair if system == "B" else long_pair
-    return LabelFunction([(tuple(range(rank - 1)), *head), ((rank - 1,), *tail)],
-                         QBase(1))
-
-
-def _labels_d(rank, pair):
-    if rank < 2:
-        return None
-    if rank == 2:
-        return LabelFunction([((0,), *pair), ((1,), *pair)], QBase(1))
-    return LabelFunction([(tuple(range(rank)), *pair)], QBase(1))
+    if short_pair is None:
+        short_pair = long_pair
+    return LabelFunction([(idx, *(short_pair if cls == "short" else long_pair))
+                          for cls, idx in orbits], QBase(1))
 
 
 class PSComponent:
@@ -531,24 +565,13 @@ class PSComponent:
         if not self.crossed:
             raise ValueError("component carries no extra involution")
         return PSComponent("C", self.rank, self.source,
-                           _labels_bc("C", self.rank, (0, 0), (1, 1)))
+                           _labels("C", self.rank, (0, 0), (1, 1)))
 
     def match(self) -> MatchResult:
         """This factor's labels against the bound table."""
         if self.labels is None:
             return MatchResult("empty")
-        rows = self.labels.orbits
-        if self.system in ("A", "D"):
-            idx, lam, ls = rows[0]
-            return table1_match(self.system, None, lam, ls)
-        if len(rows) == 1:
-            idx, lam, ls = rows[0]
-            if self.system == "B":
-                return table1_match("B", None, lam, ls)
-            return table1_match("C", lam, None, None)
-        if self.system == "B":
-            return table1_match(f"B{self.rank}", rows[0][1], rows[1][1], rows[1][2])
-        return table1_match(f"C{self.rank}", rows[1][1], rows[0][1], rows[0][2])
+        return component_match((f"{self.system}{self.rank}", self.labels))
 
     def to_json(self) -> dict:
         return {"system": self.system, "rank": self.rank, "source": self.source,
@@ -609,28 +632,24 @@ def unitary_ps_descriptor(n, ramified, segments):
         if tag == "not-skew":
             lam = 1 if ramified else 2
             comps.append(PSComponent("A", size - 1, tag,
-                                     _labels_a(size - 1, (lam, lam))))
+                                     _labels("A", size - 1, (lam, lam))))
         elif tag == "skew-nontrivial":
             if n % 2 == 0:
                 comps.append(PSComponent("D", size, tag,
-                                         _labels_d(size, (1, 1)), crossed=True))
+                                         _labels("D", size, (1, 1)), crossed=True))
             else:
-                comps.append(PSComponent("C", size, tag,
-                                         _labels_bc("C", size, (1, 1), (1, 1))))
+                comps.append(PSComponent("C", size, tag, _labels("C", size, (1, 1))))
         elif not ramified:
             comps.append(PSComponent("B", size, tag,
-                                     _labels_bc("B", size, (2, 2), (1, 1))))
+                                     _labels("B", size, (2, 2), (1, 1))))
         elif n % 2 == 0:
-            comps.append(PSComponent("C", size, tag,
-                                     _labels_bc("C", size, (1, 1), (1, 1))))
+            comps.append(PSComponent("C", size, tag, _labels("C", size, (1, 1))))
         else:
             comps.append(PSComponent("D", size, tag,
-                                     _labels_d(size, (1, 1)), crossed=True))
+                                     _labels("D", size, (1, 1)), crossed=True))
     if n % 2 and n0 > 0:
-        short = (1, 1) if ramified else (3, 1)
-        long = (1, 1) if ramified else (2, 2)
-        comps.append(PSComponent("B", n0, "trivial",
-                                 _labels_bc("B", n0, long, short), affine_exp=1))
+        labels = _labels("B", n0, (1, 1)) if ramified else _labels("B", n0, (2, 2), (3, 1))
+        comps.append(PSComponent("B", n0, "trivial", labels, affine_exp=1))
     return tuple(comps)
 
 

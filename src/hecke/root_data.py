@@ -30,31 +30,54 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def simple_orbits(letter: str, rank: int) -> tuple:
+    """W-orbits of the simple roots of the standard realization, at any rank.
+
+    ((length class, simple indices), ...), long orbit first; the class is
+    'all' for simply laced types, and D2 = A1 x A1 has two orbits.  B1 is
+    short and C1 long, so that each keeps its family's tagging.  Raises
+    ValueError where there is no realization.
+    """
+    n = rank
+    if not {"A": n >= 1, "B": n >= 1, "C": n >= 1, "D": n >= 2, "E": n in (6, 7, 8),
+            "F": n == 4, "G": n == 2}.get(letter, False):
+        raise ValueError(f"invalid Cartan type {letter}{rank}")
+    if letter == "D" and n == 2:
+        return (("all", (0,)), ("all", (1,)))
+    if letter in ("A", "D", "E"):
+        return (("all", tuple(range(n))),)
+    long, short = {"B": (tuple(range(n - 1)), (n - 1,)),
+                   "C": ((n - 1,), tuple(range(n - 1))),
+                   "F": ((0, 1), (2, 3)), "G": ((1,), (0,))}[letter]
+    return tuple((cls, idx) for cls, idx in (("long", long), ("short", short)) if idx)
+
+
 def _simple_data(cartan_type: str, rank: int):
     """Simple roots for the standard integer realization; returns (simples, dim)."""
     t, n = cartan_type, rank
-    if t == "A" and n >= 1:
+    simple_orbits(t, n)   # refuses the pairs with no realization
+    if t == "A":
         dim = n + 1
         simples = [_e_diff(dim, i, i + 1) for i in range(n)]
-    elif t == "B" and n >= 1:
+    elif t == "B":
         dim = n
         simples = [_e_diff(dim, i, i + 1) for i in range(n - 1)]
         simples.append(_unit(dim, n - 1))
-    elif t == "C" and n >= 1:
+    elif t == "C":
         dim = n
         simples = [_e_diff(dim, i, i + 1) for i in range(n - 1)]
         simples.append(tuple(2 * x for x in _unit(dim, n - 1)))
-    elif t == "D" and n >= 2:
+    elif t == "D":
         dim = n
         simples = [_e_diff(dim, i, i + 1) for i in range(n - 1)]
         simples.append(_vadd(_unit(dim, n - 2), _unit(dim, n - 1)))
-    elif t == "G" and n == 2:
+    elif t == "G":
         dim = 3
         simples = [(1, -1, 0), (-2, 1, 1)]
-    elif t == "F" and n == 4:
+    elif t == "F":
         dim = 4
         simples = [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
-    elif t == "E" and n in (6, 7, 8):
+    else:   # E6, E7, E8
         dim = 8
         simples = [
             (1, -1, -1, -1, -1, -1, -1, 1),
@@ -66,8 +89,6 @@ def _simple_data(cartan_type: str, rank: int):
             (0, 0, 0, 0, -2, 2, 0, 0),
             (0, 0, 0, 0, 0, -2, 2, 0),
         ][:n]
-    else:
-        raise ValueError(f"invalid Cartan type {t}{n}")
     return [tuple(s) for s in simples], dim
 
 
@@ -130,14 +151,6 @@ class RootSystem:
         r = self.all_roots[root_index]
         return "short" if _dot(r, r) == ref_short else "long"
 
-    def simple_classes(self) -> dict[str, tuple[int, ...]]:
-        """Map length-class name -> indices of simple roots in that class."""
-        out: dict[str, list[int]] = {}
-        for i, s in enumerate(self.simple_roots):
-            cls = self.length_class(self.index[s])
-            out.setdefault(cls, []).append(i)
-        return {k: tuple(v) for k, v in out.items()}
-
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the Dynkin diagram, as simple-index tuples."""
         n = self.rank
@@ -159,21 +172,8 @@ class RootSystem:
         return tuple(comps)
 
     def simple_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """W-orbits of the simple roots: same component, same length.
-
-        Within a component the long orbit comes first; components are ordered
-        by least simple index.  (D2 is the one buildable reducible case.)
-        """
-        orbits = []
-        for comp in self.components():
-            by_cls: dict[str, list[int]] = {}
-            for i in comp:
-                by_cls.setdefault(self.length_class(self.index[self.simple_roots[i]]),
-                                  []).append(i)
-            for cls in ("all", "long", "short"):
-                if cls in by_cls:
-                    orbits.append(tuple(by_cls[cls]))
-        return tuple(orbits)
+        """W-orbits of the simple roots, long orbit first (module simple_orbits)."""
+        return tuple(idx for _, idx in simple_orbits(self.cartan_type, self.rank))
 
     def simple_reflection_perm(self, i: int) -> tuple[int, ...]:
         key = ("sperm", i)

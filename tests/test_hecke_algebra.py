@@ -279,6 +279,19 @@ def test_products_that_overflow_are_refused():
     assert (alg.one().scale(2**62) - alg.one().scale(2**62)).is_zero()
 
 
+def test_scaling_builds_no_t_theta():
+    # T_w theta_0 = T_w: scale is a product with c theta_0, and that product
+    # reads the T.theta memo for no w
+    alg = _alg("G", 2, (1, 3))
+    el = alg.element({((1, -1), w): VRat.v_pow(w % 3) * (w - 5)
+                      for w in range(len(alg.W))})
+    c = VRat((-2, 1, 0, 3))
+    got = el.scale(c)
+    assert not alg._tt_cache
+    assert got == alg.element({key: c * z for key, z in el.terms.items()})
+    assert got.bound == 6 * el.bound and got.reach == el.reach   # |c|_1 = 6
+
+
 def test_cached_bounds_are_taken_again():
     # T_10 theta_(1,1) rests on cached T_1 theta_y entries: their bounds
     # loosened to 2^62 sum past 2^63, and are then taken again from their terms

@@ -31,12 +31,6 @@ def test_case_n_alpha_values():
     assert TransferCase("ii").n_alpha_long == 1
     assert TransferCase("iii").n_alpha_long == 2
     assert TransferCase("iii").n_alpha_short == 1
-    # restating the forced values is fine, anything else is not
-    assert TransferCase("ii", 1, F(1, 2)) == TransferCase("ii")
-    with pytest.raises(ValueError):
-        TransferCase("ii", n_alpha_short=2)
-    with pytest.raises(ValueError):
-        TransferCase("iii", n_alpha_long=F(1, 2))
     with pytest.raises(ValueError):
         TransferCase("iv")
 
@@ -138,6 +132,8 @@ def test_roundtrip_exhaustive():
             for b in heads:
                 assert roundtrip_check(bc("C", rank, (a, a), b), "ii")
                 assert roundtrip_check(bc("B", rank, (a, 0), b), "iii")
+                assert roundtrip_check(bc("B", rank, (a, 0), b), "ii", "to-cover")
+                assert roundtrip_check(bc("C", rank, (a, a), b), "iii", "to-cover")
 
 
 # -- class preservation ------------------------------------------------------
@@ -150,6 +146,11 @@ def test_component_match_assembly():
     f4 = ("F4", LabelFunction([((0, 1), 4, 4), ((2, 3), 1, 1)]))
     assert component_match(f4).row_index == 5
     assert component_match(("E6", LabelFunction([(range(6), 2, 2)]))).row_index == 0
+    # D2 = A1 x A1: two orbits, one length class, matched as one
+    d2 = LabelFunction([((0,), 2, 2), ((1,), 2, 2)])
+    assert component_match(("D2", d2)).labels == (None, 2, 2)
+    with pytest.raises(ValueError, match="not constant on the all roots of D2"):
+        component_match(("D2", LabelFunction([((0,), 1, 1), ((1,), 2, 2)])))
     with pytest.raises(ValueError):
         component_match(("B3", LabelFunction([((0,), 1, 1), ((1,), 2, 2),
                                               ((2,), 3, 0)])))

@@ -6,7 +6,8 @@ import pytest
 from hecke.label_params import LabelFunction, ParamPair, QBase
 from hecke.param_catalog import (
     BoundCheck, CaseRecord, ClassicalFamily, MatchResult, PSComponent,
-    case_lookup, classical_bound_check, classical_labels, db_integrity_report,
+    case_lookup, classical_bound_check, classical_labels, component_match,
+    db_integrity_report,
     db_records, db_version, descriptor_csv, parity_allows, parity_rule,
     quasisplit_ps_q, table1, table1_csv, table1_match, type_a_divisibility,
     unitary_ps_descriptor, UNITARY_N_CAP,
@@ -325,6 +326,24 @@ def test_unitary_empty_factors():
     # zero-size middle block is dropped
     comps = unitary_ps_descriptor(9, False, [("not-skew", 4), ("trivial", 0)])
     assert [c.system for c in comps] == ["A"]
+
+
+@pytest.mark.parametrize("n, ramified, segments, want", [
+    (61, False, [("not-skew", 12), ("skew-trivial", 9), ("trivial", 9)],
+     [("A11", 0, (None, 2, 2)), ("B9", 1, (2, 1, 1)), ("B9", 1, (2, 3, 1))]),
+    (40, True, [("skew-nontrivial", 2), ("skew-trivial", 18)],
+     [("D2", 0, (None, 1, 1)), ("C18", 2, (1, 1, 1))]),
+])
+def test_factors_past_the_build_cap_match_per_length_class(n, ramified, segments, want):
+    # A11 and C18 have no buildable root system: the classes are the closed
+    # form's, and the rows are those the column reader of each factor gave
+    got = []
+    for c in unitary_ps_descriptor(n, ramified, segments):
+        m = component_match((f"{c.system}{c.rank}", c.labels))
+        assert m.to_json() == c.match().to_json()
+        assert (m.status, m.rescale, m.reduced) == ("match", 1, False)
+        got.append((f"{c.system}{c.rank}", m.row_index, m.labels))
+    assert got == want
 
 
 def test_unitary_signature_rejections():

@@ -1,9 +1,11 @@
-"""The program names that the layered benchmark reads all resolve.
+"""The program names that the benchmark reads all resolve.
 
 perfbench/layers.py counts calls of named functions of src/hecke and reads
-the coefficients of each product through AHAElement.terms.  A rename or a
-deletion there would otherwise fail only the traced benchmark run.
+the coefficients of each product through AHAElement.terms, and the set-ups
+of perfbench/workloads.py import the names their ops call.  A rename or a
+deletion there would otherwise fail only the benchmark run.
 """
+import importlib
 import sys
 from pathlib import Path
 
@@ -16,13 +18,16 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 HECKE_DIR = Path(hecke.__file__).resolve().parent
 
 
-def _layers():
+def _perfbench(module):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import layers
+        return importlib.import_module(module)
     finally:
         sys.path.remove(str(PERFBENCH))
-    return layers
+
+
+def _layers():
+    return _perfbench("layers")
 
 
 def _in_hecke(fn) -> bool:
@@ -76,3 +81,14 @@ def test_a_repeated_product_reads_cache_hits():
     counts = trace.raw()["counts"]
     assert first == second
     assert 0 < counts["tt_hits"] <= counts["tt_lookups"]
+
+
+def test_workload_set_ups_and_first_ops_run():
+    # the set-ups import QBase, hecke_algebra.algebra, VRat.v_pow,
+    # mu_function and weyl_group; each first op is checked against its golden
+    wl = _perfbench("workloads")
+    goldens = wl.load_goldens()
+    for bench in (wl.Relations(), wl.MuRecover(), wl.ColdProducts()):
+        gold = goldens[bench.name]
+        key = next(iter(bench.schedule(0, gold)))
+        assert bench.check(key, bench.run(key), gold), (bench.name, key)

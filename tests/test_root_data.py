@@ -3,7 +3,7 @@ import pytest
 
 from hecke.root_data import (ROOT_COUNTS, BasedRootDatum, SizeLimitError, WeylElement,
                              build_root_system, decompose_extended,
-                             element_from_word, length, weyl_group)
+                             element_from_word, length, simple_orbits, weyl_group)
 
 ROOT_TABLE = [
     ("A", 1, 2), ("A", 2, 6), ("A", 4, 20),
@@ -123,6 +123,33 @@ def test_components_and_simple_orbits():
     assert build_root_system("B", 1).simple_orbits() == ((0,),)
     assert build_root_system("B", 1).length_class(0) == "short"
     assert build_root_system("C", 1).length_class(0) == "long"
+
+
+@pytest.mark.parametrize("t,n", BUILDABLE, ids=lambda x: str(x))
+def test_simple_orbits_closed_form_reads_the_root_norms(t, n):
+    rs = build_root_system(t, n)
+    want = []
+    for comp in rs.components():
+        by_cls: dict = {}
+        for i in comp:
+            by_cls.setdefault(rs.length_class(rs.index[rs.simple_roots[i]]), []).append(i)
+        want += [(cls, tuple(by_cls[cls])) for cls in ("all", "long", "short")
+                 if cls in by_cls]
+    assert simple_orbits(t, n) == tuple(want)
+    assert rs.simple_orbits() == tuple(idx for _, idx in want)
+
+
+def test_simple_orbits_at_any_rank():
+    assert simple_orbits("C", 40) == (("long", (39,)), ("short", tuple(range(39))))
+    assert simple_orbits("B", 61) == (("long", tuple(range(60))), ("short", (60,)))
+    assert simple_orbits("D", 500) == (("all", tuple(range(500))),)
+    for t, n in [("D", 1), ("F", 3), ("G", 3), ("E", 5), ("H", 3)]:
+        with pytest.raises(ValueError, match=f"invalid Cartan type {t}{n}"):
+            simple_orbits(t, n)
+        with pytest.raises(ValueError, match=f"invalid Cartan type {t}{n}"):
+            build_root_system(t, n)
+    with pytest.raises(ValueError, match="invalid Cartan type B0"):
+        simple_orbits("B", 0)
 
 
 def test_based_root_datum_pairings():

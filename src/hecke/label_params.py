@@ -143,7 +143,7 @@ class LabelFunction:
         entry as lambda* of the last (short) orbit; or a sequence of
         (lambda, lambda*) pairs, one per orbit.
         """
-        orbits = rs.simple_orbits()
+        orbits = [idx for _, idx in simple_orbits(rs.cartan_type, rs.rank)]
         if isinstance(values, (int, str, Fraction)):
             values = [values] * len(orbits)
         values = list(values)
@@ -236,16 +236,17 @@ def validate(lf: LabelFunction, rs: RootSystem) -> list[str]:
             f"orbit sets {sorted(covered)} do not partition the {rs.rank} simple roots")
         return report
     by_simple = {i: (lam, ls) for idx, lam, ls in lf.orbits for i in idx}
-    for orbit in rs.simple_orbits():
-        vals = {by_simple[i] for i in orbit}
-        if len(vals) > 1:
+    cls_of = {}
+    for cls, orbit in simple_orbits(rs.cartan_type, rs.rank):
+        if len({by_simple[i] for i in orbit}) > 1:
             report.append(f"labels not constant on the W-orbit {list(orbit)}")
+        cls_of.update(dict.fromkeys(orbit, cls))
     for idx, lam, ls in lf.orbits:
         if not lam >= ls >= 0:
             report.append(f"orbit {list(idx)}: need lambda >= lambda* >= 0, "
                           f"got ({lam}, {ls})")
         elif lam != ls:
-            cls = next(c for c, o in simple_orbits(rs.cartan_type, rs.rank) if idx[0] in o)
+            cls = cls_of[idx[0]]
             if not (rs.cartan_type == "B" and cls == "short"):
                 report.append(
                     f"orbit {list(idx)}: lambda* != lambda is only admissible on "

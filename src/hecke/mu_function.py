@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .label_params import ParamPair, _frac
 from .qfield import VR_ZERO, VRat
-from .root_data import RootSystem, SizeLimitError, _dot
+from .root_data import RootSystem, SizeLimitError, _dot, simple_orbits
 from .xlaurent import Laurent, shaped_roots
 
 # largest q_F-exponent of q_alpha (v-degrees grow with it); recovering the worst
@@ -296,64 +296,48 @@ def _classify(roots, rank: int) -> str:
 
 
 def sigma_O_mu(rs: RootSystem, factors: dict) -> tuple:
-    """Sub-root-system spanned by the orbits whose factor is non-constant.
+    """Sigma_{O,mu}: the W-stable set of roots whose rank-one factor is not constant.
 
-    factors maps simple-orbit index (the order of rs.simple_orbits()) to a
-    MuFactor or None; None and constant factors drop the orbit.  Returns the
-    irreducible components with ambient length tags.
+    factors maps simple-orbit index (the order of simple_orbits(rs.cartan_type,
+    rs.rank)) to a MuFactor or None; None and constant factors drop the orbit.
+    Sigma is the union of the W-orbits of the kept orbits' simple roots, and
+    each root carries the length class of the orbit it came from.  Returns
+    the irreducible components of Sigma, tagged 'all' when the type has a
+    single class (ADE, B1, C1), else by their one class or 'mixed'.
     """
-    orbits = rs.simple_orbits()
-    keep = []
-    for k, orbit in enumerate(orbits):
+    orbits = simple_orbits(rs.cartan_type, rs.rank)
+    sperms = [rs.simple_reflection_perm(i) for i in range(rs.rank)]
+    cls_of = {}   # root index -> class, filled by W-closure from the kept simples
+    for k, (cls, idx) in enumerate(orbits):
         f = factors.get(k)
-        if f is not None and not f.is_constant():
-            keep.append(orbit)
-    if not keep:
-        return ()
-    comp_of_simple = {}
-    for ci, comp in enumerate(rs.components()):
-        for i in comp:
-            comp_of_simple[i] = ci
-    chosen = set()
-    for orbit in keep:
-        i = orbit[0]
-        cls = rs.length_class(rs.index[rs.simple_roots[i]])
-        amb = comp_of_simple[i]
-        for idx, r in enumerate(rs.all_roots):
-            touched = [j for j, c in enumerate(rs.coeffs[idx]) if c]
-            if rs.length_class(idx) == cls and comp_of_simple[touched[0]] == amb:
-                chosen.add(r)
-    positives = [r for r in rs.all_roots[:rs.n_positive] if r in chosen]
+        if f is None or f.is_constant():
+            continue
+        stack = [rs.index[rs.simple_roots[i]] for i in idx]
+        cls_of.update(dict.fromkeys(stack, cls))
+        while stack:
+            r = stack.pop()
+            for sp in sperms:
+                if sp[r] not in cls_of:
+                    cls_of[sp[r]] = cls
+                    stack.append(sp[r])
+    positives = [rs.all_roots[i] for i in cls_of if i < rs.n_positive]
     pos_set = set(positives)
     simples = [p for p in positives
                if not any(tuple(a - b for a, b in zip(p, q)) in pos_set
                           for q in positives if q != p)]
-    # orthogonal component split on the subsystem's own simple roots
-    comp_ids = list(range(len(simples)))
-
-    def find(i):
-        while comp_ids[i] != i:
-            comp_ids[i] = comp_ids[comp_ids[i]]
-            i = comp_ids[i]
-        return i
-
-    for i in range(len(simples)):
-        for j in range(i + 1, len(simples)):
-            if _dot(simples[i], simples[j]) != 0:
-                comp_ids[find(i)] = find(j)
-    groups: dict = {}
-    for i in range(len(simples)):
-        groups.setdefault(find(i), []).append(simples[i])
+    single = len({cls for cls, _ in orbits}) == 1
     out = []
-    for group in groups.values():
-        roots = [r for r in chosen
-                 if any(_dot(r, s) != 0 for s in group)]
-        roots.sort()
-        if rs.simply_laced():
-            tag = "all"
-        else:
-            tags = {rs.length_class(rs.index[r]) for r in roots}
-            tag = tags.pop() if len(tags) == 1 else "mixed"
+    while simples:   # one component per search over the pairing graph
+        group, stack = [], [simples.pop()]
+        while stack:
+            s = stack.pop()
+            group.append(s)
+            stack += [t for t in simples if _dot(s, t)]
+            simples = [t for t in simples if not _dot(s, t)]
+        members = [i for i in cls_of if any(_dot(rs.all_roots[i], s) for s in group)]
+        roots = sorted(rs.all_roots[i] for i in members)
+        tags = {cls_of[i] for i in members}
+        tag = "all" if single else tags.pop() if len(tags) == 1 else "mixed"
         out.append(SubsystemComponent(_classify(roots, len(group)), tag, roots))
     out.sort(key=lambda c: (c.label, c.roots))
     return tuple(out)

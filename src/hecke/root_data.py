@@ -126,54 +126,12 @@ class RootSystem:
         self.cartan = tuple(
             tuple(2 * _dot(a, b) // _dot(b, b) for b in simples) for a in simples
         )
-        norms = {_dot(r, r) for r in self.all_roots}
-        self.short_norm = min(norms)
-        self.long_norm = max(norms)
         self._cache: dict = {}
         expected = ROOT_COUNTS[cartan_type]
         expected = expected(rank) if callable(expected) else expected[rank]
         if len(self.all_roots) != expected:
             raise AssertionError(
                 f"{cartan_type}{rank}: got {len(self.all_roots)} roots, expected {expected}")
-
-    # -- length classes ------------------------------------------------
-
-    def simply_laced(self) -> bool:
-        return self.short_norm == self.long_norm
-
-    def length_class(self, root_index: int) -> str:
-        """'all' for simply laced; else 'short'/'long' by norm (B1 is short, C1 long)."""
-        t = self.cartan_type
-        if t in ("A", "D", "E"):
-            return "all"
-        # one-norm edge cases keep their family's tagging
-        ref_short = {"B": 1, "C": 2, "F": 4, "G": 2}[t]
-        r = self.all_roots[root_index]
-        return "short" if _dot(r, r) == ref_short else "long"
-
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components of the Dynkin diagram, as simple-index tuples."""
-        n = self.rank
-        seen = [False] * n
-        comps = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            comp, stack = [], [start]
-            seen[start] = True
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j in range(n):
-                    if not seen[j] and self.cartan[i][j] != 0:
-                        seen[j] = True
-                        stack.append(j)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
-
-    def simple_orbits(self) -> tuple[tuple[int, ...], ...]:
-        """W-orbits of the simple roots, long orbit first (module simple_orbits)."""
-        return tuple(idx for _, idx in simple_orbits(self.cartan_type, self.rank))
 
     def simple_reflection_perm(self, i: int) -> tuple[int, ...]:
         key = ("sperm", i)
@@ -304,7 +262,6 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
             row.append(i)
         ws_table.append(tuple(row))
     rs._cache["weyl"] = elements
-    rs._cache["weyl_index"] = seen
     rs._cache["ws_table"] = tuple(ws_table)
     return elements
 
@@ -317,10 +274,12 @@ def length(w: WeylElement, rs: RootSystem) -> int:
 
 def element_from_word(rs: RootSystem, word) -> WeylElement:
     """Fold a word of simple-reflection letters into a Weyl element (canonical form)."""
-    perm = _compose_word(rs, word)
-    weyl_group(rs)
-    idx = rs._cache["weyl_index"][perm]
-    return rs._cache["weyl"][idx]
+    elements = weyl_group(rs)
+    ws_table = rs._cache["ws_table"]
+    i = 0
+    for j in word:
+        i = ws_table[i][j]
+    return elements[i]
 
 
 class DatumAutomorphism:

@@ -81,6 +81,14 @@ def test_validate():
     assert any("lambda*" in msg for msg in validate(disordered, b2))
     b1 = build_root_system("B", 1)
     assert validate(LabelFunction.for_system(b1, (1, 0)), b1) == []
+    # lambda* != lambda is refused on the long orbit, whose class is named
+    only_short = "lambda* != lambda is only admissible on the short orbit of a type-B component"
+    for t, n, pairs, orbit, cls in [("B", 2, [(3, 1), (3, 3)], [0], "B long"),
+                                    ("B", 3, [(3, 1), (2, 2)], [0, 1], "B long"),
+                                    ("G", 2, [(3, 1), (1, 1)], [1], "G long")]:
+        rs = build_root_system(t, n)
+        assert validate(LabelFunction.for_system(rs, pairs), rs) == [
+            f"orbit {orbit}: {only_short}, not {cls}"]
 
 
 def test_rescale_base():

@@ -112,31 +112,53 @@ def test_decompose_extended_a2():
         decompose_extended([[1, 0, 0], [0, 1, 0], [0, 0, 2]], rs)
 
 
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
 def test_components_and_simple_orbits():
-    assert build_root_system("A", 3).simple_orbits() == ((0, 1, 2),)
-    assert build_root_system("B", 2).simple_orbits() == ((0,), (1,))
-    assert build_root_system("G", 2).simple_orbits() == ((1,), (0,))
-    assert build_root_system("F", 4).simple_orbits() == ((0, 1), (2, 3))
+    assert simple_orbits("A", 3) == (("all", (0, 1, 2)),)
+    assert simple_orbits("B", 2) == (("long", (0,)), ("short", (1,)))
+    assert simple_orbits("G", 2) == (("long", (1,)), ("short", (0,)))
+    assert simple_orbits("F", 4) == (("long", (0, 1)), ("short", (2, 3)))
     d2 = build_root_system("D", 2)
-    assert d2.components() == ((0,), (1,))
-    assert d2.simple_orbits() == ((0,), (1,))
-    assert build_root_system("B", 1).simple_orbits() == ((0,),)
-    assert build_root_system("B", 1).length_class(0) == "short"
-    assert build_root_system("C", 1).length_class(0) == "long"
+    assert _dot(*d2.simple_roots) == 0   # two orthogonal components
+    assert simple_orbits("D", 2) == (("all", (0,)), ("all", (1,)))
+    assert simple_orbits("B", 1) == (("short", (0,)),)
+    assert simple_orbits("C", 1) == (("long", (0,)),)
+
+
+def _norm_orbits(rs):
+    """((class, simple indices), ...) read off the roots alone, long orbit first.
+
+    Orbits come from closure under the simple reflections, classes from the
+    root norms; a type with one norm is 'all', except B1 (short) and C1 (long).
+    """
+    sperms = [rs.simple_reflection_perm(i) for i in range(rs.rank)]
+    by_orbit: dict = {}
+    for i, a in enumerate(rs.simple_roots):
+        seen, stack = {rs.index[a]}, [rs.index[a]]
+        while stack:
+            r = stack.pop()
+            for sp in sperms:
+                if sp[r] not in seen:
+                    seen.add(sp[r])
+                    stack.append(sp[r])
+        by_orbit.setdefault(frozenset(seen), []).append(i)
+    norms = {_dot(r, r) for r in rs.all_roots}
+
+    def cls(a):
+        if len(norms) == 1:
+            return {("B", 1): "short", ("C", 1): "long"}.get((rs.cartan_type, rs.rank), "all")
+        return "long" if _dot(a, a) == max(norms) else "short"
+
+    rows = [(cls(rs.simple_roots[idx[0]]), tuple(idx)) for idx in by_orbit.values()]
+    return tuple(sorted(rows, key=lambda row: (row[0] == "short", row[1])))
 
 
 @pytest.mark.parametrize("t,n", BUILDABLE, ids=lambda x: str(x))
 def test_simple_orbits_closed_form_reads_the_root_norms(t, n):
-    rs = build_root_system(t, n)
-    want = []
-    for comp in rs.components():
-        by_cls: dict = {}
-        for i in comp:
-            by_cls.setdefault(rs.length_class(rs.index[rs.simple_roots[i]]), []).append(i)
-        want += [(cls, tuple(by_cls[cls])) for cls in ("all", "long", "short")
-                 if cls in by_cls]
-    assert simple_orbits(t, n) == tuple(want)
-    assert rs.simple_orbits() == tuple(idx for _, idx in want)
+    assert simple_orbits(t, n) == _norm_orbits(build_root_system(t, n))
 
 
 def test_simple_orbits_at_any_rank():

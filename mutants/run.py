@@ -1,7 +1,6 @@
 """Rerun recorded mutations: each one must make its named tests fail.
 
-    python3 mutants/run.py              # every entry
-    python3 mutants/run.py -k sigma     # entries whose name contains "sigma"
+    python3 mutants/run.py
 
 Stdlib only, and outside tier-1's testpaths.  Each entry of MUTANTS is
 (name, file under src/hecke, exact old text, new text, test ids).  The
@@ -13,7 +12,6 @@ caught when they fail.  Exit status 0 when every entry is caught, else 1.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -120,20 +118,16 @@ def _passes(src: Path, tests) -> bool:
     return proc.returncode == 0
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("-k", default="", help="run only entries whose name contains this")
-    args = ap.parse_args(argv)
-    entries = [m for m in MUTANTS if args.k in m[0]]
+def main() -> int:
     t0 = time.monotonic()
     with tempfile.TemporaryDirectory() as tmp:
         clean = _copy_src(Path(tmp) / "clean")
-        tests = list(dict.fromkeys(t for *_, ids in entries for t in ids))
+        tests = list(dict.fromkeys(t for *_, ids in MUTANTS for t in ids))
         if not _passes(clean, tests):
             print("the unmutated copy fails the named tests", file=sys.stderr)
             return 1
     caught = 0
-    for name, path, old, new, ids in entries:
+    for name, path, old, new, ids in MUTANTS:
         t1 = time.monotonic()
         detail = ""
         with tempfile.TemporaryDirectory() as tmp:
@@ -145,8 +139,8 @@ def main(argv=None) -> int:
                 status, detail = "error", f": {err}"
         caught += status == "caught"
         print(f"{status:8} {time.monotonic() - t1:5.1f} s  {name}{detail}", flush=True)
-    print(f"{caught}/{len(entries)} caught in {time.monotonic() - t0:.1f} s")
-    return 0 if caught == len(entries) else 1
+    print(f"{caught}/{len(MUTANTS)} caught in {time.monotonic() - t0:.1f} s")
+    return 0 if caught == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

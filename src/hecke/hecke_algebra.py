@@ -45,7 +45,7 @@ from operator import or_
 from .label_params import LabelFunction, validate
 from .qfield import (K, VR_ZERO, VRat, _unpack, bounded, interleave, l1_norm, low_slots,
                      pack, pack_slots, packed_str, packed_vrat, value_at_one)
-from .root_data import BasedRootDatum, SizeLimitError, WeylElement, weyl_group
+from .root_data import BasedRootDatum, SizeLimitError, WeylElement, weyl_group, word_index
 
 # Input caps, chosen so that an accepted input runs in seconds on a 2-core
 # machine.  Coefficient widths grow with the labels over g (t = v^g): at labels
@@ -214,10 +214,7 @@ class AHA:
         return self.element(terms)
 
     def _word_index(self, word) -> int:
-        i = 0
-        for j in word:
-            i = self.ws_table[i][j]
-        return i
+        return word_index(self.ws_table, word)
 
     # -- multiplication ----------------------------------------------------
 

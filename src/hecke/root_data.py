@@ -272,14 +272,18 @@ def length(w: WeylElement, rs: RootSystem) -> int:
     return sum(1 for i in range(np) if w.perm[i] >= np)
 
 
-def element_from_word(rs: RootSystem, word) -> WeylElement:
-    """Fold a word of simple-reflection letters into a Weyl element (canonical form)."""
-    elements = weyl_group(rs)
-    ws_table = rs._cache["ws_table"]
+def word_index(ws_table, word) -> int:
+    """Index in weyl_group order of the product of a word's simple reflections."""
     i = 0
     for j in word:
         i = ws_table[i][j]
-    return elements[i]
+    return i
+
+
+def element_from_word(rs: RootSystem, word) -> WeylElement:
+    """Fold a word of simple-reflection letters into a Weyl element (canonical form)."""
+    elements = weyl_group(rs)
+    return elements[word_index(rs._cache["ws_table"], word)]
 
 
 class DatumAutomorphism:

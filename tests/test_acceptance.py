@@ -25,6 +25,8 @@ from hecke.qfield import VRat
 from hecke.root_data import BasedRootDatum, build_root_system, weyl_group
 from hecke.xlaurent import L_ONE, Laurent, LaurentRatio
 
+from _reference import signatures
+
 
 def _component(letter, rank, labels):
     rs = build_root_system(letter, rank)
@@ -86,30 +88,6 @@ def test_04_mu_profile_round_trip():
     assert time.monotonic() - t0 < 5
 
 
-def _signatures(n, ramified):
-    """All ordered segment lists filling the torus rank of U_n."""
-    tags = ("not-skew", "skew-trivial")
-    if ramified:
-        tags += ("skew-nontrivial",)
-
-    def parts(rest):
-        if rest == 0:
-            yield []
-            return
-        for size in range(1, rest + 1):
-            for tag in tags:
-                for tail in parts(rest - size):
-                    yield [(tag, size)] + tail
-
-    m = n // 2
-    for sig in parts(m):
-        yield sig
-    if n % 2:
-        for n0 in range(m + 1):
-            for head in parts(m - n0):
-                yield head + [("trivial", n0)]
-
-
 def test_05_all_emitted_labels_sit_in_the_bound_table():
     t0 = time.monotonic()
     checked = 0
@@ -133,7 +111,7 @@ def test_05_all_emitted_labels_sit_in_the_bound_table():
                     assert m.ok, (t, f, a, a_minus, m.status)
                     checked += 1
     for n, ramified in product(range(1, 10), (False, True)):
-        for sig in _signatures(n, ramified):
+        for sig in signatures(n, ramified):
             for comp in unitary_ps_descriptor(n, ramified, sig):
                 m = comp.match()
                 assert m.ok, (n, ramified, sig, comp.system, m.status)

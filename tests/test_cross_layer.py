@@ -12,41 +12,22 @@ import time
 from fractions import Fraction
 from math import lcm
 
-import pytest
-
 from hecke.hecke_algebra import algebra, check_relations
 from hecke.label_params import LabelFunction, ParamPair
 from hecke.mu_function import mu_factor, poles_zeros, q_from_poles
 from hecke.param_catalog import CaseRecord, _dual_type, db_records, unitary_ps_descriptor
 from hecke.root_data import BasedRootDatum, build_root_system, parse_type, simple_orbits
 
-TAGS = ("not-skew", "skew-trivial", "skew-nontrivial")
-
-
-def _segments(rest, tags):
-    if rest == 0:
-        yield []
-    for size in range(1, rest + 1):
-        for tag in tags:
-            for tail in _segments(rest - size, tags):
-                yield [(tag, size)] + tail
-
-
-def _signatures(n, ramified):
-    """Every ordered segment list filling the torus rank of U_n, as in test_05."""
-    tags = TAGS if ramified else TAGS[:2]
-    m = n // 2
-    yield from _segments(m, tags)
-    if n % 2:
-        for n0 in range(m + 1):
-            for head in _segments(m - n0, tags):
-                yield head + [("trivial", n0)]
+from _reference import signatures
 
 
 def _integral(lf: LabelFunction) -> LabelFunction:
     """The same q-parameters at a base where every lambda +- lambda* is an integer."""
     m = lcm(*(x.denominator for _, lam, ls in lf.orbits for x in (lam + ls, lam - ls)))
-    return lf.rescale(Fraction(1, m))
+    scaled = lf.rescale(Fraction(1, m))
+    assert scaled.pairs() == lf.pairs()
+    assert all(x.denominator == 1 for _, lam, ls in scaled.orbits for x in (lam + ls, lam - ls))
+    return scaled
 
 
 def _round_trips(lf: LabelFunction) -> list:
@@ -69,7 +50,7 @@ def _ps_label_sets():
     """{(system, rank, labels)} over every unitary principal-series factor, n <= 9."""
     out = set()
     for n, ramified in itertools.product(range(1, 10), (False, True)):
-        for sig in _signatures(n, ramified):
+        for sig in signatures(n, ramified):
             for comp in unitary_ps_descriptor(n, ramified, sig):
                 if comp.labels is not None:
                     out.add((comp.system, comp.rank, comp.labels))
@@ -86,6 +67,10 @@ def test_unitary_principal_series_labels_build_and_round_trip():
     # or (3, 1) short; B and C ramified at (1, 1)
     assert len(sets) == 24 and sum(rank <= 3 for _, rank, _ in sets) == 19
     assert ("B", 3, LabelFunction([((0, 1), 2, 2), ((2,), 3, 1)])) in sets
+    # no emitted set needs a new base; these do
+    for orbits, exp in [([((0,), 1, 1), ((1,), Fraction(1, 2), 0)], Fraction(1, 2)),
+                        ([((0,), Fraction(5, 6), Fraction(1, 2))], Fraction(1, 3))]:
+        assert _integral(LabelFunction(orbits)).base.exp == exp
     assert time.monotonic() - t0 < 5
 
 
@@ -123,14 +108,3 @@ def test_case_database_labels_build_and_round_trip():
     assert len(rows) == 18
     assert {dual for _, dual, _, _ in rows} == {"G2", "F4"}
     assert time.monotonic() - t0 < 5
-
-
-@pytest.mark.parametrize("lf,m", [
-    (LabelFunction([((0,), 1, 1), ((1,), Fraction(1, 2), 0)]), 2),
-    (LabelFunction([((0,), Fraction(5, 6), Fraction(1, 2))]), 3),
-    (LabelFunction([((0,), 3, 1)]), 1),
-])
-def test_integral_base(lf, m):
-    scaled = _integral(lf)
-    assert scaled.base.exp * m == 1 and scaled.pairs() == lf.pairs()
-    assert all(x.denominator == 1 for _, lam, ls in scaled.orbits for x in (lam + ls, lam - ls))

@@ -10,6 +10,8 @@ from hecke.qfield import VRat
 from hecke.root_data import SizeLimitError, build_root_system, simple_orbits
 from hecke.xlaurent import L_ONE, Laurent
 
+from _reference import dot, norm_orbits
+
 F = Fraction
 
 
@@ -233,24 +235,12 @@ def _labels(comps):
     return sorted((c.label, c.ambient_class) for c in comps)
 
 
-def _norm(r):
-    return sum(x * x for x in r)
-
-
-def _norm_class(rs, i):
-    """Length class of simple root i read off the root norms (B1 short, C1 long)."""
-    norms = {_norm(r) for r in rs.all_roots}
-    if len(norms) == 1:
-        return {("B", 1): "short", ("C", 1): "long"}.get((rs.cartan_type, rs.rank), "all")
-    return "long" if _norm(rs.simple_roots[i]) == max(norms) else "short"
-
-
 def test_sigma_subsystem_b2_long_only():
     rs = build_root_system("B", 2)
     comps = sigma_O_mu(rs, {0: mu_factor(1), 1: mu_factor(0, 0)})
     assert _labels(comps) == [("A1", "long"), ("A1", "long")]
     allr = [r for c in comps for r in c.roots]
-    assert len(allr) == 4 and all(_norm(r) == 2 for r in allr)   # e_i +- e_j
+    assert len(allr) == 4 and all(dot(r, r) == 2 for r in allr)   # e_i +- e_j
 
 
 def test_sigma_subsystem_full_and_empty():
@@ -306,8 +296,9 @@ def _expected_sigma(t, n, cls):
 def test_sigma_subsystem_every_class_and_all_orbits(t, n):
     rs = build_root_system(t, n)
     orbits = simple_orbits(t, n)
+    classes = {idx: cls for cls, idx in norm_orbits(rs)}
     for k, (_, orbit) in enumerate(orbits):
-        cls = _norm_class(rs, orbit[0])
+        cls = classes[orbit]
         assert _labels(sigma_O_mu(rs, {k: mu_factor(1)})) == _expected_sigma(t, n, cls)
     every = sigma_O_mu(rs, {k: mu_factor(1) for k in range(len(orbits))})
     if t == "D" and n == 2:

@@ -5,6 +5,8 @@ from hecke.root_data import (ROOT_COUNTS, BasedRootDatum, SizeLimitError, WeylEl
                              build_root_system, decompose_extended,
                              element_from_word, length, simple_orbits, weyl_group)
 
+from _reference import dot, norm_orbits
+
 ROOT_TABLE = [
     ("A", 1, 2), ("A", 2, 6), ("A", 4, 20),
     ("B", 1, 2), ("B", 2, 8), ("B", 3, 18), ("B", 4, 32),
@@ -112,53 +114,21 @@ def test_decompose_extended_a2():
         decompose_extended([[1, 0, 0], [0, 1, 0], [0, 0, 2]], rs)
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
 def test_components_and_simple_orbits():
     assert simple_orbits("A", 3) == (("all", (0, 1, 2)),)
     assert simple_orbits("B", 2) == (("long", (0,)), ("short", (1,)))
     assert simple_orbits("G", 2) == (("long", (1,)), ("short", (0,)))
     assert simple_orbits("F", 4) == (("long", (0, 1)), ("short", (2, 3)))
     d2 = build_root_system("D", 2)
-    assert _dot(*d2.simple_roots) == 0   # two orthogonal components
+    assert dot(*d2.simple_roots) == 0   # two orthogonal components
     assert simple_orbits("D", 2) == (("all", (0,)), ("all", (1,)))
     assert simple_orbits("B", 1) == (("short", (0,)),)
     assert simple_orbits("C", 1) == (("long", (0,)),)
 
 
-def _norm_orbits(rs):
-    """((class, simple indices), ...) read off the roots alone, long orbit first.
-
-    Orbits come from closure under the simple reflections, classes from the
-    root norms; a type with one norm is 'all', except B1 (short) and C1 (long).
-    """
-    sperms = [rs.simple_reflection_perm(i) for i in range(rs.rank)]
-    by_orbit: dict = {}
-    for i, a in enumerate(rs.simple_roots):
-        seen, stack = {rs.index[a]}, [rs.index[a]]
-        while stack:
-            r = stack.pop()
-            for sp in sperms:
-                if sp[r] not in seen:
-                    seen.add(sp[r])
-                    stack.append(sp[r])
-        by_orbit.setdefault(frozenset(seen), []).append(i)
-    norms = {_dot(r, r) for r in rs.all_roots}
-
-    def cls(a):
-        if len(norms) == 1:
-            return {("B", 1): "short", ("C", 1): "long"}.get((rs.cartan_type, rs.rank), "all")
-        return "long" if _dot(a, a) == max(norms) else "short"
-
-    rows = [(cls(rs.simple_roots[idx[0]]), tuple(idx)) for idx in by_orbit.values()]
-    return tuple(sorted(rows, key=lambda row: (row[0] == "short", row[1])))
-
-
 @pytest.mark.parametrize("t,n", BUILDABLE, ids=lambda x: str(x))
 def test_simple_orbits_closed_form_reads_the_root_norms(t, n):
-    assert simple_orbits(t, n) == _norm_orbits(build_root_system(t, n))
+    assert simple_orbits(t, n) == norm_orbits(build_root_system(t, n))
 
 
 def test_simple_orbits_at_any_rank():

@@ -91,6 +91,13 @@ MUTANTS = [
     ("validate reads every orbit as short", LP,
      "cls = cls_of[idx[0]]", 'cls = "short"',
      [T + "test_label_params.py::test_validate"]),
+    # the bound-table rescale solved from the labels
+    ("only the floor multiple of r0", PC,
+     "cands = {r0 * max(1, 1 // r0), r0 * ceil(1 / r0)}", "cands = {r0 * max(1, 1 // r0)}",
+     [T + "test_cli.py::test_match_labels_least_distortion_first"]),
+    ("set columns pin no rescaling", PC,
+     "cands.update(s / v for s in", "set().union(s / v for s in",
+     [T + "test_param_catalog.py::test_table1_match_rescaling"]),
 ]
 
 

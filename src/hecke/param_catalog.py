@@ -23,6 +23,7 @@ import itertools
 import json
 from fractions import Fraction
 from importlib import resources
+from math import ceil, gcd, lcm
 
 from .label_params import LabelFunction, ParamPair, QBase, _fmt, _frac
 from .root_data import SizeLimitError, parse_type, simple_orbits
@@ -185,26 +186,24 @@ class MatchResult:
                 f"rescale {self.rescale}, labels {self.labels})")
 
 
-_RESCALE_NUMERATORS = (1, 2, 3, 4, 9)
-
-
 def table1_match(component, lam_long=None, lam_short=None, lam_star=None) -> MatchResult:
     """Match a label triple against the admissible-label table.
 
     lam_star is lambda* on the short class (the only class where a value
     different from lambda ever occurs); pass None for columns whose orbit
-    the component does not have.  Labels may sit at any q-base: every
-    rescaling that makes them integral is tried, identity first.  A length
-    class whose labels vanish drops out of the parameter system and the
-    survivor is matched as the simply laced system it spans.
+    the component does not have.  A vanishing length class drops out and the
+    survivor is matched as the simply laced system it spans.  The rescale r
+    is solved from the labels: r0 * max(1, floor(1/r0)) or r0 * ceil(1/r0),
+    the least distorting multiples of r0 = 1/gcd(nonzero labels), or s/lambda
+    for a value s of a 'set' column; least distortion max(r, 1/r) first,
+    then the smaller r, then the row index.
     """
     letter, rank = parse_type(component)
     triple = tuple(None if v is None else _frac(v)
                    for v in (lam_long, lam_short, lam_star))
-    present = [v for v in triple if v is not None]
-    if not present:
+    if all(v is None for v in triple):
         raise ValueError("no labels supplied")
-    if all(v == 0 for v in present):
+    if not any(triple):
         return MatchResult("empty")
 
     ll, ls, lx = triple
@@ -227,11 +226,11 @@ def table1_match(component, lam_long=None, lam_short=None, lam_star=None) -> Mat
             ll = None
     triple = (ll, ls, lx)
 
-    cands = {Fraction(1), Fraction(2), Fraction(1, 2)}
-    for v in triple:
-        if v:
-            cands.update(Fraction(k) / v for k in _RESCALE_NUMERATORS)
-    # least distortion first, so labels already in table form stay put
+    nonzero = [v for v in triple if v]
+    r0 = Fraction(lcm(*(v.denominator for v in nonzero)), gcd(*(v.numerator for v in nonzero)))
+    cands = {r0 * max(1, 1 // r0), r0 * ceil(1 / r0)}
+    cands.update(s / v for s in {s for row in _TABLE1 for col in row.cols for s in col.values}
+                 for v in nonzero if v > 0)
     for r in sorted(cands, key=lambda c: (max(c, 1 / c), c)):
         scaled = tuple(None if v is None else v * r for v in triple)
         if any(v is not None and v.denominator != 1 for v in scaled):

@@ -44,6 +44,19 @@ def test_match_labels():
     assert json.loads(proc.stdout)["match"]["status"] == "none"
 
 
+def test_match_labels_solves_the_rescale():
+    # the labels 0,20,7 of row 1 at a base six times finer
+    match = run_json("match-labels", "--type", "B2", "--labels", "0,10/3,7/6")["match"]
+    assert (match["status"], match["row"], match["rescale"]) == ("match", 1, "6")
+    assert match["labels"] == {"long": None, "short": 20, "star": 7}
+
+
+def test_match_labels_least_distortion_first():
+    # 10/9 (label 5) distorts less than 8/9 (label 4)
+    match = run_json("match-labels", "--type", "A2", "--labels", "9/2")["match"]
+    assert (match["rescale"], match["labels"]["short"]) == ("10/9", 5)
+
+
 def test_classical():
     data = run_json("classical", "--case", "b", "--a", "3", "--a-minus", "1")
     assert data["component"] == "B"

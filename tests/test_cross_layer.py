@@ -75,11 +75,11 @@ def test_unitary_principal_series_labels_build_and_round_trip():
 
 
 def _case_label_sets():
-    """(record, dual type, labels, recorded exponents) for the G2 and F4 records
-    whose orbits are all of kind pair, choices or none."""
+    """(record, dual type, labels, recorded exponents) for the records of a
+    simple relative system whose orbits are all of kind pair, choices or none."""
     out = []
     for rec in db_records():
-        if rec.relative not in ("G2", "F4"):
+        if "x" in rec.relative:
             continue
         for per_orbit in [rec.per_orbit] + [i["per_orbit"] for i in rec.instances]:
             for piece, entries in CaseRecord._pieces_for(rec.relative, per_orbit):
@@ -105,6 +105,8 @@ def test_case_database_labels_build_and_round_trip():
         orbits = simple_orbits(*parse_type(dual))
         assert [back[lf.orbit_of(idx[0])] for _, idx in orbits] == pairs[::-1], rec
         _builds(*parse_type(dual), lf)
-    assert len(rows) == 18
-    assert {dual for _, dual, _, _ in rows} == {"G2", "F4"}
+    # 18 of G2 and F4; 11 of B2, B3, B4 and C3, whose duals swap B and C
+    assert len(rows) == 29
+    assert {(rec.relative, dual) for rec, dual, _, _ in rows} == {
+        ("G2", "G2"), ("F4", "F4"), ("B2", "B2"), ("B3", "C3"), ("B4", "C4"), ("C3", "B3")}
     assert time.monotonic() - t0 < 5

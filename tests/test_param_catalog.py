@@ -1,4 +1,7 @@
 """Label table, classical families, unitary principal series, case database."""
+import collections
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -66,6 +69,54 @@ def test_table1_match_rescaling():
     assert m.status == "match" and m.rescale == Fraction(1, 3)
     # identity rescale is preferred when it works
     assert table1_match("A1", None, 1, 1).rescale == 1
+    # a rescale is positive, so a negative label sits in no row
+    assert table1_match("A2", None, -1, -1).status == "none"
+
+
+def _dense_match(component, triple, amax=60):
+    """The least distorting r = a/lambda (a <= amax, lambda a nonzero label),
+    smaller r first, at which table1_match takes the rescaled triple as it
+    stands.  The window is finite, so an answer of table1_match outside it
+    shows up as a mismatch, never as a pass."""
+    rs = {Fraction(a) / v for v in triple if v for a in range(1, amax + 1)}
+    integral = [r for r in rs if all(v is None or (v * r).denominator == 1 for v in triple)]
+    for r in sorted(integral, key=lambda c: (max(c, 1 / c), c)):
+        m = table1_match(component, *(None if v is None else v * r for v in triple))
+        if m.status == "match" and m.rescale == 1:
+            return ("match", m.row_index, r, m.labels, m.reduced)
+    return ("none", None, None, None, False)
+
+
+def test_table1_match_solves_the_rescale():
+    # [DERIVED] the closed-form rescale agrees with a dense search, and the
+    # verdict and row do not move when the input is rescaled first
+    rng = random.Random(21)
+    t0 = time.monotonic()
+    seen = collections.Counter()
+    for _ in range(300):
+        comp = rng.choice(("A2", "D4", "B2", "B3", "C3", "F4", "G2"))
+        if rng.random() < 0.5:
+            ll, ls, lx = (Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 4, 6, 9)))
+                          for _ in range(3))
+        else:
+            # values of the set columns at a random base, where the pins matter
+            c = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3, 4, 6, 9)))
+            ll, ls, lx = (c * rng.choice((0, 1, 2, 3, 4, 9)) for _ in range(3))
+        if comp in ("A2", "D4"):
+            ll, lx = None, ls
+        elif comp[0] != "B" and rng.random() < 0.5:
+            lx = ls
+        if not (ll or ls or lx):
+            continue
+        m = table1_match(comp, ll, ls, lx)
+        assert (m.status, m.row_index, m.rescale, m.labels, m.reduced) == \
+            _dense_match(comp, (ll, ls, lx)), (comp, ll, ls, lx)
+        c = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        moved = table1_match(comp, *(None if v is None else v * c for v in (ll, ls, lx)))
+        assert (moved.status, moved.row_index) == (m.status, m.row_index), (comp, ll, ls, lx, c)
+        seen[m.status] += 1
+    assert seen["match"] >= 100 and seen["none"] >= 50, seen
+    assert time.monotonic() - t0 < 5
 
 
 def test_table1_match_reduction_and_empty():

@@ -111,9 +111,9 @@ def test_table1_match_solves_the_rescale():
         m = table1_match(comp, ll, ls, lx)
         assert (m.status, m.row_index, m.rescale, m.labels, m.reduced) == \
             _dense_match(comp, (ll, ls, lx)), (comp, ll, ls, lx)
-        c = Fraction(rng.randint(1, 12), rng.randint(1, 12))
-        moved = table1_match(comp, *(None if v is None else v * c for v in (ll, ls, lx)))
-        assert (moved.status, moved.row_index) == (m.status, m.row_index), (comp, ll, ls, lx, c)
+        k = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        moved = table1_match(comp, *(None if v is None else v * k for v in (ll, ls, lx)))
+        assert (moved.status, moved.row_index) == (m.status, m.row_index), (comp, ll, ls, lx, k)
         seen[m.status] += 1
     assert seen["match"] >= 100 and seen["none"] >= 50, seen
     assert time.monotonic() - t0 < 5

@@ -68,7 +68,7 @@ MUTANTS = [
      "transfer(there, case.inverse(), direction)", "transfer(there, case, direction)",
      [T + "test_isogeny_transfer.py::test_roundtrip_examples"]),
     ("component_match keeps the last orbit per class", PC,
-     "classes.setdefault(cls, []).extend(idx)", "classes[cls] = list(idx)",
+     "cols.setdefault(cls, []).append(vals.pop())", "cols[cls] = [vals.pop()]",
      [T + "test_isogeny_transfer.py::test_component_match_assembly"]),
     # across the layers
     ("B and C not swapped in _dual_type", PC,
@@ -98,6 +98,13 @@ MUTANTS = [
     ("set columns pin no rescaling", PC,
      "cands.update(s / v for s in", "set().union(s / v for s in",
      [T + "test_param_catalog.py::test_table1_match_rescaling"]),
+    # one route to the bound table, one simple factor at a time
+    ("worst status order", PC,
+     '("none", "match", "empty")', '("match", "none", "empty")',
+     [T + "test_cli.py::test_match_labels_d2_one_factor_at_a_time"]),
+    ("case report without the dual swap", PC,
+     "labels[-1], labels[0]", "labels[0], labels[-1]",
+     [T + "test_param_catalog.py::test_reduced_levi_cases_collapse_to_type_a"]),
 ]
 
 

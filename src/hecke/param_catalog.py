@@ -153,18 +153,20 @@ class MatchResult:
     and the rescaled triple.  status 'empty': all supplied labels vanish, the
     orbit contributes no roots.  status 'none': no row admits the labels
     under any rescaling.  reduced marks a match found after dropping a
-    vanishing length class.
+    vanishing length class.  factors lists the results of the distinct simple
+    factors of a reducible component (D2 = A1 x A1), whose worst is status.
     """
 
-    __slots__ = ("status", "row_index", "rescale", "labels", "reduced")
+    __slots__ = ("status", "row_index", "rescale", "labels", "reduced", "factors")
 
     def __init__(self, status, row_index=None, rescale=None, labels=None,
-                 reduced=False):
+                 reduced=False, factors=()):
         self.status = status
         self.row_index = row_index
         self.rescale = rescale
         self.labels = labels
         self.reduced = reduced
+        self.factors = tuple(factors)
 
     @property
     def ok(self) -> bool:
@@ -175,9 +177,12 @@ class MatchResult:
         if self.labels is not None:
             lab = {k: None if v is None else _fmt(v)
                    for k, v in zip(("long", "short", "star"), self.labels)}
-        return {"status": self.status, "row": self.row_index,
-                "rescale": None if self.rescale is None else str(self.rescale),
-                "labels": lab, "reduced": self.reduced}
+        out = {"status": self.status, "row": self.row_index,
+               "rescale": None if self.rescale is None else str(self.rescale),
+               "labels": lab, "reduced": self.reduced}
+        if self.factors:
+            out["factors"] = [f.to_json() for f in self.factors]
+        return out
 
     def __repr__(self):
         if self.status != "match":
@@ -257,34 +262,29 @@ def _shape(typ, lf: LabelFunction) -> tuple[str, int]:
 
 
 def component_match(component) -> MatchResult:
-    """Table membership of a component (type string, LabelFunction), assembled
-    per length class of simple_orbits."""
+    """Table membership of a component (type string, LabelFunction), one simple
+    factor of simple_orbits at a time: a long and a short orbit make one factor,
+    each 'all' orbit another (D2 = A1 x A1 has two).  Distinct factors give the
+    worst of their statuses (none, match, empty), with the factors attached."""
     typ, lf = component
     letter, rank = _shape(typ, lf)
-    classes: dict = {}
-    for cls, idx in simple_orbits(letter, rank):
-        classes.setdefault(cls, []).extend(idx)
     comp = f"{letter}{rank}"
-
-    def one(cls):
-        vals = {lf.values(i) for i in classes[cls]}
+    cols: dict = {}
+    for cls, idx in simple_orbits(letter, rank):
+        vals = {lf.values(i) for i in idx}
         if len(vals) != 1:
             raise ValueError(f"labels not constant on the {cls} roots of {comp}")
-        return vals.pop()
-
-    if "all" in classes:
-        lam, ls = one("all")
-        return table1_match(comp, None, lam, ls)
-    if "long" not in classes:
-        lam, ls = one("short")
-        return table1_match(comp, None, lam, ls)
-    if "short" not in classes:
-        lam, _ = one("long")
-        return table1_match(comp, lam, None, None)
-    # lambda* of the long orbit never enters the table columns
-    ll = one("long")[0]
-    ls, lx = one("short")
-    return table1_match(comp, ll, ls, lx)
+        cols.setdefault(cls, []).append(vals.pop())
+    if "all" not in cols:
+        # lambda* of the long orbit never enters the table columns
+        ll = cols["long"][0][0] if "long" in cols else None
+        ls, lx = cols["short"][0] if "short" in cols else (None, None)
+        return table1_match(comp, ll, ls, lx)
+    results = [table1_match(comp, None, lam, ls) for lam, ls in dict.fromkeys(cols["all"])]
+    if len(results) == 1:
+        return results[0]
+    worst = min((r.status for r in results), key=("none", "match", "empty").index)
+    return MatchResult(worst, factors=results)
 
 
 # ---------------------------------------------------------------------------
@@ -742,26 +742,16 @@ class CaseRecord:
     def _report(self, per_orbit):
         out = []
         for piece, entries in self._pieces_for(self.relative, per_orbit):
-            option_lists = []
-            for entry in entries:
-                opts = self._entry_options(entry)
-                if opts is None:
-                    option_lists = None
-                    break
-                option_lists.append(opts)
-            if option_lists is None:
+            option_lists = [self._entry_options(e) for e in entries]
+            if None in option_lists:
                 continue
+            dual = _dual_type(piece)
             for combo in itertools.product(*option_lists):
                 labels = [(_frac(ea) + _frac(es), _frac(ea) - _frac(es))
                           for ea, es in combo]
-                if len(labels) == 1:
-                    lam, ls = labels[0]
-                    res = table1_match(piece, None, lam, ls)
-                else:
-                    # relative (long, short) become (short, long) in the dual
-                    (lam_l, ls_l), (lam_s, ls_s) = labels
-                    res = table1_match(_dual_type(piece), lam_s, lam_l, ls_l)
-                out.append((self.group, self.levi, piece, combo, res))
+                # relative (long, short) become (short, long) in the dual
+                lf = _labels(*parse_type(dual), labels[-1], labels[0])
+                out.append((self.group, self.levi, piece, combo, component_match((dual, lf))))
         return out
 
     @staticmethod

@@ -57,6 +57,25 @@ def test_match_labels_least_distortion_first():
     assert (match["rescale"], match["labels"]["short"]) == ("10/9", 5)
 
 
+def test_match_labels_d2_one_factor_at_a_time():
+    # D2 = A1 x A1: unequal labels give one result per factor, both verbs accept
+    match = run_json("match-labels", "--type", "D2", "--labels", "1,2")["match"]
+    assert (match["status"], match["row"]) == ("match", None)
+    assert [(f["row"], f["labels"]["short"]) for f in match["factors"]] == [(0, 1), (0, 2)]
+    report = run_json("check-relations", "--type", "D2", "--labels", "1,2", "--samples", "2")
+    assert report["report"]["ok"] is True
+    moved = run_json("transfer", "--type", "D2", "--labels", "1,2", "--case", "i")
+    assert moved["after"]["match"] == match and moved["class_preserved"]
+    # the worst factor decides: none before match
+    proc = run("match-labels", "--type", "D2", "--labels", "1,2,1")
+    match = json.loads(proc.stdout)["match"]
+    assert (proc.returncode, match["status"]) == (1, "none")
+    assert [f["status"] for f in match["factors"]] == ["match", "none"]
+    # equal factors are one result, printed as for a simple type
+    match = run_json("match-labels", "--type", "D2", "--labels", "2,2")["match"]
+    assert "factors" not in match and match["row"] == 0
+
+
 def test_classical():
     data = run_json("classical", "--case", "b", "--a", "3", "--a-minus", "1")
     assert data["component"] == "B"

@@ -15,7 +15,8 @@ from math import lcm
 from hecke.hecke_algebra import algebra, check_relations
 from hecke.label_params import LabelFunction, ParamPair
 from hecke.mu_function import mu_factor, poles_zeros, q_from_poles
-from hecke.param_catalog import CaseRecord, _dual_type, db_records, unitary_ps_descriptor
+from hecke.param_catalog import (CaseRecord, _dual_type, db_integrity_report, db_records,
+                                 unitary_ps_descriptor)
 from hecke.root_data import BasedRootDatum, build_root_system, parse_type, simple_orbits
 
 from _reference import signatures
@@ -75,12 +76,10 @@ def test_unitary_principal_series_labels_build_and_round_trip():
 
 
 def _case_label_sets():
-    """(record, dual type, labels, recorded exponents) for the records of a
-    simple relative system whose orbits are all of kind pair, choices or none."""
+    """(record, dual type, labels, recorded exponents) for each piece of a
+    record whose orbits are all of kind pair, choices or none."""
     out = []
     for rec in db_records():
-        if "x" in rec.relative:
-            continue
         for per_orbit in [rec.per_orbit] + [i["per_orbit"] for i in rec.instances]:
             for piece, entries in CaseRecord._pieces_for(rec.relative, per_orbit):
                 options = [CaseRecord._entry_options(e) for e in entries]
@@ -105,8 +104,10 @@ def test_case_database_labels_build_and_round_trip():
         orbits = simple_orbits(*parse_type(dual))
         assert [back[lf.orbit_of(idx[0])] for _, idx in orbits] == pairs[::-1], rec
         _builds(*parse_type(dual), lf)
-    # 18 of G2 and F4; 11 of B2, B3, B4 and C3, whose duals swap B and C
-    assert len(rows) == 29
+    # 18 of G2 and F4; 11 of B2, B3, B4 and C3, whose duals swap B and C;
+    # 3 A1 pieces of A1xA1 and 2 F4 pieces of F4xA1: one per row of the audit
+    assert len(rows) == len(db_integrity_report()) == 34
     assert {(rec.relative, dual) for rec, dual, _, _ in rows} == {
-        ("G2", "G2"), ("F4", "F4"), ("B2", "B2"), ("B3", "C3"), ("B4", "C4"), ("C3", "B3")}
+        ("G2", "G2"), ("F4", "F4"), ("B2", "B2"), ("B3", "C3"), ("B4", "C4"), ("C3", "B3"),
+        ("A1xA1", "A1"), ("F4xA1", "F4")}
     assert time.monotonic() - t0 < 5

@@ -146,11 +146,13 @@ def test_component_match_assembly():
     f4 = ("F4", LabelFunction([((0, 1), 4, 4), ((2, 3), 1, 1)]))
     assert component_match(f4).row_index == 5
     assert component_match(("E6", LabelFunction([(range(6), 2, 2)]))).row_index == 0
-    # D2 = A1 x A1: two orbits, one length class, matched as one
+    # D2 = A1 x A1: two orbits, two simple factors; equal ones are matched once
     d2 = LabelFunction([((0,), 2, 2), ((1,), 2, 2)])
-    assert component_match(("D2", d2)).labels == (None, 2, 2)
-    with pytest.raises(ValueError, match="not constant on the all roots of D2"):
-        component_match(("D2", LabelFunction([((0,), 1, 1), ((1,), 2, 2)])))
+    m = component_match(("D2", d2))
+    assert (m.labels, m.factors) == ((None, 2, 2), ())
+    m = component_match(("D2", LabelFunction([((0,), 1, 1), ((1,), 2, 2)])))
+    assert (m.status, m.row_index) == ("match", None)
+    assert [(f.row_index, f.labels) for f in m.factors] == [(0, (None, 1, 1)), (0, (None, 2, 2))]
     with pytest.raises(ValueError):
         component_match(("B3", LabelFunction([((0,), 1, 1), ((1,), 2, 2),
                                               ((2,), 3, 0)])))

@@ -16,8 +16,10 @@ from fractions import Fraction
 import pytest
 
 import hecke
+from hecke.cli import _report_rows
 from hecke.hecke_algebra import algebra
 from hecke.label_params import LabelFunction, QBase
+from hecke.param_catalog import db_integrity_report
 from hecke.qfield import VRat
 from hecke.root_data import BasedRootDatum, build_root_system, weyl_group
 
@@ -86,6 +88,14 @@ def test_cli_stdout_pinned(argv, want):
     proc = subprocess.run([sys.executable, "-m", "hecke.cli", *argv], capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == want
+
+
+def test_case_database_audit_rows_pinned():
+    """Each determined label combination of the case database: group, levi,
+    piece, exponents and the bound-table match (row, rescale, labels)."""
+    rows = _report_rows(db_integrity_report())
+    assert len(rows) == 34
+    assert _digest(rows) == "7a1317eb5cf183fec31d2e668a9fdafba3e95ca7703f5a6175cf3d543ce16591"
 
 
 # The benchmark's 21-invocation CLI mix: exit code and stdout sha256 of each.

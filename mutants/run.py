@@ -105,6 +105,14 @@ MUTANTS = [
     ("case report without the dual swap", PC,
      "labels[-1], labels[0]", "labels[0], labels[-1]",
      [T + "test_param_catalog.py::test_reduced_levi_cases_collapse_to_type_a"]),
+    # one work budget, weighed by the width and charged on whole words
+    ("width left out of the charge", HA,
+     "work = terms * (TERM_COST + max(self.qq, default=0) // K)", "work = terms * TERM_COST",
+     [T + "test_hecke_algebra.py::test_work_cap_weighs_the_width"]),
+    ("word charged per token instead of per sum", HA,
+     'alg.charge_points([tuple(arg) for kind, arg in word if kind == "theta"])',
+     '[alg.charge_points([tuple(arg)]) for kind, arg in word if kind == "theta"]',
+     [T + "test_hecke_algebra.py::test_normal_form_charges_the_whole_word"]),
 ]
 
 

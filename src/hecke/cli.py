@@ -274,11 +274,11 @@ def _cmd_charsum(args):
 
 
 def _cmd_mul(args):
-    from .hecke_algebra import multiply, normal_form
+    from .hecke_algebra import normal_form
     alg = _algebra_args(args)
-    left = normal_form(alg, _tokens(args.left, alg.d))
-    right = normal_form(alg, _tokens(args.right, alg.d))
-    prod = multiply(left, right)
+    ltoks, rtoks = _tokens(args.left, alg.d), _tokens(args.right, alg.d)
+    prod = normal_form(alg, ltoks + rtoks)   # charged on both words together
+    left, right = normal_form(alg, ltoks), normal_form(alg, rtoks)
     _emit(args, {"left": repr(left), "right": repr(right),
                  "product": prod.to_json(), "display": repr(prod)})
     return 0

@@ -47,26 +47,19 @@ from .qfield import (K, VR_ZERO, VRat, _unpack, bounded, interleave, l1_norm, lo
                      pack, pack_slots, packed_str, packed_vrat, value_at_one)
 from .root_data import BasedRootDatum, SizeLimitError, WeylElement, weyl_group, word_index
 
-# Input caps, chosen so that an accepted input runs in seconds on a 2-core
-# machine.  Coefficient widths grow with the labels over g (t = v^g): at labels
-# 100,100 (g = 200) check_relations runs 454 samples on A1 and 50 on A2 in
-# 0.24 s each, but 12 on G2 at labels 100,99 (g = 2) in 5.9 s.  T_w0 * theta_y
-# has about c * spread^rank terms, spread = sum over positive roots a of
-# |<y, a^vee>|, which is W-invariant: on G2 (labels 1,3) theta_(10,10) has
-# spread 60 and takes 0.2 s, theta_(-10,10) spread 160 and 10 s, though
-# COORD_CAP admits both.  theta_y needs (spread / 14)^rank <= LATTICE_CAP:
-# spread 112 on rank 2 (G2 1.9 s; 0.9 s at labels 100,100), 56 on rank 3 (B3
-# 2.1 s; 15 s at labels 100,100,1, where g = 1), 39 on rank 4 (B4 1.7 s and F4
-# 1.5 s at 38).  A sample costs about 0.5 ms on A1, 4-6 ms on A2 and 12-13 ms
-# on G2 at labels 1-3, 0.1 s on B3 (labels 3,3,1) and 5 ms on A2 at labels
-# 100,100.  SAMPLE_WORK_CAP bounds samples * |W|^2 * (20 + 2 * widest label):
-# at the cap G2 (labels 1,3) runs 106 samples in 0.8 s, A2 462 in 1.5 s at
-# labels 2,2, B3 (3,3,1) 6 in 0.3 s and B2 28 in 4.0 s at labels 100,99,1.
+# Input caps: an accepted input runs in seconds on a 2-core machine.  charge()
+# weighs terms * (TERM_COST + width) against WORK_CAP, width = 2 lambda / g
+# t-slots; T_w0 theta_y has (spread / 14)^rank terms, a check_relations sample
+# 12^rank / 360.  Largest accepted on rank 2 / 3 / 4, slowest over two y or
+# seeds 0-2 (the whole grid is in CHANGES.md):
+#   width 1-3: spread to 126 / 60 / 42 (2.1 s), samples to 204 / 17 / 1 (1.5 s);
+#   width 100: spread 40 / 28 / 22 (0.4 s), samples 20 / 1 / 0 (7.2 s);
+#   width 200: spread 28 / 22 / 20 (0.7 s), samples 10 / 0 / 0 (7.9 s).
 LABEL_CAP = 100
 COORD_CAP = 10
-LATTICE_CAP = 64
 SAMPLES_CAP = 500
-SAMPLE_WORK_CAP = 400_000
+WORK_CAP = 900
+TERM_COST = 10
 # Every |coordinate| of an element is at most FIELD_CAP; a product's are within
 # a's plus those of the T_w theta_y it used (right multiplication moves no
 # point).  Those lie in the hull of W y, within 11 |y| (W's row sums on simple-
@@ -125,6 +118,7 @@ class AHA:
         self.rfield = (1 << self.xs) - 1 - self.mask
         self.carry = self.g << self.wb   # r + r' >= g: subtract, times t
         self._x_keys = [self.key(datum.roots[datum.basis[j]]) for j in range(self.rank)]
+        self._coroots = [datum.coroots[datum.basis[j]] for j in range(self.rank)]
         # j -> (u-index -> us-index - u-index), the key move of T_u T_s
         self._moves = [tuple(row[j] - u for u, row in enumerate(self.ws_table))
                        for j in range(self.rank)]
@@ -179,15 +173,29 @@ class AHA:
 
     def theta(self, x) -> "AHAElement":
         x = tuple(x)
-        if len(x) != self.d:
-            raise ValueError(f"lattice point must have {self.d} coordinates")
-        if any(abs(c) > COORD_CAP for c in x):
-            raise SizeLimitError(f"a coordinate of {x} exceeds {COORD_CAP}")
-        spread = sum(abs(self.datum.pairing(x, c)) for c in self.pos_coroots)
-        if spread ** self.rank > LATTICE_CAP * 14 ** self.rank:
-            raise SizeLimitError(f"lattice point {x}: (spread {spread} / 14)^"
-                                 f"{self.rank} exceeds {LATTICE_CAP}")
+        self.charge_points([x])
         return self.element({(x, 0): 1})
+
+    def charge_points(self, points) -> None:
+        """Charge the products of a word's theta_y.  T_w theta_y has about
+        (spread / 14)^rank terms, spread = sum over a > 0 of |<y, a^vee>|, a
+        W-invariant seminorm; each D_s piece lies between y and s y, so the
+        sum of the spreads bounds every point a word of them reaches."""
+        spread = 0
+        for x in points:
+            if len(x) != self.d:
+                raise ValueError(f"lattice point must have {self.d} coordinates")
+            if any(abs(c) > COORD_CAP for c in x):
+                raise SizeLimitError(f"a coordinate of {x} exceeds {COORD_CAP}")
+            spread += sum(abs(self.datum.pairing(x, c)) for c in self.pos_coroots)
+        self.charge(Fraction(spread, 14) ** self.rank,
+                    f"lattice points {', '.join(map(str, points))} (spread {spread})")
+
+    def charge(self, terms, what: str) -> None:
+        """Refuse terms * (TERM_COST + width) past WORK_CAP, width = 2 lambda / g."""
+        work = terms * (TERM_COST + max(self.qq, default=0) // K)
+        if work > WORK_CAP:
+            raise SizeLimitError(f"{what}: predicted work {round(work)} exceeds {WORK_CAP}")
 
     def t_simple(self, j: int) -> "AHAElement":
         if not 0 <= j < self.rank:
@@ -333,7 +341,7 @@ class AHA:
         reach = max(reach, *map(abs, pt + spt))
         out, m = self._right_mult_ts(first, m1, s)
         pieces = [(3, first)]
-        for k, (p, r) in self._dcoeffs(s, self._pair(pt, s)):
+        for k, (p, r) in self._dcoeffs(s, self.datum.pairing(pt, self._coroots[s])):
             part, mp, rp = self._t_times_theta(wpi, y + k * self._x_keys[s])
             reach = max(reach, rp)
             pieces.append((2, part))
@@ -343,10 +351,6 @@ class AHA:
         m = bounded(m, lambda: sum(f * _norm(piece) for f, piece in pieces))
         hit = self._tt_cache[key] = {k: n for k, n in out.items() if n}, m, reach
         return hit
-
-    def _pair(self, y: tuple, j: int) -> int:
-        coroot = self.datum.coroots[self.datum.basis[j]]
-        return sum(a * b for a, b in zip(y, coroot))
 
     def _dcoeffs(self, j: int, n: int) -> tuple:
         """Pairs (k, d_k) with D_j(y) = sum_k d_k theta_{y + k a}, <y,a#> = n.
@@ -538,11 +542,13 @@ def normal_form(alg: AHA, word) -> AHAElement:
     """Fold a formal generator word into the theta/T basis.
 
     Tokens: ("theta", lattice point) or ("T", simple index).  The result is
-    already normal; feeding its own terms back in reproduces it.
+    already normal; feeding its own terms back in reproduces it.  The whole
+    word is charged at once (AHA.charge_points), not one token at a time.
     """
+    word = list(word)
+    alg.charge_points([tuple(arg) for kind, arg in word if kind == "theta"])
     out = alg.one()
-    for tok in word:
-        kind, arg = tok
+    for kind, arg in word:
         if kind == "theta":
             out = multiply(out, alg.theta(arg))
         elif kind == "T":
@@ -568,10 +574,6 @@ def _group_algebra_mult(alg: AHA, a: dict, b: dict) -> dict:
                 alg.W[wi].word + alg.W[vi].word))
             out[key] = out.get(key, Fraction(0)) + c * c2
     return {k: v for k, v in out.items() if v}
-
-
-def _braid_order(rs, i: int, j: int) -> int:
-    return {0: 2, 1: 3, 2: 4, 3: 6}[rs.cartan[i][j] * rs.cartan[j][i]]
 
 
 def _random_element(alg: AHA, rng: random.Random, max_len=3, box=2) -> AHAElement:
@@ -601,11 +603,8 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
         raise ValueError(f"sample count {sample_count} is negative")
     if sample_count > SAMPLES_CAP:
         raise SizeLimitError(f"sample count {sample_count} exceeds {SAMPLES_CAP}")
-    # qq_s = v^(2 lambda_s): the widest label sets the coefficient widths
-    work = sample_count * len(alg.W) ** 2 * (20 + alg.g * max(alg.qq, default=0) // K)
-    if work > SAMPLE_WORK_CAP:
-        raise SizeLimitError(f"{sample_count} samples on |W| = {len(alg.W)}: "
-                             f"work {work} exceeds {SAMPLE_WORK_CAP}")
+    alg.charge(sample_count * Fraction(12 ** alg.rank, 360),
+               f"{sample_count} samples on rank {alg.rank}")
     report = {"quadratic": True, "braid": True, "cross": True,
               "finite_rank": len(alg.W), "associativity": 0,
               "group_algebra_spec": True, "failures": []}
@@ -627,7 +626,7 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
     rs = alg.datum.root_system
     for i in range(alg.rank):
         for j in range(i + 1, alg.rank):
-            m = _braid_order(rs, i, j)
+            m = {0: 2, 1: 3, 2: 4, 3: 6}[rs.cartan[i][j] * rs.cartan[j][i]]
             left = normal_form(alg, [("T", (i, j)[k % 2]) for k in range(m)])
             right = normal_form(alg, [("T", (j, i)[k % 2]) for k in range(m)])
             if left != right:
@@ -638,13 +637,13 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
         for _ in range(3):
             x = tuple(rng.randint(-2, 2) for _ in range(alg.d))
             sx = alg.datum.reflect(j, x)
-            # theta_x T_s has about |<x, a^vee>| terms, so theta's lattice cap
-            # (which refuses parts of [-2, 2]^4 on rank 4) does not apply
+            # theta_x T_s has about |<x, a^vee>| terms, not (spread / 14)^rank:
+            # built directly, as theta's charge refuses parts of [-2, 2]^4 on F4
             th, thsx = alg.element({(x, 0): 1}), alg.element({(sx, 0): 1})
             lhs = th * alg.t_simple(j) - alg.t_simple(j) * thsx
             # D_s(x) = theta_x (A + B u^-1)(1 - u^-n) / (1 - u^-2), u = theta_a
             A, B = consts[j]
-            n = alg._pair(x, j)
+            n = alg.datum.pairing(x, alg._coroots[j])
             d = div_exact((u(0, A) + u(-1, B)) * (u(0) - u(-n)), u(0) - u(-2))
             root = alg.datum.roots[alg.datum.basis[j]]
             rhs = {(tuple(a + k * b for a, b in zip(x, root)), 0): c for k, c in d.terms()}

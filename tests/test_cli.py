@@ -328,10 +328,43 @@ def test_samples_cap():
 
 
 def test_sample_work_cap():
-    # B3 costs about 48^2 times A1 per sample: the default 50 samples are refused
-    assert _refused("check-relations", "--type", "B3", "--labels", "3,3,1")
-    assert _refused("check-relations", "--type", "B3", "--labels", "3,3,1",
-                    "--samples", "7")
+    # a sample is charged by the rank and the coefficient width in t-slots,
+    # not by |W|^2: B3 at labels 100,100,1 (g = 1, width 200) refuses the
+    # default 50 samples and G2 at 100,99 (g = 2, width 100) 30, which G2
+    # at 1,3 (width 3) and A2 at 100,100 (g = 200, width 1) run
+    assert _refused("check-relations", "--type", "B3", "--labels", "100,100,1")
+    assert _refused("check-relations", "--type", "G2", "--labels", "100,99",
+                    "--samples", "30")
+
+
+def test_sample_budget_runs_narrow_coefficients():
+    report = run_json("check-relations", "--type", "A2", "--labels", "100,100",
+                      "--samples", "200")["report"]
+    assert report["ok"] and report["associativity"] == 200
+
+
+def test_work_cap_charges_whole_words():
+    # each token passes alone, but theta_(-5,5) theta_(-5,5) = theta_(-10,10)
+    # (spread 160), and four x10,10 make spread 240
+    w0 = "T0 T1 T0 T1 T0 T1"
+    assert _refused("mul", "--type", "G2", "--labels", "1,3", w0, "x-5,5 x-5,5")
+    assert _refused("mul", "--type", "G2", "--labels", "1,3", w0, " ".join(["x10,10"] * 4))
+    assert _refused("normal-form", "--type", "G2", "--labels", "1,3", f"{w0} x-5,5 x-5,5")
+
+
+def _w0(letter, rank):
+    from hecke.root_data import build_root_system, weyl_group
+    return " ".join(f"T{j}" for j in weyl_group(build_root_system(letter, rank))[-1].word)
+
+
+def test_work_cap_weighs_the_width():
+    # T_w0 * theta_(-7,7), spread 112: width 3 at labels 1,3 and 1 at 100,100
+    # (g = 200) run, width 100 at 100,99 (g = 2) is refused; so is B3 at
+    # 100,100,1 (g = 1, width 200) with spread 56
+    for labels in ("1,3", "100,100"):
+        assert run("mul", "--type", "G2", "--labels", labels, _w0("G", 2), "x-7,7").returncode == 0
+    assert _refused("mul", "--type", "G2", "--labels", "100,99", _w0("G", 2), "x-7,7")
+    assert _refused("mul", "--type", "B3", "--labels", "100,100,1", _w0("B", 3), "x-3,2,-3")
 
 
 @pytest.mark.parametrize("argv", [

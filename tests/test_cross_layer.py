@@ -41,9 +41,9 @@ def _round_trips(lf: LabelFunction) -> list:
 
 def _builds(letter, rank, lf: LabelFunction):
     """The algebra builds and passes its relations: 2 associativity samples at
-    rank <= 3, the presentation alone above (the sample cap refuses rank 4)."""
+    rank <= 3 and 1 at rank 4, where the work budget admits 1 at width <= 5."""
     alg = algebra(BasedRootDatum(build_root_system(letter, rank)), _integral(lf))
-    report = check_relations(alg, 2 if rank <= 3 else 0)
+    report = check_relations(alg, 2 if rank <= 3 else 1)
     assert report["ok"], (letter, rank, lf, report["failures"])
 
 

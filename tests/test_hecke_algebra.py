@@ -445,6 +445,32 @@ def test_lattice_cap_is_w_invariant():
     assert check_relations(f4, sample_count=0, seed=1)["cross"]
 
 
+def test_normal_form_charges_the_whole_word():
+    # theta_(-5,5) (spread 80) passes alone, but a word's spreads add up: with
+    # two of them the word is charged for spread 160, as theta_(-10,10) is
+    alg = _alg("G", 2, (1, 3))
+    assert normal_form(alg, [("theta", (-5, 5)), ("T", 0)]).terms
+    with pytest.raises(SizeLimitError):
+        normal_form(alg, [("theta", (-5, 5)), ("T", 0), ("theta", (-5, 5))])
+
+
+def test_work_cap_weighs_the_width():
+    # spread 112 passes at width 3 (labels 1,3) and 1 (100,100, g = 200), not
+    # at width 100 (100,99, g = 2); the default 50 samples pass at width 1
+    # (A2 100,100) but not at 200 (B2 100,100,1, g = 1)
+    for labels, width in (((1, 3), 3), ((100, 100), 1), ((100, 99), 100)):
+        alg = _alg("G", 2, labels)
+        assert max(alg.qq) // K == width
+        if width < 100:
+            assert alg.theta((-7, 7)).terms
+        else:
+            with pytest.raises(SizeLimitError):
+                alg.theta((-7, 7))
+    assert check_relations(_alg("A", 2, (100, 100)), sample_count=50)["ok"]
+    with pytest.raises(SizeLimitError):
+        check_relations(_alg("B", 2, (100, 100, 1)), sample_count=50)
+
+
 def test_coordinates_past_the_field_cap_are_refused():
     # a key packs each coordinate in a signed 64-bit field: element takes
     # |x_i| up to FIELD_CAP and refuses the next one

@@ -36,6 +36,12 @@ MUTANTS = [
     ("down step of T_u T_s without -c", HA,
      "out[k] = get(k, 0) + cq - c", "out[k] = get(k, 0) + cq",
      [T + "test_hecke_algebra.py::test_quadratic_and_cube_a1"]),
+    ("reflected key with the wrong sign", HA,
+     "sy = y - n * self._x_keys[s]", "sy = y + n * self._x_keys[s]",
+     [T + "test_hecke_algebra.py::test_cross_relation_a1"]),
+    ("BFS keyed by all but the last simple root", RD,
+     "for b in simple]), len(elements))", "for b in simple[:-1]]), len(elements))",
+     [T + "test_root_data.py::test_weyl_group_matches_the_permutation_keyed_bfs[B-2]"]),
     ("s_0 and s_1 swapped in ws_table row 2", RD,
      "ws_table.append(tuple(row))",
      "ws_table.append(tuple(row) if len(ws_table) != 2 else (row[1], row[0], *row[2:]))",

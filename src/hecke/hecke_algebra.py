@@ -86,14 +86,14 @@ class AHA:
             report = validate(lf, rs)
             if report:
                 raise ValueError("inadmissible labels: " + "; ".join(report))
-            self.W = weyl_group(rs)
-            self.ws_table = rs._cache["ws_table"]  # w*s, from the Weyl BFS
+            self.W = weyl_group(rs)   # and the label-free tables it shares on rs:
+            c = rs._cache   # w*s, word lengths, per s the key moves us - u of T_u T_s
+            self.ws_table, self.lengths, self._moves = c["ws_table"], c["lengths"], c["moves"]
             self.pos_coroots = datum.coroots[:rs.n_positive]
         else:
             self.W = [WeylElement((), ())]
-            self.ws_table = ((),)
+            self.ws_table, self.lengths, self._moves = ((),), (0,), ()
             self.pos_coroots = ()
-        self.lengths = tuple(len(w.word) for w in self.W)
         self._points: dict = {}   # X -> x, memo of unkey
         exps = []   # (ea, es): qq = v^(ea+es), B = v^ea - v^es
         for j in range(self.rank):
@@ -119,9 +119,6 @@ class AHA:
         self.carry = self.g << self.wb   # r + r' >= g: subtract, times t
         self._x_keys = [self.key(datum.roots[datum.basis[j]]) for j in range(self.rank)]
         self._coroots = [datum.coroots[datum.basis[j]] for j in range(self.rank)]
-        # j -> (u-index -> us-index - u-index), the key move of T_u T_s
-        self._moves = [tuple(row[j] - u for u, row in enumerate(self.ws_table))
-                       for j in range(self.rank)]
         # (w-index, key of y) -> (T_w theta_y as {key: n}, bound on its l1 mass,
         # bound on the |coordinates| of its points)
         self._tt_cache: dict = {}
@@ -336,12 +333,13 @@ class AHA:
         s = self.W[wi].word[-1]
         wpi = self.ws_table[wi][s]
         pt = self.unkey(y)[0]
-        spt = self.datum.reflect(s, pt)
-        first, m1, reach = self._t_times_theta(wpi, self.key(spt))
-        reach = max(reach, *map(abs, pt + spt))
+        n = self.datum.pairing(pt, self._coroots[s])
+        sy = y - n * self._x_keys[s]   # s y = y - <y, a_s^vee> a_s, and keys are linear
+        first, m1, reach = self._t_times_theta(wpi, sy)
+        reach = max(reach, *map(abs, pt + self.unkey(sy)[0]))
         out, m = self._right_mult_ts(first, m1, s)
         pieces = [(3, first)]
-        for k, (p, r) in self._dcoeffs(s, self.datum.pairing(pt, self._coroots[s])):
+        for k, (p, r) in self._dcoeffs(s, n):
             part, mp, rp = self._t_times_theta(wpi, y + k * self._x_keys[s])
             reach = max(reach, rp)
             pieces.append((2, part))
@@ -443,6 +441,8 @@ class AHAElement:
         if not self.ints:
             return 0, {}
         k = low_slots(reduce(or_, self.ints.values()))
+        if not k:
+            return self.e, self.ints
         return self.e - k, {key: n >> K * k for key, n in self.ints.items()}
 
     def is_zero(self) -> bool:

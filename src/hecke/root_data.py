@@ -7,6 +7,7 @@ reflection arithmetic only ever uses Cartan integers, which are scale-free).
 from __future__ import annotations
 
 from collections import deque
+from operator import mul
 
 from . import SizeLimitError  # re-exported: raised across the package
 
@@ -27,7 +28,7 @@ ROOT_COUNTS = {
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def simple_orbits(letter: str, rank: int) -> tuple:
@@ -241,6 +242,8 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
 
     Elements are listed by increasing length, ties in word-lex order; the
     identity comes first.  Rank is capped to keep full enumeration desk-scale.
+    The label-free tables are cached on rs next to the elements: "ws_table",
+    "lengths" (word lengths) and "moves" (moves[j][u] = index of u s_j - u).
     """
     if rs.rank > WEYL_RANK_CAP:
         raise SizeLimitError(
@@ -248,21 +251,23 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     if "weyl" in rs._cache:
         return rs._cache["weyl"]
     sperms = [rs.simple_reflection_perm(i) for i in range(rs.rank)]
-    ident = tuple(range(len(rs.all_roots)))
-    elements = [WeylElement((), ident)]
-    seen = {ident: 0}
+    simple = [rs.index[s] for s in rs.simple_roots]
+    elements = [WeylElement((), range(len(rs.all_roots)))]
+    seen = {tuple(simple): 0}
     ws_table = []  # ws_table[i][j]: index of elements[i] * s_j
     for w in elements:  # the list grows while it is read: breadth first
-        row = []
+        row, perm = [], w.perm
         for j, sp in enumerate(sperms):
-            new = tuple(map(w.perm.__getitem__, sp))
-            i = seen.setdefault(new, len(elements))  # one hash of the long tuple
+            # the images of the simple roots fix w s_j: a hash of rank entries
+            i = seen.setdefault(tuple([perm[sp[b]] for b in simple]), len(elements))
             if i == len(elements):
-                elements.append(WeylElement(w.word + (j,), new))
+                elements.append(WeylElement(w.word + (j,), map(perm.__getitem__, sp)))
             row.append(i)
         ws_table.append(tuple(row))
-    rs._cache["weyl"] = elements
-    rs._cache["ws_table"] = tuple(ws_table)
+    rs._cache.update(weyl=elements, ws_table=tuple(ws_table),
+                     lengths=tuple(len(w.word) for w in elements),
+                     moves=tuple(tuple(row[j] - u for u, row in enumerate(ws_table))
+                                 for j in range(rs.rank)))
     return elements
 
 

@@ -1,9 +1,12 @@
 """Reference constructions shared by the tests, built without the code under test.
 
 norm_orbits reads the simple-root orbits and their length classes off the
-roots alone; signatures lists the inputs of the unitary principal-series
-descriptor.
+roots alone; weyl_bfs enumerates W keyed by whole root permutations;
+signatures lists the inputs of the unitary principal-series descriptor.
 """
+from collections import namedtuple
+
+WeylElement = namedtuple("WeylElement", "word perm")
 
 
 def dot(a, b):
@@ -36,6 +39,26 @@ def norm_orbits(rs):
 
     rows = [(cls(rs.simple_roots[idx[0]]), tuple(idx)) for idx in by_orbit.values()]
     return tuple(sorted(rows, key=lambda row: (row[0] == "short", row[1])))
+
+
+def weyl_bfs(rs):
+    """(elements, ws_table) of W by breadth first search, each element seen
+    by its whole permutation of the roots; words are lex-least reduced."""
+    sperms = [rs.simple_reflection_perm(i) for i in range(rs.rank)]
+    ident = tuple(range(len(rs.all_roots)))
+    elements = [WeylElement((), ident)]
+    seen = {ident: 0}
+    ws_table = []  # ws_table[i][j]: index of elements[i] * s_j
+    for w in elements:  # the list grows while it is read: breadth first
+        row = []
+        for j, sp in enumerate(sperms):
+            new = tuple(map(w.perm.__getitem__, sp))
+            i = seen.setdefault(new, len(elements))
+            if i == len(elements):
+                elements.append(WeylElement(w.word + (j,), new))
+            row.append(i)
+        ws_table.append(tuple(row))
+    return elements, tuple(ws_table)
 
 
 def signatures(n, ramified):

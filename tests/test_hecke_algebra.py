@@ -577,3 +577,21 @@ def test_summed_pieces_refuse_no_more_than_the_pieces_alone_at_labels_100():
     assert _l1(ab) <= ab.bound < 2**63
     with pytest.raises(SizeLimitError):
         a.scale(2**46) * b
+
+
+@pytest.mark.parametrize("typ,n,labelings", [("G", 2, ((1, 3), (100, 100))),
+                                             ("B", 3, ((3, 3, 1), (1, 1)))])
+def test_handles_on_one_root_system_share_no_labels(typ, n, labelings):
+    # the Weyl tables cached on rs serve every handle built on it; the T.theta
+    # memo and everything read off the labels stay with the handle
+    rs = build_root_system(typ, n)
+    y = (1, -1, 1)[:n]
+    for labels in labelings:
+        alg = AHA(BasedRootDatum(rs), LabelFunction.for_system(rs, labels))
+        assert not alg._tt_cache
+        fresh = _alg(typ, n, labels)
+        w0 = fresh.W[-1].word
+        assert alg.lengths is rs._cache["lengths"] and alg._moves is rs._cache["moves"]
+        got = alg.t(w0) * alg.theta(y)
+        assert alg._tt_cache
+        assert got.to_json() == (fresh.t(w0) * fresh.theta(y)).to_json()

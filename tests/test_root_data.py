@@ -5,7 +5,7 @@ from hecke.root_data import (ROOT_COUNTS, BasedRootDatum, SizeLimitError, WeylEl
                              build_root_system, decompose_extended,
                              element_from_word, length, simple_orbits, weyl_group)
 
-from _reference import dot, norm_orbits
+from _reference import dot, norm_orbits, weyl_bfs
 
 ROOT_TABLE = [
     ("A", 1, 2), ("A", 2, 6), ("A", 4, 20),
@@ -201,3 +201,25 @@ def test_weyl_order_is_by_length(t, n):
     for i, row in enumerate(ws_table):
         for usi in row:
             assert (usi > i) == (lengths[usi] > lengths[i])
+
+
+# every type within WEYL_RANK_CAP
+WEYL_TYPES = ([("A", n) for n in range(1, 5)] + [("B", n) for n in range(1, 5)]
+              + [("C", n) for n in range(1, 5)] + [("D", n) for n in range(2, 5)]
+              + [("G", 2), ("F", 4)])
+
+
+@pytest.mark.parametrize("t,n", WEYL_TYPES, ids=lambda x: str(x))
+def test_weyl_group_matches_the_permutation_keyed_bfs(t, n):
+    """The BFS keyed by the images of the simple roots lists the same
+    elements, words and ws_table as one keyed by whole permutations, and the
+    shared lengths and key moves are read off them."""
+    rs = build_root_system(t, n)
+    W = weyl_group(rs)
+    ref, ref_table = weyl_bfs(rs)
+    assert [w.word for w in W] == [w.word for w in ref]
+    assert [w.perm for w in W] == [w.perm for w in ref]
+    assert rs._cache["ws_table"] == ref_table
+    assert rs._cache["lengths"] == tuple(len(w.word) for w in ref)
+    assert rs._cache["moves"] == tuple(tuple(row[j] - u for u, row in enumerate(ref_table))
+                                       for j in range(n))

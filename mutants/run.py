@@ -23,6 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HA, RD, MU = "hecke_algebra.py", "root_data.py", "mu_function.py"
 LP, PC, IT = "label_params.py", "param_catalog.py", "isogeny_transfer.py"
+QF, XL = "qfield.py", "xlaurent.py"
 T = "tests/"
 
 MUTANTS = [
@@ -119,6 +120,17 @@ MUTANTS = [
      'alg.charge_points([tuple(arg) for kind, arg in word if kind == "theta"])',
      '[alg.charge_points([tuple(arg)]) for kind, arg in word if kind == "theta"]',
      [T + "test_hecke_algebra.py::test_normal_form_charges_the_whole_word"]),
+    # one coefficient ring, Q[v, v^-1]
+    ("monomial test lets 1+v through", QF,
+     "if vb < len(den) - 1:", "if vb < len(den) - 2:",
+     [T + "test_qfield.py::test_values_outside_the_ring_are_refused"]),
+    ("sign of c not normalized", QF,
+     "        if den[-1] < 0:\n            num, den = pneg(num), pneg(den)",
+     "        if False:\n            num, den = pneg(num), pneg(den)",
+     [T + "test_qfield.py::test_vrat_cancellation"]),
+    ("_integral drops the integer content", XL,
+     "g = gcd(*(gcd(*x.num) * (d // x.den[-1]) for x in f.c.values()))", "g = 1",
+     [T + "test_xlaurent.py::test_packed_search_refuses_a_bound_past_one_slot"]),
 ]
 
 

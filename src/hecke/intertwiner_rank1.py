@@ -13,7 +13,7 @@ import math
 
 from .label_params import ParamPair
 from .mu_function import PoleZeroProfile, q_from_poles, ratio_profile
-from .qfield import VRat, pdivmod
+from .qfield import VRat, pdiv_exact, pdivmod
 from .root_data import SizeLimitError
 from .xlaurent import L_ONE, Laurent, LaurentRatio
 
@@ -29,7 +29,7 @@ AUDIT_PHI_CAP = 500
 
 
 class JMatrix:
-    """2x2 intertwiner matrix; entries are rational functions of z over Q(v)."""
+    """2x2 intertwiner matrix; entries are ratios in z over Q[v, v^-1]."""
 
     __slots__ = ("direction", "entries")
 
@@ -186,8 +186,7 @@ def cyclotomic(n: int) -> list:
     num[0], num[n] = -1, 1
     for d in range(1, n):
         if n % d == 0:
-            num, rem = pdivmod(num, cyclotomic(d))
-            assert not rem
+            num = pdiv_exact(num, cyclotomic(d))
     _cyclo_cache[n] = list(num)
     return _cyclo_cache[n]
 

@@ -1,7 +1,7 @@
 """Exact coefficient arithmetic in v, with v^2 = q.
 
 A polynomial is a tuple of ints, index = degree, no trailing zeros; () is zero.
-VRat is the fraction field, kept in a canonical form so that equality of
+VRat is the ring Q[v, v^-1], kept in a canonical form so that equality of
 coefficients is plain structural equality.  The affine Hecke algebra keeps
 its coefficients, all in Z[v, v^-1], as plain ints n = P(2^K) (Kronecker
 substitution, one balanced K-bit slot per coefficient of P, where P is a
@@ -214,10 +214,11 @@ def pparse(s: str) -> Poly:
 
 
 class VRat:
-    """Element of the coefficient field: num/den with num, den in Z[v], canonical.
+    """Element of Q[v, v^-1]: num/den with num in Z[v] and den = c*v^k, canonical.
 
-    Canonical form: polynomial gcd cancelled, joint integer content 1,
-    denominator has positive leading coefficient.
+    Canonical form: no shared power of v, joint integer content 1, c > 0.  No
+    gcd is taken: a denominator or divisor that is not c*v^k raises ValueError,
+    even where it divides num (zero divided by anything nonzero is zero).
     """
 
     __slots__ = ("num", "den")
@@ -233,23 +234,17 @@ class VRat:
         if not num:
             den = PONE
         else:
-            # a shared power of v cancels cheaply; after that a side that is a
-            # monomial c*v^j is coprime to the other side, so the polynomial
-            # gcd runs only when neither side is one (most denominators here
-            # are plain v-powers)
-            va, vb = _valuation(num), _valuation(den)
-            both_poly = va < len(num) - 1 and vb < len(den) - 1
+            vb = _valuation(den)
+            if vb < len(den) - 1:
+                raise ValueError(f"({pstr(num)})/({pstr(den)}) is outside Q[v, v^-1]")
+            va = _valuation(num)
             m = va if va < vb else vb
             if m:
                 num, den = num[m:], den[m:]
-            if both_poly:
-                g = pgcd(num, den)
-                if len(g) > 1:
-                    num, den = pdiv_exact(num, g), pdiv_exact(den, g)
-            c = gcd(pcontent(num), pcontent(den))
+            c = gcd(pcontent(num), den[-1])
             if c > 1:
                 num = tuple(x // c for x in num)
-                den = tuple(x // c for x in den)
+                den = den[:-1] + (den[-1] // c,)
         if den[-1] < 0:
             num, den = pneg(num), pneg(den)
         object.__setattr__(self, "num", num)

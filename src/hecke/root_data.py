@@ -386,9 +386,12 @@ class BasedRootDatum:
             self.basis = ()
             return
         self.roots = tuple(c + pad for c in rs.coeffs)
-        self.coroots = tuple(
-            tuple(2 * _dot(a, b) // _dot(b, b) for a in rs.simple_roots) + pad
-            for b in rs.all_roots)
+        coroots = rs._cache.get("coroots")
+        if coroots is None:   # it depends on rs alone, and is padded per datum
+            coroots = rs._cache["coroots"] = tuple(
+                tuple(2 * _dot(a, b) // _dot(b, b) for a in rs.simple_roots)
+                for b in rs.all_roots)
+        self.coroots = tuple(c + pad for c in coroots) if pad else coroots
         self.basis = tuple(rs.index[s] for s in rs.simple_roots)
 
     def pairing(self, x, coroot) -> int:

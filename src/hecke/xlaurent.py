@@ -1,4 +1,4 @@
-"""Laurent polynomials and rational functions in one symbol over the v-field.
+"""Laurent polynomials and their ratios in one symbol over Q[v, v^-1].
 
 Used for the lattice direction X_alpha in cross relations and mu-factors, and
 for the variable z in rank-one intertwiners.  Coefficients are VRat.
@@ -10,14 +10,14 @@ or drops the candidate by the exact remainder, and decodes only the leftover.
 """
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .qfield import (K, PONE, VR_ONE, VR_ZERO, VRat, bounded, l1_norm, low_slots,
-                     pack, packed_vrat, pmul)
+                     pack, packed_vrat, pstr)
 
 
 class Laurent:
-    """Finite sum of c_e * X^e with e in Z and c_e in the v-field."""
+    """Finite sum of c_e * X^e with e in Z and c_e in Q[v, v^-1]."""
 
     __slots__ = ("c",)
 
@@ -121,7 +121,6 @@ class Laurent:
 
 
 def _coeff_str(x: VRat) -> str:
-    from .qfield import pstr, PONE
     if x.den == PONE:
         s = pstr(x.num)
         # parenthesize sums so the printed term is unambiguous
@@ -137,7 +136,8 @@ L_ONE = Laurent.const(1)
 def div_exact(f: Laurent, g: Laurent) -> Laurent:
     """Exact Laurent division f/g; raises ArithmeticError on nonzero remainder.
 
-    Long division in X, highest term first, once X^min is cleared from f and g.
+    Long division in X, highest term first, once X^min is cleared from f and g;
+    the leading coefficient of g must be a unit c*v^k of Q[v, v^-1].
     """
     if g.is_zero():
         raise ZeroDivisionError("Laurent division by zero")
@@ -209,24 +209,16 @@ def newton_exponents(f: Laurent) -> list[int]:
 
 
 def _integral(f: Laurent) -> tuple[VRat, dict[int, VRat]]:
-    """(s, {e: s * c_e}) for one scalar s != 0 that puts every coefficient in
-    Z[v, v^-1] with integer content 1.  s is 1 unless a denominator is not a
-    v-power or the coefficients share an integer factor (c' != 1 in a mu-factor).
+    """(s, {e: s * c_e}) for the rational s > 0 that puts every coefficient in
+    Z[v, v^-1] with integer content 1: each denominator is c*v^k, and s is the
+    lcm of the c over the content left (1 on the mu-factors with c' = 1).
     """
-    s, cs, d = VR_ONE, f.c, PONE
-    for x in cs.values():
-        if x.den[-1] != 1 or x.den.count(0) != len(x.den) - 1:   # not a v-power
-            d = pmul(d, x.den)
-    if d != PONE:
-        s = VRat(d)
-        cs = {e: x * s for e, x in cs.items()}
-    g = 0
-    for x in cs.values():
-        g = gcd(g, *x.num)
-    if g != 1:
-        s = s / g
-        cs = {e: x / g for e, x in cs.items()}
-    return s, cs
+    d = lcm(*(x.den[-1] for x in f.c.values()))
+    g = gcd(*(gcd(*x.num) * (d // x.den[-1]) for x in f.c.values()))
+    if d == g:
+        return VR_ONE, f.c
+    s = VRat(d, g)
+    return s, {e: x * s for e, x in f.c.items()}
 
 
 def _horner(ys: list[int], sign: int) -> tuple[list[int], int]:

@@ -1,5 +1,5 @@
-"""Coefficients: exact ratios of integer polynomials in v (v^2 = q-base), and
-the ring Z[v, v^-1] checked against them."""
+"""Coefficients: the ring Q[v, v^-1] (v^2 = q-base) as num/(c*v^k), and its
+packed subring Z[v, v^-1] checked against them."""
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,10 +7,13 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from hecke.hecke_algebra import AHA
+from hecke.label_params import LabelFunction
 from hecke.qfield import (K, PONE, VR_ONE, VR_ZERO, SizeLimitError, VRat, _unpack,
                           _valuation, l1_norm, low_slots, pack, packed_str, packed_vrat,
                           pcontent, pdiv_exact, pgcd, pmul, pnorm, pparse, pshift, pstr,
                           value_at_one)
+from hecke.root_data import BasedRootDatum, build_root_system
 
 
 def test_poly_str_parse_roundtrip():
@@ -35,15 +38,28 @@ def test_poly_gcd_primitive():
 
 
 def test_vrat_cancellation():
-    a = VRat(pnorm((-1, 0, 1)), pnorm((1, 1)))  # (v^2-1)/(v+1)
-    assert a == VRat(pnorm((-1, 1)))
+    a = VRat(pnorm((0, -2, 0, 2)), pnorm((0, 0, 4)))  # (2v^3-2v)/(4v^2)
+    assert a == VRat(pnorm((-1, 0, 1)), pnorm((0, 2)))
+    assert str(a) == "(v^2-1)/(2*v)"
     # sign normalization: denominator keeps a positive leading coefficient
     b = VRat(pnorm((1,)), pnorm((0, -1)))
     assert str(b) == "(-1)/(v)"
 
 
+def test_values_outside_the_ring_are_refused():
+    # a denominator that is not c*v^k, also where it divides the numerator
+    rs = build_root_system("A", 1)
+    alg = AHA(BasedRootDatum(rs), LabelFunction.for_system(rs, (1, 1)))
+    for make in (lambda: VRat(1, (1, 1)), lambda: VRat((1,), (1, 0, 1)),
+                 lambda: VR_ONE / VRat((1, 1)), lambda: VRat((-1, 0, 1), (1, 1)),
+                 lambda: VRat((1, 1)) ** -1,
+                 lambda: alg.from_json({"terms": [{"x": [0], "w": [0], "coeff": "(1)/(v+1)"}]})):
+        with pytest.raises(ValueError, match=r"outside Q\[v, v\^-1\]"):
+            make()
+
+
 def test_vrat_parse_str_roundtrip():
-    for s in ["(v^2-1)/(1)", "(1)/(v^2)", "(-v^3+v-4)/(v-1)", "(0)/(1)", "(2*v)/(1)"]:
+    for s in ["(v^2-1)/(1)", "(1)/(v^2)", "(-v^3+v-4)/(3*v^2)", "(0)/(1)", "(2*v)/(1)"]:
         assert str(VRat.parse(s)) == s
     assert VRat.parse("v^2-1") == VRat.parse("(v^2-1)/(1)")
 
@@ -66,17 +82,32 @@ def test_vrat_constants():
 
 _coef = st.integers(min_value=-4, max_value=4)
 _poly = st.lists(_coef, min_size=0, max_size=4).map(lambda c: pnorm(tuple(c)))
+# c * v^k, c != 0: the units of Q[v, v^-1], so every denominator
+_unit = st.tuples(st.sampled_from([-6, -2, -1, 1, 2, 3, 4]), st.integers(0, 3)).map(
+    lambda t: pshift((t[0],), t[1]))
+_vrat = st.tuples(_poly, _unit).map(lambda t: VRat(*t))
 
 
-@given(_poly, _poly, _poly)
-def test_vrat_field_axioms(a, b, c):
-    x, y, z = VRat(a), VRat(b), VRat(c)
+@given(_vrat, _vrat, _vrat, _unit, _poly)
+def test_vrat_ring_axioms(x, y, z, u, p):
     assert (x + y) * z == x * z + y * z
+    assert (x * y) * z == x * (y * z)
+    assert (x + y) + z == x + (y + z)
     assert x * y == y * x
     assert x - x == VR_ZERO
-    assert x + VR_ZERO == x
-    if y:
-        assert (x / y) * y == x
+    assert x + VR_ZERO == x and x * VR_ONE == x
+    # division by a unit, both as a quotient and as a power
+    u = VRat(u) * y.den[-1]
+    assert (x / u) * u == x
+    assert x / u == x * u ** -1 and (u ** -1) * u == VR_ONE
+    assert (x / y.den[-1]) * y.den[-1] == x
+    # a quotient by anything else leaves the ring, unless it is zero
+    if len(p) > 1 and p.count(0) < len(p) - 1:
+        if x:
+            with pytest.raises(ValueError, match=r"Q\[v, v\^-1\]"):
+                x / VRat(p)
+        else:
+            assert x / VRat(p) == VR_ZERO
 
 
 # v^val * poly as a VRat built by hand: the reference each packed value is held to
@@ -117,10 +148,11 @@ def test_pack_constants_and_refusals():
     assert pack(Fraction(1)) == pack(VR_ONE) == pack(1) == (0, 1, 1)
     assert packed_str(*pack(VRat.v_pow(-2) * -3)[:2]) == "(-3)/(v^2)"
     assert packed_vrat(*pack(VRat.v_pow(-2) * -3)[:2]) == VRat.v_pow(-2) * -3
-    for bad in (Fraction(1, 2), VRat(1, 2), VRat(PONE, pnorm((1, 1))),
-                VRat(pnorm((0, 1)), pnorm((0, 2)))):
+    # 1/(1+v) is refused where it is built, outside Q[v, v^-1]
+    for bad in (lambda: Fraction(1, 2), lambda: VRat(1, 2),
+                lambda: VRat(PONE, pnorm((1, 1))), lambda: VRat(pnorm((0, 1)), pnorm((0, 2)))):
         with pytest.raises(ValueError):
-            pack(bad)
+            pack(bad())
 
 
 # -- the packed representation: n = P(2^K), h >= l1 norm of P < 2^(K-1) ------

@@ -170,6 +170,19 @@ def test_based_root_datum_padded_lattice():
     assert empty.roots == ()
 
 
+def test_coroot_table_is_built_once_per_root_system():
+    rs = build_root_system("B", 2)
+    a, b = BasedRootDatum(rs), BasedRootDatum(rs)
+    assert a.coroots is b.coroots
+    padded = BasedRootDatum(rs, lattice_rank=4)
+    # positive roots (0,1), (1,0), (1,1), (1,2): <alpha_k, b^vee> per k, then the pad
+    positive = ((-2, 2, 0, 0), (2, -1, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0))
+    assert padded.coroots == positive + tuple(tuple(-c for c in p) for p in positive)
+    assert a.coroots == tuple(c[:2] for c in padded.coroots)   # the shared table is unpadded
+    assert padded.reflect(0, (1, 1, 7, -3)) == (0, 1, 7, -3)
+    assert BasedRootDatum(rs).coroots is a.coroots
+
+
 @pytest.mark.parametrize("t,n", [(t, n) for t, n, _ in ROOT_TABLE] + [("A", 3), ("C", 4)])
 @pytest.mark.parametrize("pad", [0, 2])
 def test_coroots_satisfy_the_root_datum_axioms(t, n, pad):

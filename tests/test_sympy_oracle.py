@@ -100,14 +100,18 @@ def test_pgcd_matches_sympy():
         assert pgcd(a, b) == expected, (a, b)
 
 
+def _rand_unit(rng):
+    """c * v^k with c != 0 and k >= 0: a denominator of Q[v, v^-1]."""
+    return pshift((rng.choice((-6, -4, -3, -2, -1, 1, 2, 3, 5, 12)),), rng.randint(0, 3))
+
+
 def test_vrat_canonical_form_matches_sympy_cancel():
+    # a shared integer factor and a shared power of v on both sides
     rng = random.Random(15)
     for _ in range(300):
-        g = _rand_poly(rng, 2) or (1,)
+        g = pshift((rng.randint(1, 6),), rng.randint(0, 2))
         a = pmul(_rand_poly(rng, 4), g)
-        b = pmul(_rand_poly(rng, 3), g)
-        if not b:
-            continue
+        b = pmul(_rand_unit(rng), g)
         x = VRat(a, b)
         n, d = _sp(x.num), _sp(x.den)
         assert sympy.cancel(n.as_expr() / d.as_expr()) == \
@@ -117,9 +121,21 @@ def test_vrat_canonical_form_matches_sympy_cancel():
         assert x.den[-1] > 0
 
 
+def test_ring_values_keep_the_pair_sympy_cancel_gives():
+    rng = random.Random(30)
+    seen_c = set()
+    for _ in range(400):
+        a, b = _rand_poly(rng, 5, box=12), _rand_unit(rng)
+        x = VRat(a, b)
+        assert (_sp(x.num), _sp(x.den)) == _sp(a).cancel(_sp(b), include=True), (a, b)
+        assert x.den[:-1] == (0,) * (len(x.den) - 1) and x.den[-1] > 0, (a, b)
+        seen_c.add(x.den[-1])
+    assert max(seen_c) > 1
+
+
 def _rand_vrat(rng):
     num = _rand_poly(rng, 2, box=3)
-    den = rng.choice(((1,), (0, 1), (1, 1), (0, 0, 1), (-1, 0, 1)))
+    den = rng.choice(((1,), (0, 1), (3,), (0, 0, 1), (0, 0, -2)))
     return VRat(num, den)
 
 
@@ -137,10 +153,13 @@ def _sym(f, m):
 
 
 def test_div_exact_matches_sympy_over_qv():
+    # the divisor's leading coefficient is a unit c*v^k, which long division
+    # in X over Q[v, v^-1] divides by
     rng = random.Random(16)
     checked = 0
     for _ in range(60):
         g = _rand_laurent(rng, 2)
+        g = g + Laurent({g.max_exp() + 1: VRat(rng.choice((1, -2, 3)), _rand_unit(rng))})
         f = g * _rand_laurent(rng, 2)
         if rng.random() < 0.4:
             f = f + _rand_laurent(rng, 1).shift(f.min_exp() - 3)
@@ -227,9 +246,9 @@ def test_shaped_roots_match_sympy_with_several_slopes():
 
     f = (lin(v(3)) * lin(v(3)) * lin(-v(-1)) * lin(-v(-1)) * lin(v(0)) * lin(-v(-2))
          * lin(VRat((1, 1))) * Laurent({2: 1, 0: v(1)})
-         * Laurent({0: VRat((1,), (1, 1))})).shift(-3)
+         * Laurent({0: VRat((1,), (0, 3))})).shift(-3)
     _check_shaped_roots(f)
-    _check_shaped_roots(f.inv_x() * Laurent({0: VRat((2, 0, 3), (1, 0, 1))}))
+    _check_shaped_roots(f.inv_x() * Laurent({0: VRat((2, 0, 3), (0, 0, 5))}))
     assert _factor_roots(f) == {(1, 0): 1, (1, 3): 2, (-1, -2): 1, (-1, -1): 2}
 
 
@@ -349,8 +368,8 @@ def test_packed_search_matches_sympy_on_denominators_negative_k_and_multiplicity
     def lin(c):
         return Laurent({1: 1, 0: -c})
 
-    w = VRat((1,), (1, 0, 1))                       # 1/(1+v^2)
-    f = lin(v(2)) * lin(-v(-1)) * Laurent({1: w, 0: VRat((2,), (1, 1))})
+    w = VRat((1, 0, 1), (0, 0, 3))                  # (1+v^2)/(3v^2)
+    f = lin(v(2)) * lin(-v(-1)) * Laurent({1: w, 0: VRat((2,), (0, 5))})
     _check_shaped_roots(f)
     assert _factor_roots(f) == {(1, 2): 1, (-1, -1): 1}
     g = lin(v(-1)) * lin(v(-1)) * lin(v(-1)) * lin(-v(-5)) * lin(-v(-5)) * lin(-v(-5)) \

@@ -131,6 +131,23 @@ MUTANTS = [
     ("_integral drops the integer content", XL,
      "g = gcd(*(gcd(*x.num) * (d // x.den[-1]) for x in f.c.values()))", "g = 1",
      [T + "test_xlaurent.py::test_packed_search_refuses_a_bound_past_one_slot"]),
+    # one pass over the packed ints per printed coefficient
+    ("leading + of the numerator not stripped", QF,
+     "return f\"({num.lstrip('+')})/({bare[d]})\"", "return f\"({num})/({bare[d]})\"",
+     [T + "test_printer.py::test_to_json_matches_the_reference_printer[0-A-1-labels0]"]),
+    ("a +1 slot printed as 1*v^e", QF,
+     '("+" + bare[x] if c == 1 else "-" + bare[x]', '("-" + bare[x]',
+     [T + "test_printer.py::test_to_json_matches_the_reference_printer[0-A-1-labels0]"]),
+    ("denominator's power one too high", QF,
+     "d = -low if low < 0 else 0", "d = 1 - low if low < 0 else 0",
+     [T + "test_printer.py::test_to_json_matches_the_reference_printer[0-A-1-labels0]"]),
+    ("residue parts interleaved in reverse order", QF,
+     "qs = [(row[i], _slots(row[i + 1]))", "qs = [(row[-2 - i], _slots(row[i + 1]))",
+     [T + "test_printer.py::test_to_json_matches_the_reference_printer[0-A-2-labels1]"]),
+    # a product is refused only where the exact norms refuse it
+    ("_piece_top on the pieces' tracked bounds", HA,
+     "top = max(top, m if m >> (K - 1) else _norm(part))", "top = max(top, m)",
+     [T + "test_hecke_algebra.py::test_summed_pieces_refuse_no_more_than_the_pieces_alone"]),
 ]
 
 

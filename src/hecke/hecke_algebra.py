@@ -24,8 +24,9 @@ int n = Q_r(2^K) (see qfield), an element is t^-e times a sum of such terms,
 and one l1 bound per element and per cached T_w theta_y keeps every Q_r
 decodable; each cached T_w theta_y also keeps a bound on its |coordinates|.
 Coefficients come in through qfield.pack (ValueError outside
-Z[v, v^-1]) and are split into residues (AHA._split); the parts are joined
-only at output (AHAElement.terms as VRat, to_json, specialize).
+Z[v, v^-1]) and are split into residues (AHA._split); the parts are grouped
+per basis element, in one pass, only at output (AHAElement._rows, read by
+terms as VRat, by to_json once per distinct group, and by specialize).
 
 A basis key is one int too, (X << (wb + rb)) + (r << wb) + w, with X = sum
 x_i 2^(64 i) in balanced signed 64-bit fields, r the residue in rb bits (the
@@ -235,7 +236,7 @@ class AHA:
         which any of its keys goes down; as no key is dropped, that bounds the
         l1 mass M of each T_w theta_y T_u, and L(a) L(b) M bounds the product
         (M can exceed a piece's own bound).  Where that reaches 2^(K-1), the
-        exact norms of a and b are taken with the pieces' own bounds
+        exact norms of a, b and of each piece built alone are taken
         (_piece_top): a product is refused only where those refuse it too.
         """
         if a.algebra is not self or b.algebra is not self:
@@ -304,14 +305,15 @@ class AHA:
                           reach)
 
     def _piece_top(self, ws, bs) -> int:
-        """The largest bound of a T_w theta_y T_u, w in ws, each piece built alone."""
+        """The largest l1 norm of a T_w theta_y T_u, w in ws, each built alone
+        (exact where its bound is below 2^(K-1), so that it decodes)."""
         top = 0
         for wi in ws:
             for ui, y, _ in bs:
                 part, m, _ = self._t_times_theta(wi, y)
                 for j in self.W[ui].word:
                     part, m = self._right_mult_ts(part, m, j)
-                top = max(top, m)
+                top = max(top, m if m >> (K - 1) else _norm(part))
         return top
 
     def _t_times_theta(self, wi: int, y: int) -> tuple:
@@ -424,16 +426,16 @@ class AHAElement:
     def terms(self) -> dict:
         """{(x, w-index): the coefficient of theta_x T_w as a VRat}."""
         alg = self.algebra
-        return {alg.unkey(k): packed_vrat(-alg.g * self.e, interleave(parts, alg.g))
-                for k, parts in self._parts().items()}
+        return {alg.unkey(k): packed_vrat(-alg.g * self.e, interleave(row, alg.g))
+                for k, row in self._rows().items()}
 
-    def _parts(self) -> dict:
-        """{key of (x, w) at residue 0: {r: n}}, the coefficient's t-parts."""
+    def _rows(self) -> dict:
+        """{key of (x, w) at residue 0: (r, n, r', n', ...)}, its t-parts flat."""
         rfield, wb = self.algebra.rfield, self.algebra.wb
         out: dict = {}
         for k, n in self.ints.items():
             r = k & rfield
-            out.setdefault(k - r, {})[r >> wb] = n
+            out[k - r] = out.get(k - r, ()) + (r >> wb, n)
         return out
 
     def _canonical(self) -> tuple:
@@ -490,32 +492,26 @@ class AHAElement:
         alg = self.algebra
         return alg.multiply(self, alg.element({((0,) * alg.d, 0): c}))
 
-    def specialize(self, v: Fraction) -> dict:
-        """Evaluate all coefficients at a numeric v; map (x, w-index) -> Fraction.
-
-        Terms whose coefficient vanishes at v are dropped, so the result is a
-        normalized element of the specialized algebra.  At v = 1 each value is
-        one residue (see qfield.value_at_one).
-        """
-        if v == 1:
-            out = {self.algebra.unkey(k): Fraction(sum(map(value_at_one, parts.values())))
-                   for k, parts in self._parts().items()}
-        else:
-            out = {k: c.eval(Fraction(v)) for k, c in self.terms.items()}
+    def specialize(self, v=1) -> dict:
+        """The coefficients at v = 1, the only value taken, (x, w-index) -> Fraction:
+        one residue per t-part (qfield.value_at_one), zero terms dropped, so a
+        normalized element of the group algebra of X x| W."""
+        if v != 1:
+            raise ValueError(f"specialize takes v = 1 only, not {v}")
+        out = {self.algebra.unkey(k): Fraction(sum(map(value_at_one, row[1::2])))
+               for k, row in self._rows().items()}
         return {k: f for k, f in out.items() if f}
 
     def to_json(self) -> dict:
         alg = self.algebra
         W, unkey, g, val = alg.W, alg.unkey, alg.g, -alg.g * self.e
-        rows, strs = [], {}
-        for k, parts in self._parts().items():
+        rows, strs = [], {}   # rows share e: a string depends on the parts only
+        for k, row in self._rows().items():
+            s = strs.get(row)
+            if s is None:
+                s = strs[row] = packed_str(val, row, g)
             x, wi = unkey(k)
-            sig = tuple(parts.items())   # rows share e: a string depends on the parts only
-            if sig not in strs:   # one part is read straight from its t-slots
-                (r, n), *more = sig
-                strs[sig] = packed_str(val, interleave(parts, g)) if more else \
-                    packed_str(val + r, n, g)
-            rows.append((W[wi].word, x, strs[sig]))
+            rows.append((W[wi].word, x, s))
         rows.sort()
         return {"terms": [{"x": list(x), "w": list(word), "coeff": s}
                           for word, x, s in rows]}

@@ -8,8 +8,8 @@ substitution, one balanced K-bit slot per coefficient of P, where P is a
 polynomial in v or, in the algebra, in t = v^g), so that its sums and
 products are single big-int operations; l1_norm, value_at_one and low_slots
 read such ints, pack converts an int, Fraction or VRat into one, pack_slots a
-list of coefficients, and packed_vrat, packed_str and interleave decode them
-for output.
+list of coefficients, packed_vrat decodes one, and packed_str prints the
+t-parts of a coefficient in one pass over their slots (interleave joins them).
 """
 from __future__ import annotations
 
@@ -32,11 +32,6 @@ def pnorm(coeffs: Iterable[int]) -> Poly:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def pdeg(p: Poly) -> int:
-    # degree of the zero polynomial is -1 by convention
-    return len(p) - 1
 
 
 def padd(a: Poly, b: Poly) -> Poly:
@@ -136,15 +131,8 @@ def pgcd(a: Poly, b: Poly) -> Poly:
 
 
 def _valuation(p: Poly) -> int:
-    """Index of the first nonzero coefficient of p != (); most have p[0] != 0."""
-    return 0 if p[0] else p.index(next(filter(None, p)))
-
-
-def peval(a: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
+    """Index of the first nonzero coefficient of p != () (0 if none); most have p[0]."""
+    return 0 if p[0] else p.index(next(filter(None, p), 0))
 
 
 def pstr(a: Poly, shift: int = 0, step: int = 1) -> str:
@@ -345,14 +333,8 @@ class VRat:
             k >>= 1
         return out
 
-    def eval(self, v: Fraction) -> Fraction:
-        d = peval(self.den, v)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at v={v}")
-        return peval(self.num, v) / d
-
     def is_constant(self) -> bool:
-        return pdeg(self.num) <= 0 and pdeg(self.den) <= 0
+        return len(self.num) <= 1 and len(self.den) <= 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
@@ -384,8 +366,8 @@ _HALF_SLOT = (1 << (K - 1)).to_bytes(K // 8, "little")
 _ONES = (1 << K) - 1   # 2^K = 1 mod _ONES, so n = P(2^K) = P(1) mod _ONES
 
 
-def _unpack(n: int) -> Poly:
-    """The P with P(2^K) = n, all |coefficients| < 2^(K-1).
+def _slots(n: int) -> list:
+    """P's coefficients, low first and zero ends kept, for n = P(2^K), all |c| < 2^(K-1).
 
     Adding 2^(K-1) to every slot makes each one nonnegative, so the slots are
     the base-2^K digits; xor with the same bias leaves c mod 2^K in each, which
@@ -394,12 +376,17 @@ def _unpack(n: int) -> Poly:
     slots = abs(n).bit_length() // K + 1
     bias = int.from_bytes(_HALF_SLOT * slots, "little")
     raw = ((n + bias) ^ bias).to_bytes(slots * K // 8, byteorder)
-    return pnorm(memoryview(raw).cast("q").tolist())
+    return memoryview(raw).cast("q").tolist()
+
+
+def _unpack(n: int) -> Poly:
+    """The P with P(2^K) = n, all |coefficients| < 2^(K-1)."""
+    return pnorm(_slots(n))
 
 
 def l1_norm(n: int) -> int:
     """The l1 norm of P for n = P(2^K), all |coefficients| < 2^(K-1)."""
-    return sum(map(abs, _unpack(n)))
+    return sum(map(abs, _slots(n)))
 
 
 def value_at_one(n: int) -> int:
@@ -467,17 +454,38 @@ def packed_vrat(val: int, n) -> VRat:
     return VRat(pshift(c, val), PONE) if val >= 0 else VRat(c, pshift(PONE, -val))
 
 
-def packed_str(val: int, n, step: int = 1) -> str:
-    """v^val * P(v^step) printed as its canonical VRat pair '(num)/(den)', for
-    n = P(2^K) or P's coefficients."""
-    c = _unpack(n) if isinstance(n, int) else n
-    d = max(-val - step * _valuation(c), 0) if c else 0   # the denominator's v-power
-    return f"({pstr(c, val + d, step)})/({pstr(PONE, d)})"
+_BARE, _STAR = ["1", "v"], ["", "*v"]   # "v^e" and "*v^e" by exponent e >= 0, grown on demand
 
 
-def interleave(parts: dict, g: int) -> list:
-    """The coefficients of sum_r v^r Q_r(v^g), parts {r: Q_r(2^K)}, one slice each."""
-    qs = [(r, _unpack(n)) for r, n in parts.items()]
+def packed_str(val: int, row, g: int = 1) -> str:
+    """sum_r v^(val + r) Q_r(v^g) as its canonical VRat pair '(num)/(den)', for
+    row = (r, Q_r(2^K), r', Q_r'(2^K), ...) or n = Q_0(2^K).  One part is read
+    straight from its t-slots, several interleaved in v; a nonzero slot is a
+    lookup in the "v^e" and "*v^e" tables and at most one int format."""
+    if isinstance(row, int):
+        row = (0, row)
+    if len(row) == 2:
+        cs, e, step = _slots(row[1]), val + row[0], g
+    else:
+        cs, e, step = interleave(row, g), val, 1
+    low = e + step * _valuation(cs)
+    d = -low if low < 0 else 0   # the denominator's v-power
+    e += d
+    top = e + step * (len(cs) - 1)
+    if max(top, d) >= len(_BARE):
+        _BARE.extend([f"v^{x}" for x in range(len(_BARE), max(top, d) + 1)])
+        _STAR.extend(["*" + v for v in _BARE[len(_STAR):]])
+    bare, star = _BARE, _STAR
+    num = "".join([("+" + bare[x] if c == 1 else "-" + bare[x] if c == -1 else
+                    f"+{c}{star[x]}" if c > 0 else f"{c}{star[x]}")
+                   for c, x in zip(reversed(cs), range(top, e - 1, -step)) if c])
+    return f"({num.lstrip('+')})/({bare[d]})" if num else "(0)/(1)"
+
+
+def interleave(row, g: int) -> list:
+    """The coefficients of sum_r v^r Q_r(v^g), low first and zero ends kept, for
+    row = (r, Q_r(2^K), r', Q_r'(2^K), ...)."""
+    qs = [(row[i], _slots(row[i + 1])) for i in range(0, len(row), 2)]
     c = [0] * max(r + g * (len(q) - 1) + 1 for r, q in qs)
     for r, q in qs:
         c[r:r + g * len(q):g] = q

@@ -80,10 +80,6 @@ class Laurent:
         """Multiply by X^k."""
         return Laurent({e + k: x for e, x in self.c.items()})
 
-    def inv_x(self) -> "Laurent":
-        """Substitute X -> X^{-1}."""
-        return Laurent({-e: x for e, x in self.c.items()})
-
     def min_exp(self) -> int:
         return min(self.c) if self.c else 0
 

@@ -3,8 +3,17 @@
 norm_orbits reads the simple-root orbits and their length classes off the
 roots alone; weyl_bfs enumerates W keyed by whole root permutations;
 signatures lists the inputs of the unitary principal-series descriptor.
+to_json_by_parts, the oracle of AHAElement.to_json, prints an element per
+dict of t-parts, each part decoded and stripped (unpack), interleaved in v
+(interleave_parts) and printed through pstr (packed_str).  inv_x, peval,
+vrat_eval and specialize evaluate Laurent polynomials and algebra elements
+where the program never needs to.
 """
 from collections import namedtuple
+from fractions import Fraction
+from sys import byteorder
+
+from hecke.qfield import K, PONE, pstr
 
 WeylElement = namedtuple("WeylElement", "word perm")
 
@@ -82,3 +91,81 @@ def signatures(n, ramified):
         for n0 in range(m + 1):
             for head in parts(m - n0):
                 yield head + [("trivial", n0)]
+
+
+def unpack(n):
+    """The P with P(2^K) = n, all |coefficients| < 2^(K-1), by the slot bias."""
+    slots = abs(n).bit_length() // K + 1
+    bias = int.from_bytes((1 << (K - 1)).to_bytes(K // 8, "little") * slots, "little")
+    c = memoryview(((n + bias) ^ bias).to_bytes(slots * K // 8, byteorder)).cast("q").tolist()
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _valuation(p):
+    return next(i for i, c in enumerate(p) if c)
+
+
+def packed_str(val, n, step=1):
+    """v^val * P(v^step) as '(num)/(den)', for n = P(2^K) or P's coefficients."""
+    c = unpack(n) if isinstance(n, int) else n
+    d = max(-val - step * _valuation(c), 0) if c else 0   # the denominator's v-power
+    return f"({pstr(c, val + d, step)})/({pstr(PONE, d)})"
+
+
+def interleave_parts(parts, g):
+    """The coefficients of sum_r v^r Q_r(v^g), parts {r: Q_r(2^K)}, one slice each."""
+    qs = [(r, unpack(n)) for r, n in parts.items()]
+    c = [0] * max(r + g * (len(q) - 1) + 1 for r, q in qs)
+    for r, q in qs:
+        c[r:r + g * len(q):g] = q
+    return c
+
+
+def to_json_by_parts(el):
+    """el.to_json() as the printer built it per dict of t-parts."""
+    alg = el.algebra
+    g, val = alg.g, -alg.g * el.e
+    by_key = {}
+    for k, n in el.ints.items():
+        r = k & alg.rfield
+        by_key.setdefault(k - r, {})[r >> alg.wb] = n
+    rows = []
+    for k, parts in by_key.items():
+        x, wi = alg.unkey(k)
+        (r, n), *more = parts.items()
+        s = packed_str(val, interleave_parts(parts, g)) if more else \
+            packed_str(val + r, n, g)
+        rows.append((alg.W[wi].word, x, s))
+    rows.sort()
+    return {"terms": [{"x": list(x), "w": list(word), "coeff": s} for word, x, s in rows]}
+
+
+def inv_x(f):
+    """The Laurent polynomial f(X^-1)."""
+    from hecke.xlaurent import Laurent
+    return Laurent({-e: x for e, x in f.c.items()})
+
+
+def peval(a, x):
+    """The polynomial a (a tuple of ints, low first) at x, by Horner."""
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def vrat_eval(z, v):
+    """The VRat z = num/den at v; ZeroDivisionError where den vanishes."""
+    d = peval(z.den, v)
+    if d == 0:
+        raise ZeroDivisionError(f"denominator vanishes at v={v}")
+    return peval(z.num, v) / d
+
+
+def specialize(el, v):
+    """The algebra element el with its coefficients evaluated at v, read off
+    el.terms: (x, w-index) -> Fraction, terms that vanish at v dropped."""
+    out = {k: vrat_eval(z, Fraction(v)) for k, z in el.terms.items()}
+    return {k: f for k, f in out.items() if f}

@@ -17,6 +17,8 @@ from hecke.label_params import LabelFunction
 from hecke.qfield import K, PONE, VR_ONE, VR_ZERO, VRat, pack
 from hecke.root_data import BasedRootDatum, SizeLimitError, build_root_system
 
+from _reference import specialize
+
 
 def _alg(t, n, labels):
     rs = build_root_system(t, n)
@@ -143,19 +145,34 @@ def test_summed_pieces_keep_a_bound_on_each_piece(typ, labels):
             assert _norm(piece) <= top
 
 
-def test_summed_pieces_refuse_no_more_than_the_pieces_alone():
-    # the bound of b's pieces summed per u reaches 2^63 on this product at
-    # 2^42, the pieces' own bounds only at 2^46: near 2^63 a product is
-    # refused exactly where the pieces built alone refuse it
-    alg = _alg("G", 2, (1, 3))
-    rng = random.Random(0)
-    a, b = _random_element(alg, rng), _dense(alg, rng, (-2, -1, 1, 3))
-    ab = a.scale(2**44) * b
+def _refused_from(alg, a, b, s):
+    """Check that a * b scaled by 2^(s-1) is accepted, equal to the sum of its
+    pieces built alone, and that at 2^s it is refused, exactly where the
+    exact norms of a, b and of the largest T_w theta_y T_u reach 2^63."""
+    top = 0
+    for wi in {wi for _, wi in map(alg.unkey, a.ints)}:
+        for y, ui in b.terms:
+            piece, _, _ = alg._t_times_theta(wi, alg.key(y))
+            for j in alg.W[ui].word:
+                piece, _ = alg._right_mult_ts(piece, 0, j)
+            top = max(top, _norm(piece))
+    assert 2**(s - 1) * _norm(a.ints) * _norm(b.ints) * top < 2**63 <= \
+        2**s * _norm(a.ints) * _norm(b.ints) * top
+    ab = a.scale(2**(s - 1)) * b
     assert _l1(ab) <= ab.bound < 2**63
-    assert ab == sum((a.scale(2**44) * alg.element({key: 1}).scale(c)
+    assert ab == sum((a.scale(2**(s - 1)) * alg.element({key: 1}).scale(c)
                       for key, c in b.terms.items()), alg.element({}))
     with pytest.raises(SizeLimitError):
-        a.scale(2**46) * b
+        a.scale(2**s) * b
+
+
+def test_summed_pieces_refuse_no_more_than_the_pieces_alone():
+    # the bound of b's pieces summed per u reaches 2^63 on this product at
+    # 2^42, the pieces' own tracked bounds at 2^46, their exact norms only at
+    # 2^48: near 2^63 a product is refused exactly where those refuse it
+    alg = _alg("G", 2, (1, 3))
+    rng = random.Random(0)
+    _refused_from(alg, _random_element(alg, rng), _dense(alg, rng, (-2, -1, 1, 3)), 48)
 
 
 def test_check_relations_small():
@@ -314,8 +331,9 @@ _chain_ops = st.lists(st.sampled_from(["+", "-", "*", "scale"]), max_size=6)
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([("B", 2, (3, 3, 1)), ("G", 2, (1, 3))]), st.integers(0, 2**32),
        _chain_ops)
-# the sixth product's bound reaches 2^63 (l1 norms of 9, 17, 25, 30, 41 bits
-# before it): a refusal, which ends the chain
+# the sixth product's tracked bound reaches 2^63 (l1 norms of 9, 17, 25, 30,
+# 41 bits before it), its factors' and pieces' exact norms only 2^56: the
+# whole chain runs (test_exact_piece_norms_accept_the_seed_2574_chain)
 @example(("G", 2, (1, 3)), 2574, ["*"] * 6)
 def test_bound_covers_l1_norm_along_chains(case, seed, ops):
     alg = _alg(*case)
@@ -339,8 +357,20 @@ def test_bound_covers_l1_norm_along_chains(case, seed, ops):
         assert z.bound >= _l1(z)
 
 
+def test_exact_piece_norms_accept_the_seed_2574_chain():
+    # the @example above: six products, the last with an l1 norm of 47 bits
+    alg = _alg("G", 2, (1, 3))
+    rng = random.Random(2574)
+    z = _random_element(alg, rng)
+    for _ in range(6):
+        b = _random_element(alg, rng)
+        z = z * b if rng.random() < 0.5 else b * z
+    assert _l1(z).bit_length() == 47 and _l1(z) <= z.bound < 2**63
+
+
 def test_specialize_at_one_agrees_with_the_general_path():
-    # v = 1 reads each coefficient mod 2^K - 1; the general path decodes
+    # v = 1 reads each coefficient mod 2^K - 1; the general path (the
+    # reference) decodes, and is the only one that evaluates elsewhere
     alg = _alg("B", 2, (3, 3, 1))
     rng = random.Random(7)
     edge = (2**62, -(2**61), 2**60, -1)
@@ -354,11 +384,10 @@ def test_specialize_at_one_agrees_with_the_general_path():
         samples.append(a - b.scale(VRat.v_pow(-5) * 3))
     one = Fraction(1)
     for el in samples:
-        exact = {k: z.eval(one) for k, z in el.terms.items()}
-        assert el.specialize(one) == {k: f for k, f in exact.items() if f}
+        assert el.specialize(one) == specialize(el, one)
         for v in (Fraction(2), Fraction(-1, 3)):
-            assert el.specialize(v) == {k: f for k, f in (
-                (k, z.eval(v)) for k, z in el.terms.items()) if f}
+            with pytest.raises(ValueError):
+                el.specialize(v)
 
 
 def test_specialization_at_v1_is_group_algebra():
@@ -583,11 +612,7 @@ def test_summed_pieces_refuse_no_more_than_the_pieces_alone_at_labels_100():
     # t = v^200: the bounds count l1 mass, which packing in t leaves as it is
     alg = _alg("A", 2, (100, 100))
     rng = random.Random(0)
-    a, b = _random_element(alg, rng), _dense(alg, rng, (-2, -1, 1, 3))
-    ab = a.scale(2**44) * b
-    assert _l1(ab) <= ab.bound < 2**63
-    with pytest.raises(SizeLimitError):
-        a.scale(2**46) * b
+    _refused_from(alg, _random_element(alg, rng), _dense(alg, rng, (-2, -1, 1, 3)), 50)
 
 
 @pytest.mark.parametrize("typ,n,labelings", [("G", 2, ((1, 3), (100, 100))),

@@ -10,7 +10,7 @@ from hecke.qfield import VRat
 from hecke.root_data import SizeLimitError, build_root_system, simple_orbits
 from hecke.xlaurent import L_ONE, Laurent
 
-from _reference import dot, norm_orbits
+from _reference import dot, inv_x, norm_orbits
 
 F = Fraction
 
@@ -146,7 +146,7 @@ def test_inversion_symmetry_and_evaluation():
     # mu is invariant under X -> X^-1: num(X) den(X^-1) = num(X^-1) den(X)
     for pair in ((1, 0), (2, 1), (3, 3), (F(1, 2), F(1, 2)), (0, 0)):
         f = mu_factor(*pair)
-        assert f.num * f.den.inv_x() == f.num.inv_x() * f.den
+        assert f.num * inv_x(f.den) == inv_x(f.num) * f.den
     f = mu_factor(1)
     # reduced form is regular at X = -1 even though both raw blocks vanish
     q_inv = VRat.v_pow(-2)

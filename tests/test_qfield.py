@@ -15,6 +15,8 @@ from hecke.qfield import (K, PONE, VR_ONE, VR_ZERO, SizeLimitError, VRat, _unpac
                           value_at_one)
 from hecke.root_data import BasedRootDatum, build_root_system
 
+from _reference import vrat_eval
+
 
 def test_poly_str_parse_roundtrip():
     for coeffs in [(), (1,), (-4, 1, 0, -1), (0, 2), (5,), (0, 0, 7), (0, -1)]:
@@ -68,8 +70,8 @@ def test_vrat_powers_eval():
     a = VRat.parse("(v^2-1)/(1)")
     assert a * VRat.v_pow(-2) == VRat.parse("(v^2-1)/(v^2)")
     assert VRat.v_pow(-2) * VRat.v_pow(2) == VR_ONE
-    assert a.eval(Fraction(3)) == 8
-    assert VRat.v_pow(-2).eval(Fraction(2)) == Fraction(1, 4)
+    assert vrat_eval(a, Fraction(3)) == 8
+    assert vrat_eval(VRat.v_pow(-2), Fraction(2)) == Fraction(1, 4)
     assert (VRat.v_pow(2) ** -1) == VRat.v_pow(-2)
 
 

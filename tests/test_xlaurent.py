@@ -10,6 +10,8 @@ from hecke.qfield import SizeLimitError, VRat
 from hecke.xlaurent import (L_ONE, Laurent, LaurentRatio, div_exact,
                             newton_exponents, shaped_roots, synth_div)
 
+from _reference import inv_x
+
 
 def _x(e, c=1):
     return Laurent.x_pow(e, c)
@@ -17,11 +19,11 @@ def _x(e, c=1):
 
 def test_arithmetic_and_inversion():
     f = _x(1) + Laurent.const(2) + _x(-1)
-    assert f.inv_x() == f
+    assert inv_x(f) == f
     assert (f - f).is_zero()
     assert f * L_ONE == f
     g = _x(1) - _x(-1)
-    assert g.inv_x() == -g
+    assert inv_x(g) == -g
 
 
 def test_div_exact():
@@ -79,7 +81,7 @@ def test_ratio_equality_cross_multiplied():
 
 def test_ratio_inversion_symmetry():
     f = LaurentRatio(_x(1) + _x(-1), _x(2) + _x(-2))
-    assert LaurentRatio(f.num.inv_x(), f.den.inv_x()) == f
+    assert LaurentRatio(inv_x(f.num), inv_x(f.den)) == f
 
 
 def _exhaustive_shaped_roots(f):
@@ -144,7 +146,7 @@ def test_shaped_roots_match_exhaustive_search_on_several_slopes():
     assert leftover.max_exp() - leftover.min_exp() == 3
     assert newton_exponents(f) == [-2, -1, 0, 3]
     _assert_matches_oracle(f)
-    _assert_matches_oracle(f.inv_x() * Laurent.const(VRat((2, 0, 3), (0, 0, 5))))
+    _assert_matches_oracle(inv_x(f) * Laurent.const(VRat((2, 0, 3), (0, 0, 5))))
 
 
 # -- the packed search against the VRat synth_div oracle ------------------------
@@ -197,7 +199,7 @@ def test_packed_search_with_negative_k_and_multiplicity():
     assert roots == {(1, -1): 3, (1, 2): 1, (-1, -5): 4}
     assert leftover == _lin(VRat((1, 0, 1))).shift(-2)
     _assert_matches_oracle(f)
-    _assert_matches_oracle(f.inv_x())
+    _assert_matches_oracle(inv_x(f))
 
 
 def test_packed_search_matches_exhaustive_search_on_random_inputs():

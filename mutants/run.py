@@ -144,6 +144,10 @@ MUTANTS = [
     ("residue parts interleaved in reverse order", QF,
      "qs = [(row[i], _slots(row[i + 1]))", "qs = [(row[-2 - i], _slots(row[i + 1]))",
      [T + "test_printer.py::test_to_json_matches_the_reference_printer[0-A-2-labels1]"]),
+    ("a wide exponent read from the fixed tables", QF,
+     "bare, star = _powers(wide) if wide > len(_BARE) else (_BARE, _STAR)",
+     "bare, star = _BARE, _STAR",
+     [T + "test_printer.py::test_wide_powers_print_without_growing_the_tables"]),
     # a product is refused only where the exact norms refuse it
     ("_piece_top on the pieces' tracked bounds", HA,
      "top = max(top, m if m >> (K - 1) else _norm(part))", "top = max(top, m)",

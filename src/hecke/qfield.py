@@ -454,16 +454,20 @@ def packed_vrat(val: int, n) -> VRat:
     return VRat(pshift(c, val), PONE) if val >= 0 else VRat(c, pshift(PONE, -val))
 
 
-_BARE, _STAR = ["1", "v"], ["", "*v"]   # "v^e" and "*v^e" by exponent e >= 0, grown on demand
+def _powers(n: int) -> tuple:
+    """("1", "v", "v^2", ...) and ("", "*v", "*v^2", ...), exponents 0 to n - 1."""
+    bare = ("1", "v", *[f"v^{x}" for x in range(2, n)])
+    return bare, ("", *["*" + b for b in bare[1:]])
+
+
+_BARE, _STAR = _powers(64)   # fixed; a wider coefficient builds its own for one call
 
 
 def packed_str(val: int, row, g: int = 1) -> str:
     """sum_r v^(val + r) Q_r(v^g) as its canonical VRat pair '(num)/(den)', for
-    row = (r, Q_r(2^K), r', Q_r'(2^K), ...) or n = Q_0(2^K).  One part is read
-    straight from its t-slots, several interleaved in v; a nonzero slot is a
-    lookup in the "v^e" and "*v^e" tables and at most one int format."""
-    if isinstance(row, int):
-        row = (0, row)
+    row = (r, Q_r(2^K), r', Q_r'(2^K), ...).  One part is read straight from
+    its t-slots, several interleaved in v; a nonzero slot is a lookup in the
+    "v^e" and "*v^e" tables and at most one int format."""
     if len(row) == 2:
         cs, e, step = _slots(row[1]), val + row[0], g
     else:
@@ -472,10 +476,8 @@ def packed_str(val: int, row, g: int = 1) -> str:
     d = -low if low < 0 else 0   # the denominator's v-power
     e += d
     top = e + step * (len(cs) - 1)
-    if max(top, d) >= len(_BARE):
-        _BARE.extend([f"v^{x}" for x in range(len(_BARE), max(top, d) + 1)])
-        _STAR.extend(["*" + v for v in _BARE[len(_STAR):]])
-    bare, star = _BARE, _STAR
+    wide = max(top, d) + 1
+    bare, star = _powers(wide) if wide > len(_BARE) else (_BARE, _STAR)
     num = "".join([("+" + bare[x] if c == 1 else "-" + bare[x] if c == -1 else
                     f"+{c}{star[x]}" if c > 0 else f"{c}{star[x]}")
                    for c, x in zip(reversed(cs), range(top, e - 1, -step)) if c])

@@ -384,17 +384,14 @@ def test_specialize_at_one_agrees_with_the_general_path():
         samples.append(a - b.scale(VRat.v_pow(-5) * 3))
     one = Fraction(1)
     for el in samples:
-        assert el.specialize(one) == specialize(el, one)
-        for v in (Fraction(2), Fraction(-1, 3)):
-            with pytest.raises(ValueError):
-                el.specialize(v)
+        assert el.specialize() == specialize(el, one)
 
 
 def test_specialization_at_v1_is_group_algebra():
     alg = _alg("G", 2, (1, 3))
     a = alg.theta((1, -1)) * alg.t_simple(0)
     b = alg.t_simple(1) * alg.theta((0, 1))
-    ab = (a * b).specialize(Fraction(1))
+    ab = (a * b).specialize()
     assert all(f.denominator == 1 for f in ab.values())
     assert sum(abs(f) for f in ab.values()) == 1  # single group element survives
 
@@ -440,12 +437,11 @@ def test_failures_carry_reproducing_inputs():
     assert {"relation": "quadratic", "simple": 0} in rep["failures"]
     samples = [f for f in rep["failures"] if f["relation"] == "v=1 specialization"]
     assert samples
-    one = Fraction(1)
     for f in samples:
         assert f["seed"] == 4 and 0 <= f["sample"] < 6
         a, b = alg.from_json(f["a"]), alg.from_json(f["b"])
-        spec = _group_algebra_mult(alg, a.specialize(one), b.specialize(one))
-        assert spec != (a * b).specialize(one)
+        spec = _group_algebra_mult(alg, a.specialize(), b.specialize())
+        assert spec != (a * b).specialize()
 
 
 def _w_orbit(alg, y):
@@ -586,7 +582,7 @@ def test_a_coefficient_in_every_residue_round_trips(typ, n, labels):
     blob = el.to_json()
     assert alg.from_json(blob) == el and alg.from_json(blob).to_json() == blob
     assert [t["coeff"] for t in blob["terms"]] == ["(3)/(v)", str(c)]
-    assert el.specialize(Fraction(1)) == {(x, wi): g + 1, ((0,) * alg.d, 0): 3}
+    assert el.specialize() == {(x, wi): g + 1, ((0,) * alg.d, 0): 3}
     for k in (-1, 1, g - 1, g, 2 * g + 1):
         z = el.scale(VRat.v_pow(k) * 2)
         assert z.terms == {key: coeff * VRat.v_pow(k) * 2 for key, coeff in el.terms.items()}

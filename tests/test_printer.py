@@ -95,9 +95,22 @@ def test_packed_str_matches_the_reference_on_single_parts(seed):
              for _ in range(rng.randint(1, 9))]
         n = sum(c << 64 * i for i, c in enumerate(p))
         val, step = rng.randint(-12, 12), rng.randint(1, 4)
-        assert packed_str(val, n, step) == packed_str_ref(val, n, step)
-        assert packed_str(val, (0, n), step) == packed_str(val, n, step)
-    assert packed_str(3, 0) == packed_str_ref(3, 0) == "(0)/(1)"
+        assert packed_str(val, (0, n), step) == packed_str_ref(val, n, step)
+    assert packed_str(3, (0, 0)) == packed_str_ref(3, 0) == "(0)/(1)"
+
+
+def test_wide_powers_print_without_growing_the_tables():
+    # exponents past the fixed tables are formatted for that call only
+    from hecke import qfield
+    sizes = len(qfield._BARE), len(qfield._STAR)
+    alg = _alg("G", 2, (1, 3))
+    for n in (62, 63, 64, 65, 500, -63, -64, -500):
+        el = alg.element({((0, 0), 0): VRat.v_pow(n) * -3, ((1, 0), 1): VRat.v_pow(n)})
+        blob = el.to_json()
+        assert json.dumps(blob) == json.dumps(to_json_by_parts(el))
+        assert alg.from_json(blob) == el
+        assert str(VRat.v_pow(n) * -3) in [t["coeff"] for t in blob["terms"]]
+    assert (len(qfield._BARE), len(qfield._STAR)) == sizes == (64, 64)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -47,9 +47,9 @@ MUTANTS = [
      "ws_table.append(tuple(row))",
      "ws_table.append(tuple(row) if len(ws_table) != 2 else (row[1], row[0], *row[2:]))",
      [T + "test_hecke_algebra.py::test_finite_part_closed_and_length_additive"]),
-    ("last letter of u in place of the first", HA,
-     "step = steps[ui] = word[0], self._word_index(word[1:])",
-     "step = steps[ui] = word[-1], self._word_index(word[:-1])",
+    ("last letter of u in place of the first", RD,
+     "left.append((w.word[0], ws_table[left[wi][1]][j]) if wi else (j, 0))",
+     "left.append((j, wi))",
      [T + "test_hecke_algebra.py::test_finite_part_closed_and_length_additive"]),
     ("sum of su overwritten by the step from u", HA,
      "into = sums.get(si)", "into = None",
@@ -117,9 +117,14 @@ MUTANTS = [
      "work = terms * (TERM_COST + max(self.qq, default=0) // K)", "work = terms * TERM_COST",
      [T + "test_hecke_algebra.py::test_work_cap_weighs_the_width"]),
     ("word charged per token instead of per sum", HA,
-     'alg.charge_points([tuple(arg) for kind, arg in word if kind == "theta"])',
-     '[alg.charge_points([tuple(arg)]) for kind, arg in word if kind == "theta"]',
+     "alg.charge_word(word)", "[alg.charge_word([token]) for token in word]",
      [T + "test_hecke_algebra.py::test_normal_form_charges_the_whole_word"]),
+    ("T tokens charged nothing", HA,
+     "t_terms += max(1, Fraction(spread, 14) ** self.rank)", "t_terms += 0",
+     [T + "test_hecke_algebra.py::test_normal_form_charges_its_t_tokens"]),
+    ("T tokens charged one term after a theta", HA,
+     "t_terms += max(1, Fraction(spread, 14) ** self.rank)", "t_terms += 1",
+     [T + "test_hecke_algebra.py::test_normal_form_charges_its_t_tokens"]),
     # one coefficient ring, Q[v, v^-1]
     ("monomial test lets 1+v through", QF,
      "if vb < len(den) - 1:", "if vb < len(den) - 2:",
@@ -133,8 +138,8 @@ MUTANTS = [
      [T + "test_xlaurent.py::test_packed_search_refuses_a_bound_past_one_slot"]),
     # one pass over the packed ints per printed coefficient
     ("leading + of the numerator not stripped", QF,
-     "return f\"({num.lstrip('+')})/({bare[d]})\"", "return f\"({num})/({bare[d]})\"",
-     [T + "test_printer.py::test_to_json_matches_the_reference_printer[0-A-1-labels0]"]),
+     'if c]).lstrip("+")', "if c])",
+     [T + "test_printer.py::test_pstr_matches_the_reference_printer[0]"]),
     ("a +1 slot printed as 1*v^e", QF,
      '("+" + bare[x] if c == 1 else "-" + bare[x]', '("-" + bare[x]',
      [T + "test_printer.py::test_to_json_matches_the_reference_printer[0-A-1-labels0]"]),
@@ -148,6 +153,28 @@ MUTANTS = [
      "bare, star = _powers(wide) if wide > len(_BARE) else (_BARE, _STAR)",
      "bare, star = _BARE, _STAR",
      [T + "test_printer.py::test_wide_powers_print_without_growing_the_tables"]),
+    ("a -1 slot printed as -1*v^e", QF,
+     '"-" + bare[x] if c == -1 else', '"-" + bare[x] if c == -2 else',
+     [T + "test_printer.py::test_pstr_matches_the_reference_printer[0]"]),
+    ("denominator looked up one power high", QF,
+     'return f"({num})/({bare[d]})"', 'return f"({num})/({bare[d + 1]})"',
+     [T + "test_printer.py::test_packed_str_matches_the_reference_on_single_parts[0]"]),
+    # one long division for Z[v] and X
+    ("long division adds q * x", QF,
+     "rem[i - db + j] -= q * x", "rem[i - db + j] += q * x",
+     [T + "test_qfield.py::test_poly_div_exact"]),
+    ("lead term left in tail", QF,
+     "enumerate(b[:-1]) if x]", "enumerate(b) if x]",
+     [T + "test_qfield.py::test_poly_div_exact"]),
+    ("div_exact divides by 1 in place of the lead", XL,
+     "(lambda c, _: c) if gs[-1].is_one() else truediv", "(lambda c, _: c)",
+     [T + "test_sympy_oracle.py::test_div_exact_matches_sympy_over_qv"]),
+    ("synth_div divides by X + root", XL,
+     "long_div(_dense(f), [-root, 1]", "long_div(_dense(f), [root, 1]",
+     [T + "test_xlaurent.py::test_synth_div"]),
+    ("div_exact renamed", XL,
+     "def div_exact(", "def div_exact_renamed(",
+     [T + "test_perfbench_names.py::test_every_traced_name_resolves_to_a_hecke_function"]),
     # a product is refused only where the exact norms refuse it
     ("_piece_top on the pieces' tracked bounds", HA,
      "top = max(top, m if m >> (K - 1) else _norm(part))", "top = max(top, m)",

@@ -88,12 +88,13 @@ class AHA:
             if report:
                 raise ValueError("inadmissible labels: " + "; ".join(report))
             self.W = weyl_group(rs)   # and the label-free tables it shares on rs:
-            c = rs._cache   # w*s, word lengths, per s the key moves us - u of T_u T_s
-            self.ws_table, self.lengths, self._moves = c["ws_table"], c["lengths"], c["moves"]
+            # w*s, word lengths, per s the key moves us - u of T_u T_s, per u (s, su)
+            self.ws_table, self.lengths, self._moves, self._left = map(
+                rs._cache.get, ("ws_table", "lengths", "moves", "left"))
             self.pos_coroots = datum.coroots[:rs.n_positive]
         else:
             self.W = [WeylElement((), ())]
-            self.ws_table, self.lengths, self._moves = ((),), (0,), ()
+            self.ws_table, self.lengths, self._moves, self._left = ((),), (0,), (), (None,)
             self.pos_coroots = ()
         self._points: dict = {}   # X -> x, memo of unkey
         exps = []   # (ea, es): qq = v^(ea+es), B = v^ea - v^es
@@ -124,7 +125,6 @@ class AHA:
         # bound on the |coordinates| of its points)
         self._tt_cache: dict = {}
         self._d_cache: dict = {}
-        self._left_steps: dict = {}   # u-index -> (s, su-index), u = s su reduced
 
     def key(self, x, w: int = 0, r: int = 0) -> int:
         """The basis key of theta_x T_w (w a W-index) for the v-residue r."""
@@ -171,23 +171,33 @@ class AHA:
 
     def theta(self, x) -> "AHAElement":
         x = tuple(x)
-        self.charge_points([x])
+        self.charge_word([("theta", x)])
         return self.element({(x, 0): 1})
 
-    def charge_points(self, points) -> None:
-        """Charge the products of a word's theta_y.  T_w theta_y has about
-        (spread / 14)^rank terms, spread = sum over a > 0 of |<y, a^vee>|, a
-        W-invariant seminorm; each D_s piece lies between y and s y, so the
-        sum of the spreads bounds every point a word of them reaches."""
-        spread = 0
-        for x in points:
+    def charge_word(self, word) -> None:
+        """Charge a generator word's products before the first.  T_w theta_y
+        has about (spread / 14)^rank terms, spread = sum over a > 0 of
+        |<y, a^vee>|, a W-invariant seminorm; each D_s piece lies between y and
+        s y, so the sum of the spreads bounds every point the word reaches.  A
+        T token multiplies about the terms the theta_y before it make, and at
+        least one: T tokens alone widen the coefficients at each product."""
+        points, spread, t_terms = [], 0, 0
+        for kind, arg in word:
+            if kind == "T":
+                t_terms += max(1, Fraction(spread, 14) ** self.rank)
+                continue
+            if kind != "theta":
+                raise ValueError(f"unknown generator kind {kind!r}")
+            x = tuple(arg)
             if len(x) != self.d:
                 raise ValueError(f"lattice point must have {self.d} coordinates")
             if any(abs(c) > COORD_CAP for c in x):
                 raise SizeLimitError(f"a coordinate of {x} exceeds {COORD_CAP}")
             spread += sum(abs(self.datum.pairing(x, c)) for c in self.pos_coroots)
+            points.append(x)
         self.charge(Fraction(spread, 14) ** self.rank,
                     f"lattice points {', '.join(map(str, points))} (spread {spread})")
+        self.charge(t_terms, f"{len(word) - len(points)} T tokens")
 
     def charge(self, terms, what: str) -> None:
         """Refuse terms * (TERM_COST + width) past WORK_CAP, width = 2 lambda / g."""
@@ -206,7 +216,7 @@ class AHA:
         if not all(0 <= j < self.rank for j in word):
             raise ValueError(f"word {word}: a simple index is out of range for "
                              f"rank {self.rank}")
-        wi = self._word_index(word)
+        wi = word_index(self.ws_table, word)
         if self.lengths[wi] != len(word):
             raise ValueError(f"word {word} is not reduced")
         return self.element({((0,) * self.d, wi): 1})
@@ -215,12 +225,9 @@ class AHA:
         terms: dict = {}
         for t in data["terms"]:
             key = (tuple(int(c) for c in t["x"]),
-                   self._word_index(tuple(int(j) for j in t["w"])))
+                   word_index(self.ws_table, tuple(int(j) for j in t["w"])))
             terms[key] = terms.get(key, VR_ZERO) + VRat.parse(t["coeff"])
         return self.element(terms)
-
-    def _word_index(self, word) -> int:
-        return word_index(self.ws_table, word)
 
     # -- multiplication ----------------------------------------------------
 
@@ -275,16 +282,11 @@ class AHA:
                         for z, c3 in part.items():
                             key = shift + z
                             out[key] = get(key, 0) + ((c12 * c3) << sh)
-        steps = self._left_steps
         for ui in range(max(sums, default=0), 0, -1):   # W is listed by length
             acc = sums.pop(ui, None)
             if acc is None:
                 continue
-            step = steps.get(ui)
-            if step is None:
-                word = self.W[ui].word
-                step = steps[ui] = word[0], self._word_index(word[1:])
-            s, si = step
+            s, si = self._left[ui]
             out, m = self._right_mult_ts(acc[0], acc[1], s)
             into = sums.get(si)
             if into is None:
@@ -537,19 +539,12 @@ def normal_form(alg: AHA, word) -> AHAElement:
 
     Tokens: ("theta", lattice point) or ("T", simple index).  The result is
     already normal; feeding its own terms back in reproduces it.  The whole
-    word is charged at once (AHA.charge_points), not one token at a time.
+    word is charged at once (AHA.charge_word), not one token at a time.
     """
     word = list(word)
-    alg.charge_points([tuple(arg) for kind, arg in word if kind == "theta"])
-    out = alg.one()
-    for kind, arg in word:
-        if kind == "theta":
-            out = multiply(out, alg.theta(arg))
-        elif kind == "T":
-            out = multiply(out, alg.t_simple(int(arg)))
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
-    return out
+    alg.charge_word(word)
+    return reduce(multiply, (alg.t_simple(int(arg)) if kind == "T" else
+                             alg.element({(tuple(arg), 0): 1}) for kind, arg in word), alg.one())
 
 
 def _act(alg: AHA, wi: int, y: tuple) -> tuple:
@@ -564,8 +559,8 @@ def _group_algebra_mult(alg: AHA, a: dict, b: dict) -> dict:
     for (x, wi), c in a.items():
         for (y, vi), c2 in b.items():
             wy = _act(alg, wi, y)
-            key = (tuple(p + q for p, q in zip(x, wy)), alg._word_index(
-                alg.W[wi].word + alg.W[vi].word))
+            key = (tuple(p + q for p, q in zip(x, wy)),
+                   word_index(alg.ws_table, alg.W[wi].word + alg.W[vi].word))
             out[key] = out.get(key, Fraction(0)) + c * c2
     return {k: v for k, v in out.items() if v}
 

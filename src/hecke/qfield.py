@@ -8,8 +8,10 @@ substitution, one balanced K-bit slot per coefficient of P, where P is a
 polynomial in v or, in the algebra, in t = v^g), so that its sums and
 products are single big-int operations; l1_norm, value_at_one and low_slots
 read such ints, pack converts an int, Fraction or VRat into one, pack_slots a
-list of coefficients, packed_vrat decodes one, and packed_str prints the
-t-parts of a coefficient in one pass over their slots (interleave joins them).
+list of coefficients, and packed_vrat decodes one.  One loop divides, over
+the dense coefficient lists of any ring (long_div: pdivmod, xlaurent.div_exact
+and synth_div), and one prints v-powers (_vstr: pstr, and packed_str for the
+t-parts of a packed coefficient, which interleave joins).
 """
 from __future__ import annotations
 
@@ -83,6 +85,30 @@ def pprimitive(a: Poly) -> Poly:
     return tuple(x // c for x in a)
 
 
+def long_div(a, b, div) -> tuple[list, list]:
+    """(quo, rem) with a = quo*b + rem, for dense coefficient lists, low first,
+    b[-1] != 0; rem keeps the len(b) - 1 low entries (fewer if a is shorter).
+    div(c, lead) is the ring's exact quotient and raises where there is none.
+    The lead term of b cancels by construction, and zero terms cost nothing."""
+    rem, db, lead = list(a), len(b) - 1, b[-1]
+    tail = [(j, x) for j, x in enumerate(b[:-1]) if x]
+    quo = [0] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem.pop()
+        if c:
+            q = quo[i - db] = div(c, lead)
+            for j, x in tail:
+                rem[i - db + j] -= q * x
+    return quo, rem
+
+
+def _zdiv(c: int, lead: int) -> int:
+    q, r = divmod(c, lead)
+    if r:
+        raise ArithmeticError("polynomial quotient not integral")
+    return q
+
+
 def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """Long division in Z[v]: a = quo*b + rem with deg rem < deg b.
 
@@ -92,22 +118,8 @@ def pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    db, lead = len(b) - 1, b[-1]
-    # the leading term cancels by construction; zero terms cost nothing
-    tail = [(j, x) for j, x in enumerate(b[:-1]) if x]
-    quo = [0] * max(len(rem) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        q, r = divmod(c, lead)
-        if r:
-            raise ArithmeticError("polynomial quotient not integral")
-        quo[i - db] = q
-        for j, x in tail:
-            rem[i - db + j] -= q * x
-    return pnorm(quo), pnorm(rem[:db])
+    quo, rem = long_div(a, b, _zdiv)
+    return pnorm(quo), pnorm(rem)
 
 
 def pdiv_exact(a: Poly, b: Poly) -> Poly:
@@ -135,24 +147,10 @@ def _valuation(p: Poly) -> int:
     return 0 if p[0] else p.index(next(filter(None, p), 0))
 
 
-def pstr(a: Poly, shift: int = 0, step: int = 1) -> str:
-    """Print a(v^step) * v^shift like 'v^2-1', '2*v', '-v^3+v-4', '0'; step g
-    prints a polynomial in t = v^g straight from its slots."""
-    parts = []
-    for k in range(len(a) - 1, -1, -1):
-        c = a[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        e = k * step + shift
-        if e == 0:
-            body = str(mag)
-        else:
-            var = "v" if e == 1 else f"v^{e}"
-            body = var if mag == 1 else f"{mag}*{var}"
-        parts.append(sign + body)
-    return "".join(parts) or "0"
+def pstr(a: Poly) -> str:
+    """Print a like 'v^2-1', '2*v', '-v^3+v-4', '0'."""
+    bare, star = _powers(len(a)) if len(a) > len(_BARE) else (_BARE, _STAR)
+    return _vstr(a, len(a) - 1, 1, bare, star) or "0"
 
 
 def pparse(s: str) -> Poly:
@@ -463,25 +461,31 @@ def _powers(n: int) -> tuple:
 _BARE, _STAR = _powers(64)   # fixed; a wider coefficient builds its own for one call
 
 
-def packed_str(val: int, row, g: int = 1) -> str:
+def _vstr(cs, top: int, step: int, bare, star) -> str:
+    """sum cs[i] v^(top - step (len(cs) - 1 - i)), highest first, '' if all are
+    zero: a nonzero cs[i] is a lookup in bare or star and at most one int
+    format.  Exponents stop at 0, so no table is read from its end: a slot
+    below v^0 must be zero."""
+    return "".join([("+" + bare[x] if c == 1 else "-" + bare[x] if c == -1 else
+                     f"+{c}{star[x]}" if c > 0 else f"{c}{star[x]}")
+                    for c, x in zip(reversed(cs), range(top, -1, -step)) if c]).lstrip("+")
+
+
+def packed_str(val: int, row, g: int) -> str:
     """sum_r v^(val + r) Q_r(v^g) as its canonical VRat pair '(num)/(den)', for
-    row = (r, Q_r(2^K), r', Q_r'(2^K), ...).  One part is read straight from
-    its t-slots, several interleaved in v; a nonzero slot is a lookup in the
-    "v^e" and "*v^e" tables and at most one int format."""
+    row = (r, Q_r(2^K), r', Q_r'(2^K), ...): one part straight from its
+    t-slots, several interleaved in v; the denominator is one lookup."""
     if len(row) == 2:
         cs, e, step = _slots(row[1]), val + row[0], g
     else:
         cs, e, step = interleave(row, g), val, 1
     low = e + step * _valuation(cs)
     d = -low if low < 0 else 0   # the denominator's v-power
-    e += d
-    top = e + step * (len(cs) - 1)
+    top = e + d + step * (len(cs) - 1)
     wide = max(top, d) + 1
     bare, star = _powers(wide) if wide > len(_BARE) else (_BARE, _STAR)
-    num = "".join([("+" + bare[x] if c == 1 else "-" + bare[x] if c == -1 else
-                    f"+{c}{star[x]}" if c > 0 else f"{c}{star[x]}")
-                   for c, x in zip(reversed(cs), range(top, e - 1, -step)) if c])
-    return f"({num.lstrip('+')})/({bare[d]})" if num else "(0)/(1)"
+    num = _vstr(cs, top, step, bare, star)
+    return f"({num})/({bare[d]})" if num else "(0)/(1)"
 
 
 def interleave(row, g: int) -> list:

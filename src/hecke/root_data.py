@@ -243,7 +243,8 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     Elements are listed by increasing length, ties in word-lex order; the
     identity comes first.  Rank is capped to keep full enumeration desk-scale.
     The label-free tables are cached on rs next to the elements: "ws_table",
-    "lengths" (word lengths) and "moves" (moves[j][u] = index of u s_j - u).
+    "lengths" (word lengths), "moves" (moves[j][u] = index of u s_j - u) and
+    "left" (left[u] = (s, index of s u) for the first letter s of u's word).
     """
     if rs.rank > WEYL_RANK_CAP:
         raise SizeLimitError(
@@ -254,17 +255,19 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     simple = [rs.index[s] for s in rs.simple_roots]
     elements = [WeylElement((), range(len(rs.all_roots)))]
     seen = {tuple(simple): 0}
-    ws_table = []  # ws_table[i][j]: index of elements[i] * s_j
-    for w in elements:  # the list grows while it is read: breadth first
+    ws_table, left = [], [None]  # ws_table[i][j]: index of elements[i] * s_j
+    for wi, w in enumerate(elements):  # the list grows while it is read: breadth first
         row, perm = [], w.perm
         for j, sp in enumerate(sperms):
             # the images of the simple roots fix w s_j: a hash of rank entries
             i = seen.setdefault(tuple([perm[sp[b]] for b in simple]), len(elements))
             if i == len(elements):
                 elements.append(WeylElement(w.word + (j,), map(perm.__getitem__, sp)))
+                # s u = (s w) s_j for w's first letter s, and s w's row is in
+                left.append((w.word[0], ws_table[left[wi][1]][j]) if wi else (j, 0))
             row.append(i)
         ws_table.append(tuple(row))
-    rs._cache.update(weyl=elements, ws_table=tuple(ws_table),
+    rs._cache.update(weyl=elements, ws_table=tuple(ws_table), left=tuple(left),
                      lengths=tuple(len(w.word) for w in elements),
                      moves=tuple(tuple(row[j] - u for u, row in enumerate(ws_table))
                                  for j in range(rs.rank)))

@@ -2,18 +2,20 @@
 
 Used for the lattice direction X_alpha in cross relations and mu-factors, and
 for the variable z in rank-one intertwiners.  Coefficients are VRat.
-`div_exact` is the one long division in X; `synth_div` divides by X - r in
-one Horner pass over VRat.  `shaped_roots` makes the same pass for each
-candidate root sign * v^k on the packed ints of qfield (every coefficient it
-divides lies in Z[v, v^-1] once one scalar clears the denominators), keeps
-or drops the candidate by the exact remainder, and decodes only the leftover.
+`div_exact` divides in X and `synth_div` by X - r, both through qfield's one
+long division loop (long_div) over dense VRat lists.  `shaped_roots` makes a
+Horner pass (_horner) for each candidate root sign * v^k on the packed ints of
+qfield (every coefficient it divides lies in Z[v, v^-1] once one scalar clears
+the denominators), keeps or drops the candidate by the exact remainder, and
+decodes only the leftover.
 """
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import truediv
 
-from .qfield import (K, PONE, VR_ONE, VR_ZERO, VRat, bounded, l1_norm, low_slots,
-                     pack, packed_vrat, pstr)
+from .qfield import (K, PONE, VR_ONE, VR_ZERO, VRat, bounded, l1_norm, long_div,
+                     low_slots, pack, packed_vrat, pstr)
 
 
 class Laurent:
@@ -129,55 +131,38 @@ def _coeff_str(x: VRat) -> str:
 L_ONE = Laurent.const(1)
 
 
+def _dense(f: Laurent) -> list:
+    """f's coefficients from X^min to X^max, low first, zeros filled in."""
+    return [f.c.get(e, VR_ZERO) for e in range(f.min_exp(), f.max_exp() + 1)]
+
+
 def div_exact(f: Laurent, g: Laurent) -> Laurent:
     """Exact Laurent division f/g; raises ArithmeticError on nonzero remainder.
 
-    Long division in X, highest term first, once X^min is cleared from f and g;
-    the leading coefficient of g must be a unit c*v^k of Q[v, v^-1].
+    Long division in X (qfield.long_div) once X^min is cleared from f and g;
+    the quotient by g's leading coefficient raises ValueError unless that is
+    a unit c*v^k of Q[v, v^-1].
     """
     if g.is_zero():
         raise ZeroDivisionError("Laurent division by zero")
-    mf, mg = f.min_exp(), g.min_exp()
-    rem = {e - mf: x for e, x in f.c.items()}
-    dg = g.max_exp() - mg
-    lead = g.c[dg + mg]
-    # the leading term cancels by construction; the rest is added negated
-    tail = [(e - mg, -x) for e, x in g.c.items() if e - mg != dg]
-    quo: dict[int, VRat] = {}
-    while rem:
-        dr = max(rem)
-        if dr < dg:
-            break
-        q = rem.pop(dr)
-        if not q:
-            continue
-        if not lead.is_one():
-            q = q / lead
-        quo[dr - dg + mf - mg] = q
-        for e, x in tail:
-            k = e + dr - dg
-            rem[k] = rem.get(k, VR_ZERO) + q * x
-    if any(rem.values()):
+    gs = _dense(g)
+    quo, rem = long_div(_dense(f), gs, (lambda c, _: c) if gs[-1].is_one() else truediv)
+    if any(rem):
         raise ArithmeticError("inexact Laurent division")
-    return Laurent(quo)
+    return Laurent(dict(enumerate(quo, f.min_exp() - g.min_exp())))
 
 
 def synth_div(f: Laurent, root: VRat) -> tuple["Laurent", VRat]:
     """Divide f by (X - root); returns (quotient, rem) with f = (X-root)*quotient + rem*X^min.
 
-    One Horner pass over the exponents of f, highest first (a missing
-    exponent counts as zero): acc = acc*root + c_e gives each quotient
-    coefficient in turn and, at min(f), rem = f(root) * root^-min(f).  So rem
-    is zero iff root is a root of f (roots must be invertible values).
+    Long division (qfield.long_div) of f's coefficients, X^min up, by
+    [-root, 1], so rem = f(root) * root^-min(f), zero iff root is a root of f
+    (roots must be invertible values).
     """
     if not root:
         raise ZeroDivisionError("synthetic division needs an invertible root")
-    c, lo, hi = f.c, f.min_exp(), f.max_exp()
-    acc, quo = c.get(hi, VR_ZERO), {}
-    for e in range(hi - 1, lo - 1, -1):
-        quo[e] = acc
-        acc = acc * root + c[e] if e in c else acc * root
-    return Laurent(quo), acc
+    quo, (rem,) = long_div(_dense(f), [-root, 1], truediv)
+    return Laurent(dict(enumerate(quo, f.min_exp()))), rem
 
 
 def newton_exponents(f: Laurent) -> list[int]:
@@ -279,12 +264,8 @@ def shaped_roots(f: Laurent):
                     ns.append(y >> K * z)
     if not roots:
         return roots, f
-    left = {}
-    for i in range(len(ns) - 1, -1, -1):   # highest first, as synth_div builds it
-        if ns[i]:
-            x = packed_vrat(vals[i], ns[i])
-            left[lo + i] = x if s.is_one() else x / s
-    return roots, Laurent(left)
+    left = {lo + i: packed_vrat(val, n) for i, (val, n) in enumerate(zip(vals, ns)) if n}
+    return roots, Laurent(left if s.is_one() else {e: x / s for e, x in left.items()})
 
 
 class LaurentRatio:

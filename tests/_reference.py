@@ -5,15 +5,16 @@ roots alone; weyl_bfs enumerates W keyed by whole root permutations;
 signatures lists the inputs of the unitary principal-series descriptor.
 to_json_by_parts, the oracle of AHAElement.to_json, prints an element per
 dict of t-parts, each part decoded and stripped (unpack), interleaved in v
-(interleave_parts) and printed through pstr (packed_str).  inv_x, peval,
-vrat_eval and specialize evaluate Laurent polynomials and algebra elements
-where the program never needs to.
+(interleave_parts) and printed through ref_pstr (packed_str), a term-by-term
+printer that shares no code with qfield's.  inv_x, peval, vrat_eval and
+specialize evaluate Laurent polynomials and algebra elements where the
+program never needs to.
 """
 from collections import namedtuple
 from fractions import Fraction
 from sys import byteorder
 
-from hecke.qfield import K, PONE, pstr
+from hecke.qfield import K, PONE
 
 WeylElement = namedtuple("WeylElement", "word perm")
 
@@ -107,11 +108,31 @@ def _valuation(p):
     return next(i for i, c in enumerate(p) if c)
 
 
+def ref_pstr(a, shift=0, step=1):
+    """Print a(v^step) * v^shift like 'v^2-1', '2*v', '-v^3+v-4', '0', term by
+    term; a negative exponent prints as v^-k."""
+    parts = []
+    for k in range(len(a) - 1, -1, -1):
+        c = a[k]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        e = k * step + shift
+        if e == 0:
+            body = str(mag)
+        else:
+            var = "v" if e == 1 else f"v^{e}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
 def packed_str(val, n, step=1):
     """v^val * P(v^step) as '(num)/(den)', for n = P(2^K) or P's coefficients."""
     c = unpack(n) if isinstance(n, int) else n
     d = max(-val - step * _valuation(c), 0) if c else 0   # the denominator's v-power
-    return f"({pstr(c, val + d, step)})/({pstr(PONE, d)})"
+    return f"({ref_pstr(c, val + d, step)})/({ref_pstr(PONE, d)})"
 
 
 def interleave_parts(parts, g):

@@ -15,7 +15,7 @@ from hecke.hecke_algebra import (AHA, FIELD_CAP, _act, _group_algebra_mult, _nor
                                   normal_form)
 from hecke.label_params import LabelFunction
 from hecke.qfield import K, PONE, VR_ONE, VR_ZERO, VRat, pack
-from hecke.root_data import BasedRootDatum, SizeLimitError, build_root_system
+from hecke.root_data import BasedRootDatum, SizeLimitError, build_root_system, word_index
 
 from _reference import specialize
 
@@ -67,8 +67,8 @@ def test_finite_part_closed_and_length_additive():
         for vi in range(len(W)):
             prod = multiply(alg.t(W[wi].word), alg.t(W[vi].word))
             assert all(x == zero for (x, _) in prod.terms)
-            if alg.lengths[wi] + alg.lengths[vi] == alg.lengths[alg._word_index(
-                    W[wi].word + W[vi].word)]:
+            if alg.lengths[wi] + alg.lengths[vi] == alg.lengths[word_index(
+                    alg.ws_table, W[wi].word + W[vi].word)]:
                 assert prod == alg.t(W[wi].word + W[vi].word)
 
 
@@ -314,7 +314,7 @@ def test_cached_bounds_are_taken_again():
     # T_10 theta_(1,1) rests on cached T_1 theta_y entries: their bounds
     # loosened to 2^62 sum past 2^63, and are then taken again from their terms
     alg, ref = _alg("B", 2, (3, 3, 1)), _alg("B", 2, (3, 3, 1))
-    w, y = alg._word_index((1, 0)), alg.key((1, 1))
+    w, y = word_index(alg.ws_table, (1, 0)), alg.key((1, 1))
     want = alg._t_times_theta(w, y)
     for key, (terms, _, reach) in list(alg._tt_cache.items()):
         alg._tt_cache[key] = terms, 2**62, reach
@@ -490,6 +490,23 @@ def test_normal_form_charges_the_whole_word():
         normal_form(alg, [("theta", (-5, 5)), ("T", 0), ("theta", (-5, 5))])
 
 
+def test_normal_form_charges_its_t_tokens():
+    # a T token is charged the terms that the theta_y before it make, and at
+    # least one: at width 3, 69 T tokens pass and 70 are refused (70 * 13 >
+    # 900), so (T0 T1)^2000 is refused before its first product; after
+    # theta_(-5,5) (spread 80, 32.7 terms) two T tokens pass and three do not
+    b2, g2 = _alg("B", 2, (3, 3, 1)), _alg("G", 2, (1, 3))
+    assert len(normal_form(b2, [("T", i % 2) for i in range(69)]).ints) == len(b2.W)
+    for alg, word in ((b2, [("T", i % 2) for i in range(70)]),
+                      (b2, [("T", i % 2) for i in range(4000)]),
+                      (g2, [("theta", (-5, 5)), ("T", 0), ("T", 1), ("T", 0)])):
+        with pytest.raises(SizeLimitError, match="T tokens"):
+            normal_form(alg, word)
+    assert normal_form(g2, [("theta", (-5, 5)), ("T", 0), ("T", 1)]).terms
+    # braid words of length 4 at width 200, the widest labels give
+    assert check_relations(_alg("B", 3, (100, 100, 1)), sample_count=0)["braid"]
+
+
 def test_work_cap_weighs_the_width():
     # spread 112 passes at width 3 (labels 1,3) and 1 (100,100, g = 200), not
     # at width 100 (100,99, g = 2); the default 50 samples pass at width 1
@@ -597,7 +614,8 @@ def test_residues_that_pass_g_carry_one_t(typ, n, labels, want):
     # 2g - 2 >= g.  The digests were taken before coefficients were packed in t
     alg = _alg(typ, n, labels)
     g, d = alg.g, alg.d
-    a = alg.element({((1,) + (0,) * (d - 1), alg._word_index((0,))): VRat.v_pow(g - 1)})
+    t0 = word_index(alg.ws_table, (0,))
+    a = alg.element({((1,) + (0,) * (d - 1), t0): VRat.v_pow(g - 1)})
     b = alg.element({((1,) + (-1,) * (d - 1), 0): VRat.v_pow(g - 1)})
     text = json.dumps((a * b).to_json(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == want

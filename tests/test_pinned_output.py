@@ -21,7 +21,7 @@ from hecke.hecke_algebra import algebra
 from hecke.label_params import LabelFunction, QBase
 from hecke.param_catalog import db_integrity_report
 from hecke.qfield import VRat
-from hecke.root_data import BasedRootDatum, build_root_system, weyl_group
+from hecke.root_data import BasedRootDatum, build_root_system, weyl_group, word_index
 
 
 def _digest(obj) -> str:
@@ -65,7 +65,7 @@ def test_repeated_coefficients_print_as_their_own_strings():
         assert len(rows) == len(terms)
         assert len({r["coeff"] for r in rows}) < len(rows) // 2   # mostly repeats
         for r in rows:
-            key = (tuple(r["x"]), alg._word_index(r["w"]))
+            key = (tuple(r["x"]), word_index(alg.ws_table, r["w"]))
             assert r["coeff"] == str(terms[key])
 
 

@@ -2,7 +2,8 @@
 
 The reference (tests/_reference.to_json_by_parts) groups the packed ints into
 a dict of t-parts per basis element, interleaves and strips every part and
-prints through pstr; to_json must give the same JSON byte for byte.
+prints through its own term-by-term printer (ref_pstr); to_json must give the
+same JSON byte for byte, and qfield.pstr the same text as ref_pstr.
 """
 import json
 import random
@@ -15,6 +16,7 @@ from hecke.qfield import VRat, packed_str, pparse, pnorm, pstr
 from hecke.root_data import BasedRootDatum, build_root_system
 
 from _reference import packed_str as packed_str_ref
+from _reference import ref_pstr
 from _reference import to_json_by_parts
 
 CASES = [("A", 1, (1, 1)), ("A", 2, (2, 2)), ("B", 2, (3, 3, 1)), ("G", 2, (1, 3)),
@@ -96,7 +98,7 @@ def test_packed_str_matches_the_reference_on_single_parts(seed):
         n = sum(c << 64 * i for i, c in enumerate(p))
         val, step = rng.randint(-12, 12), rng.randint(1, 4)
         assert packed_str(val, (0, n), step) == packed_str_ref(val, n, step)
-    assert packed_str(3, (0, 0)) == packed_str_ref(3, 0) == "(0)/(1)"
+    assert packed_str(3, (0, 0), 1) == packed_str_ref(3, 0) == "(0)/(1)"
 
 
 def test_wide_powers_print_without_growing_the_tables():
@@ -114,14 +116,27 @@ def test_wide_powers_print_without_growing_the_tables():
 
 
 @pytest.mark.parametrize("seed", range(4))
+def test_pstr_matches_the_reference_printer(seed):
+    # ±1 (no coefficient printed), magnitudes at the slot edge, zero gaps, and
+    # degrees past the fixed tables of "v^e" strings
+    rng = random.Random(f"pstr/{seed}")
+    for _ in range(300):
+        p = pnorm([rng.choice((0, 0, 0, 1, -1, 2**62, -(2**62), rng.randint(-99, 99)))
+                   for _ in range(rng.choice((1, 2, 5, 9, 70)))])
+        assert pstr(p) == ref_pstr(p)
+    assert pstr(()) == ref_pstr(()) == "0"
+
+
+@pytest.mark.parametrize("seed", range(4))
 def test_pstr_round_trips_through_pparse(seed):
-    # p(v^step) v^shift: pparse reads it back where every exponent is >= 0,
-    # and refuses the negative exponents a negative shift can print
+    # p(v^step) v^shift as the reference prints it: pparse reads it back where
+    # every exponent is >= 0, and pstr prints what it read the same way;
+    # pparse refuses the negative exponents a negative shift can print
     rng = random.Random(seed)
     for _ in range(300):
         p = pnorm([rng.choice((0, 1, -1, 2, -5, 2**40)) for _ in range(rng.randint(0, 6))])
         shift, step = rng.randint(-6, 6), rng.randint(1, 3)
-        text = pstr(p, shift, step)
+        text = ref_pstr(p, shift, step)
         lowest = min((shift + step * k for k, c in enumerate(p) if c), default=0)
         if lowest < 0:
             assert "v^-" in text
@@ -134,5 +149,5 @@ def test_pstr_round_trips_through_pparse(seed):
                 want[shift + step * k] = c
         assert pparse(text) == pnorm(want)
         assert pstr(pparse(text)) == text
-    assert pstr(()) == "0" and pstr((), -3, 2) == "0" and pparse("0") == ()
-    assert pstr((0, 0, 1), -2) == "1" and pstr((3, -1), -1, 2) == "-v+3*v^-1"
+    assert pstr(()) == "0" and ref_pstr((), -3, 2) == "0" and pparse("0") == ()
+    assert ref_pstr((0, 0, 1), -2) == "1" and ref_pstr((3, -1), -1, 2) == "-v+3*v^-1"

@@ -127,7 +127,7 @@ def _pair(spec):
 def _same(z, x):
     val, n, h = z
     assert packed_vrat(val, n) == x
-    assert packed_str(val, (0, n)) == str(x)
+    assert packed_str(val, (0, n), 1) == str(x)
     if n:
         c = _unpack(n)
         assert c[0] and c[-1] and h >= sum(map(abs, c))
@@ -149,7 +149,7 @@ def test_pack_constants_and_refusals():
     assert pack(0) == pack(VR_ZERO) == pack(Fraction(0)) == (0, 0, 0)
     assert pack(Fraction(1)) == pack(VR_ONE) == pack(1) == (0, 1, 1)
     val, n = pack(VRat.v_pow(-2) * -3)[:2]
-    assert packed_str(val, (0, n)) == "(-3)/(v^2)"
+    assert packed_str(val, (0, n), 1) == "(-3)/(v^2)"
     assert packed_vrat(*pack(VRat.v_pow(-2) * -3)[:2]) == VRat.v_pow(-2) * -3
     # 1/(1+v) is refused where it is built, outside Q[v, v^-1]
     for bad in (lambda: Fraction(1, 2), lambda: VRat(1, 2),
@@ -181,7 +181,7 @@ def test_packed_round_trip_at_slot_edges(p):
         # zero low slots move into val
         assert pack(packed_vrat(val - 4, n << 4 * K)) == z
         x = packed_vrat(val, n)
-        assert packed_str(val, (0, n)) == str(x) == str(VRat(x.num, x.den))
+        assert packed_str(val, (0, n), 1) == str(x) == str(VRat(x.num, x.den))
 
 
 def _long_coefficients():
@@ -219,7 +219,7 @@ def test_pack_round_trip_on_long_coefficients(p):
 def test_single_negative_slot():
     z = _zl(5, (-7,))
     assert z == (5, -7, 7) and _unpack(-7) == (-7,)
-    assert packed_str(5, (0, -7)) == "(-7*v^5)/(1)"
+    assert packed_str(5, (0, -7), 1) == "(-7*v^5)/(1)"
     assert packed_vrat(5, -7) != packed_vrat(5, 7) and value_at_one(-7) == -7
 
 

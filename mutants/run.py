@@ -150,7 +150,7 @@ MUTANTS = [
      "qs = [(row[i], _slots(row[i + 1]))", "qs = [(row[-2 - i], _slots(row[i + 1]))",
      [T + "test_printer.py::test_to_json_matches_the_reference_printer[0-A-2-labels1]"]),
     ("a wide exponent read from the fixed tables", QF,
-     "bare, star = _powers(wide) if wide > len(_BARE) else (_BARE, _STAR)",
+     "bare, star = _powers(range(wide)) if wide > len(_BARE) else (_BARE, _STAR)",
      "bare, star = _BARE, _STAR",
      [T + "test_printer.py::test_wide_powers_print_without_growing_the_tables"]),
     ("a -1 slot printed as -1*v^e", QF,

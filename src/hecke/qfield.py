@@ -149,7 +149,8 @@ def _valuation(p: Poly) -> int:
 
 def pstr(a: Poly) -> str:
     """Print a like 'v^2-1', '2*v', '-v^3+v-4', '0'."""
-    bare, star = _powers(len(a)) if len(a) > len(_BARE) else (_BARE, _STAR)
+    bare, star = (_powers([k for k, c in enumerate(a) if c]) if len(a) > len(_BARE) else
+                  (_BARE, _STAR))
     return _vstr(a, len(a) - 1, 1, bare, star) or "0"
 
 
@@ -452,20 +453,19 @@ def packed_vrat(val: int, n) -> VRat:
     return VRat(pshift(c, val), PONE) if val >= 0 else VRat(c, pshift(PONE, -val))
 
 
-def _powers(n: int) -> tuple:
-    """("1", "v", "v^2", ...) and ("", "*v", "*v^2", ...), exponents 0 to n - 1."""
-    bare = ("1", "v", *[f"v^{x}" for x in range(2, n)])
-    return bare, ("", *["*" + b for b in bare[1:]])
+def _powers(xs) -> tuple:
+    """{x: "v^x"} and {x: "*v^x"} for the exponents xs >= 0, "1" and "" at 0."""
+    bare = {x: "1" if x == 0 else "v" if x == 1 else f"v^{x}" for x in xs}
+    return bare, {x: "*" + b if x else "" for x, b in bare.items()}
 
 
-_BARE, _STAR = _powers(64)   # fixed; a wider coefficient builds its own for one call
+_BARE, _STAR = _powers(range(64))   # fixed; a wider coefficient builds its own for one call
 
 
 def _vstr(cs, top: int, step: int, bare, star) -> str:
     """sum cs[i] v^(top - step (len(cs) - 1 - i)), highest first, '' if all are
     zero: a nonzero cs[i] is a lookup in bare or star and at most one int
-    format.  Exponents stop at 0, so no table is read from its end: a slot
-    below v^0 must be zero."""
+    format.  Exponents stop at 0, so a slot below v^0 must be zero."""
     return "".join([("+" + bare[x] if c == 1 else "-" + bare[x] if c == -1 else
                      f"+{c}{star[x]}" if c > 0 else f"{c}{star[x]}")
                     for c, x in zip(reversed(cs), range(top, -1, -step)) if c]).lstrip("+")
@@ -483,7 +483,7 @@ def packed_str(val: int, row, g: int) -> str:
     d = -low if low < 0 else 0   # the denominator's v-power
     top = e + d + step * (len(cs) - 1)
     wide = max(top, d) + 1
-    bare, star = _powers(wide) if wide > len(_BARE) else (_BARE, _STAR)
+    bare, star = _powers(range(wide)) if wide > len(_BARE) else (_BARE, _STAR)
     num = _vstr(cs, top, step, bare, star)
     return f"({num})/({bare[d]})" if num else "(0)/(1)"
 

@@ -89,8 +89,8 @@ class AHA:
                 raise ValueError("inadmissible labels: " + "; ".join(report))
             self.W = weyl_group(rs)   # and the label-free tables it shares on rs:
             # w*s, word lengths, per s the key moves us - u of T_u T_s, per u (s, su)
-            self.ws_table, self.lengths, self._moves, self._left = map(
-                rs._cache.get, ("ws_table", "lengths", "moves", "left"))
+            self.ws_table, self.lengths, self._moves, self._left = (
+                rs._cache[k] for k in ("ws_table", "lengths", "moves", "left"))
             self.pos_coroots = datum.coroots[:rs.n_positive]
         else:
             self.W = [WeylElement((), ())]

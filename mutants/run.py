@@ -175,6 +175,22 @@ MUTANTS = [
     ("div_exact renamed", XL,
      "def div_exact(", "def div_exact_renamed(",
      [T + "test_perfbench_names.py::test_every_traced_name_resolves_to_a_hecke_function"]),
+    # one conversion of q-parameters to v-exponents, the same at every base
+    ("v_exponents returns (e_star, e_alpha)", LP,
+     "return tuple(e.numerator * 2 // e.denominator for e in self)",
+     "return tuple(e.numerator * 2 // e.denominator for e in self)[::-1]",
+     [T + "test_label_params.py::test_v_exponents"]),
+    ("AHA reads lambda +- lambda* without the base", HA,
+     "ea, es = lf.pair(k).v_exponents()",
+     "ea, es = int(lf.orbits[k][1] + lf.orbits[k][2]), int(lf.orbits[k][1] - lf.orbits[k][2])",
+     [T + "test_hecke_algebra.py::test_the_algebra_is_the_same_at_every_base[A1-2]"]),
+    ("from_json without its reducedness check", HA,
+     'self._reduced(int(j) for j in t["w"])',
+     'word_index(self.ws_table, tuple(int(j) for j in t["w"]))',
+     [T + "test_hecke_algebra.py::test_from_json_refuses_what_t_refuses[not-reduced]"]),
+    ("VRat hashed as its tuple", QF,
+     "if self.den == PONE and len(self.num) < 2:", "if False:",
+     [T + "test_qfield.py::test_vrat_hashes_like_the_int_it_equals[1]"]),
     # a product is refused only where the exact norms refuse it
     ("_piece_top on the pieces' tracked bounds", HA,
      "top = max(top, m if m >> (K - 1) else _norm(part))", "top = max(top, m)",

@@ -2,18 +2,18 @@
 
 Elements are kept in the basis theta_x T_w (x in the lattice, w Weyl).  The
 defining relations, for a simple reflection s = s_a with orbit labels
-(lambda, lambda*) relative to the base (v^2 = base):
+(lambda, lambda*) at the base q_F^r, and v^2 = q_F at every base:
 
-    (T_s + 1)(T_s - qq_s) = 0,            qq_s = q_a q_{a*} = v^{2 lambda}
+    (T_s + 1)(T_s - qq_s) = 0,            qq_s = q_a q_{a*} = v^{2 r lambda}
     T_s theta_y = theta_{s(y)} T_s + D_s(y)
 
     D_s(y) = (A + B X_a^{-1}) (theta_y - theta_{s y}) / (1 - X_a^{-2})
     A = q_a q_{a*} - 1,   B = q_a - q_{a*}
 
-with q_a = v^{lambda+lambda*}, q_{a*} = v^{lambda-lambda*} and X_a = theta_a
-for the simple root a.  The divided difference has a closed form (_dcoeffs);
-it is a Laurent polynomial unless the pairing <y, a#> is odd and q_{a*} != 1,
-which admissible data never gives and which raises ArithmeticError.
+with q_a = v^{r(lambda+lambda*)}, q_{a*} = v^{r(lambda-lambda*)} and X_a =
+theta_a for the simple root a.  The divided difference has a closed form
+(_dcoeffs); it is a Laurent polynomial unless the pairing <y, a#> is odd and
+q_{a*} != 1, which admissible data never gives and which raises ArithmeticError.
 
 As lambda >= lambda* >= 0, every structure constant (qq_s, A, B, the
 coefficients of D_s(y)) lies in Z[t], t = v^g, g the gcd of the v-exponents
@@ -49,7 +49,7 @@ from .qfield import (K, VR_ZERO, VRat, _unpack, bounded, interleave, l1_norm, lo
 from .root_data import BasedRootDatum, SizeLimitError, WeylElement, weyl_group, word_index
 
 # Input caps: an accepted input runs in seconds on a 2-core machine.  charge()
-# weighs terms * (TERM_COST + width) against WORK_CAP, width = 2 lambda / g
+# weighs terms * (TERM_COST + width) against WORK_CAP, width = 2 r lambda / g
 # t-slots; T_w0 theta_y has (spread / 14)^rank terms, a check_relations sample
 # 12^rank / 360.  Largest accepted on rank 2 / 3 / 4, slowest over two y or
 # seeds 0-2 (the whole grid is in CHANGES.md):
@@ -97,16 +97,14 @@ class AHA:
             self.ws_table, self.lengths, self._moves, self._left = ((),), (0,), (), (None,)
             self.pos_coroots = ()
         self._points: dict = {}   # X -> x, memo of unkey
-        exps = []   # (ea, es): qq = v^(ea+es), B = v^ea - v^es
-        for j in range(self.rank):
-            lam, ls = lf.values(j)
-            if lam > LABEL_CAP:
-                raise SizeLimitError(f"simple {j}: label {lam} exceeds {LABEL_CAP}")
-            ea, es = lam + ls, lam - ls
-            if ea.denominator != 1 or es.denominator != 1:
-                raise ValueError(
-                    f"simple {j}: q-parameters v^{ea}, v^{es} are not v-powers")
-            exps.append((int(ea), int(es)))
+        exps = [None] * self.rank   # (ea, es): qq = v^(ea+es), B = v^ea - v^es
+        for k, (idx, _, _) in enumerate(lf.orbits):
+            ea, es = lf.pair(k).v_exponents()   # (ea + es) / 2: the label at base q_F
+            if ea + es > 2 * LABEL_CAP:
+                raise SizeLimitError(
+                    f"simple {idx[0]}: label {Fraction(ea + es, 2)} exceeds {LABEL_CAP}")
+            for j in idx:
+                exps[j] = ea, es
         # t = v^g, g the gcd of the v-exponents of every qq and every nonzero
         # B.  The v-power qq is kept as its t-slot shift, B = t^p - t^r as the
         # shifts (K p, K r), (0, 0) when B = 0; A = qq - 1 is (qq, 0)
@@ -200,7 +198,7 @@ class AHA:
         self.charge(t_terms, f"{len(word) - len(points)} T tokens")
 
     def charge(self, terms, what: str) -> None:
-        """Refuse terms * (TERM_COST + width) past WORK_CAP, width = 2 lambda / g."""
+        """Refuse terms * (TERM_COST + width) past WORK_CAP, width = 2 r lambda / g."""
         work = terms * (TERM_COST + max(self.qq, default=0) // K)
         if work > WORK_CAP:
             raise SizeLimitError(f"{what}: predicted work {round(work)} exceeds {WORK_CAP}")
@@ -212,6 +210,10 @@ class AHA:
 
     def t(self, word) -> "AHAElement":
         """T_w for the element with the given reduced word (lengths must add)."""
+        return self.element({((0,) * self.d, self._reduced(word)): 1})
+
+    def _reduced(self, word) -> int:
+        """The W-index of a reduced word; ValueError for any other word."""
         word = tuple(word)
         if not all(0 <= j < self.rank for j in word):
             raise ValueError(f"word {word}: a simple index is out of range for "
@@ -219,13 +221,12 @@ class AHA:
         wi = word_index(self.ws_table, word)
         if self.lengths[wi] != len(word):
             raise ValueError(f"word {word} is not reduced")
-        return self.element({((0,) * self.d, wi): 1})
+        return wi
 
     def from_json(self, data: dict) -> "AHAElement":
         terms: dict = {}
         for t in data["terms"]:
-            key = (tuple(int(c) for c in t["x"]),
-                   word_index(self.ws_table, tuple(int(j) for j in t["w"])))
+            key = (tuple(int(c) for c in t["x"]), self._reduced(int(j) for j in t["w"]))
             terms[key] = terms.get(key, VR_ZERO) + VRat.parse(t["coeff"])
         return self.element(terms)
 
@@ -601,11 +602,11 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
     # not from the handle's structure constants
     from .xlaurent import Laurent, div_exact
     one, u = alg.one(), Laurent.x_pow
-    consts = []   # (A, B) = (qq - 1, v^(lam + lam*) - v^(lam - lam*)), qq = v^(2 lam)
+    consts = []   # (A, B) = (qq - 1, q_a - q_a*), qq = q_a q_a*
     for j in range(alg.rank):
-        lam, ls = alg.lf.values(j)
-        qq = VRat.v_pow(int(2 * lam))
-        consts.append((qq - 1, VRat.v_pow(int(lam + ls)) - VRat.v_pow(int(lam - ls))))
+        ea, es = alg.lf.pair(alg.lf.orbit_of(j)).v_exponents()
+        qq = VRat.v_pow(ea + es)
+        consts.append((qq - 1, VRat.v_pow(ea) - VRat.v_pow(es)))
         ts = alg.t_simple(j)
         lhs = ts * ts
         rhs = ts.scale(qq - 1) + one.scale(qq)

@@ -7,7 +7,8 @@ A label function carries, per W-orbit of simple roots, the pair
     lambda* = log(q_a / q_{a*}) / log(base),
 
 where base = q_F^exp is its q-base.  Rescaling the base rescales the labels
-inversely and leaves the q-parameters alone.
+inversely and leaves the q-parameters alone.  Labels, q-parameters and
+v-exponents convert only here: pair_from_labels, labels_from_q, v_exponents.
 """
 from __future__ import annotations
 
@@ -76,6 +77,13 @@ class ParamPair:
                 and (2 * self.e_star).denominator == 1
                 and (self.e_alpha - self.e_star).denominator == 1)
 
+    def v_exponents(self) -> tuple[int, int]:
+        """(2 e_alpha, 2 e_star): q_alpha and q_{alpha*} as powers of v = q_F^(1/2)."""
+        for e in self:
+            if 2 % e.denominator:
+                raise ValueError(f"exponent {e} is not a half-integer")
+        return tuple(e.numerator * 2 // e.denominator for e in self)
+
     def __iter__(self):
         return iter((self.e_alpha, self.e_star))
 
@@ -101,10 +109,10 @@ def labels_from_q(p: ParamPair, base: QBase | None = None) -> tuple[Fraction, Fr
 
 def pair_from_labels(lam, lam_star, base_exp=1) -> ParamPair:
     """Inverse of labels_from_q: e(q_a) = r(lam+lam*)/2, e(q_{a*}) = r(lam-lam*)/2."""
-    lam, ls, r = _frac(lam), _frac(lam_star), _frac(base_exp)
+    lam, ls, h = _frac(lam), _frac(lam_star), _frac(base_exp) / 2
     if not lam >= ls >= 0:
         raise ValueError(f"need lambda >= lambda* >= 0, got ({lam}, {ls})")
-    return ParamPair(r * (lam + ls) / 2, r * (lam - ls) / 2)
+    return ParamPair(h * (lam + ls), h * (lam - ls))
 
 
 def _fmt(x: Fraction):

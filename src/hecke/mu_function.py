@@ -25,18 +25,12 @@ from .xlaurent import Laurent, shaped_roots
 MU_EXP_CAP = 1024
 
 
-def _half_vexp(e: Fraction) -> int:
-    if 2 % e.denominator:
-        raise ValueError(f"exponent {e} is not a half-integer")
-    return e.numerator * 2 // e.denominator
-
-
 def _vexps(pair: ParamPair) -> tuple[int, int]:
     """v-exponents (2 e_alpha, 2 e_star) of a pair: refuses e_alpha above the
     cap, then an exponent that is not a half-integer."""
     if pair.e_alpha > MU_EXP_CAP:
         raise SizeLimitError(f"q_alpha exponent {pair.e_alpha} exceeds {MU_EXP_CAP}")
-    return _half_vexp(pair.e_alpha), _half_vexp(pair.e_star)
+    return pair.v_exponents()
 
 
 def _pair(k: int, sign: int, on: bool) -> tuple[dict, dict]:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from importlib import resources
 from math import ceil, gcd, lcm
 
-from .label_params import LabelFunction, ParamPair, QBase, _fmt, _frac
+from .label_params import LabelFunction, ParamPair, QBase, _fmt, _frac, labels_from_q
 from .root_data import SizeLimitError, parse_type, simple_orbits
 
 # unitary_ps_descriptor's cost is linear in n: about 1 ms and 140 kB of JSON at the cap
@@ -426,10 +426,10 @@ def classical_labels(fam: ClassicalFamily) -> ClassicalLabels:
     else:
         e_a, e_s = Fraction(f * t), Fraction(0)
         comp = "A"
-    alpha_t = ((e_a + e_s) / t, (e_a - e_s) / t)
+    pair = ParamPair(e_a, e_s)
     other_t = (Fraction(f), Fraction(f))
-    return ClassicalLabels(fam.case_tag, t, f, comp, ParamPair(e_a, e_s),
-                           alpha_t, other_t)
+    return ClassicalLabels(fam.case_tag, t, f, comp, pair, labels_from_q(pair, QBase(t)),
+                           other_t)
 
 
 class BoundCheck:
@@ -747,8 +747,7 @@ class CaseRecord:
                 continue
             dual = _dual_type(piece)
             for combo in itertools.product(*option_lists):
-                labels = [(_frac(ea) + _frac(es), _frac(ea) - _frac(es))
-                          for ea, es in combo]
+                labels = [labels_from_q(ParamPair(*pair)) for pair in combo]
                 # relative (long, short) become (short, long) in the dual
                 lf = _labels(*parse_type(dual), labels[-1], labels[0])
                 out.append((self.group, self.levi, piece, combo, component_match((dual, lf))))

@@ -274,6 +274,8 @@ class VRat:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.den == PONE and len(self.num) < 2:   # equal to an int: hash as it
+            return hash(sum(self.num))
         return hash((self.num, self.den))
 
     def __add__(self, other):

@@ -72,9 +72,13 @@ class Rep:
     def __init__(self, alg: AHA, sign: bool):
         datum = alg.datum
         self.simple = []
+        r = alg.lf.base.exp
         for j in range(datum.root_system.rank):
+            # q_a = q_F^(r (lam + lam*) / 2) = v^(r (lam + lam*)), v^2 = q_F at every base
             lam, ls = alg.lf.values(j)
-            qa, qs = V ** int(lam + ls), V ** int(lam - ls)
+            ea, es = r * (lam + ls), r * (lam - ls)
+            assert ea.denominator == es.denominator == 1, "q-parameters are not v-powers"
+            qa, qs = V ** int(ea), V ** int(es)
             root = datum.roots[datum.basis[j]]
             coroot = datum.coroots[datum.basis[j]]
             chi = -QV.one if sign else qa * qs

@@ -306,6 +306,17 @@ def test_label_cap():
     assert _refused("mul", "--type", "A1", "--labels", f"{big},{big}", "T0", "T0")
 
 
+def test_labels_at_another_base():
+    # v^2 = q_F at every base: label 1 at base q_F^(1/2) is qq = q_F^(1/2) = v
+    terms = run_json("normal-form", "--type", "A1", "--labels", "1", "--base-exp", "1/2",
+                     "T0 T0")["element"]["terms"]
+    assert {tuple(t["w"]): t["coeff"] for t in terms} == {(): "(v)/(1)", (0,): "(v-1)/(1)"}
+    # q_F^(1/3) is no power of v; label 51 at base q_F^2 is label 102 at base q_F
+    proc = run("normal-form", "--type", "A1", "--labels", "1", "--base-exp", "1/3", "T0")
+    assert proc.returncode == 2 and "not a half-integer" in proc.stderr
+    assert _refused("normal-form", "--type", "A1", "--labels", "51", "--base-exp", "2", "T0")
+
+
 def test_coordinate_cap():
     from hecke.hecke_algebra import COORD_CAP
     assert _refused("mul", "--type", "A1", "--labels", "1,1", "T0",

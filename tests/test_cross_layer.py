@@ -3,9 +3,10 @@ its mu-factors.
 
 The knowledge base (param_catalog), the algebra (hecke_algebra) and the
 mu-functions (mu_function) share only conventions: long orbit first, lambda*
-only on the short orbit of type B, the dual-type swap, and a q-base at which
-lambda +- lambda* are integers.  Each label set that the unitary
-principal-series descriptor or a determined case record emits is fed to both.
+only on the short orbit of type B, the dual-type swap, and q-parameters that
+are powers of v = q_F^(1/2) at any q-base (label_params converts them).  Each
+label set that the unitary principal-series descriptor or a determined case
+record emits is fed to both.
 """
 import itertools
 import time
@@ -42,7 +43,7 @@ def _round_trips(lf: LabelFunction) -> list:
 def _builds(letter, rank, lf: LabelFunction):
     """The algebra builds and passes its relations: 2 associativity samples at
     rank <= 3 and 1 at rank 4, where the work budget admits 1 at width <= 5."""
-    alg = algebra(BasedRootDatum(build_root_system(letter, rank)), _integral(lf))
+    alg = algebra(BasedRootDatum(build_root_system(letter, rank)), lf)
     report = check_relations(alg, 2 if rank <= 3 else 1)
     assert report["ok"], (letter, rank, lf, report["failures"])
 

@@ -239,6 +239,35 @@ def test_json_roundtrip():
     assert set(term) == {"x", "w", "coeff"}
 
 
+@pytest.mark.parametrize("word", [[0, 0], [-1], [5]],
+                         ids=["not-reduced", "negative", "out-of-range"])
+def test_from_json_refuses_what_t_refuses(word):
+    # [0, 0] is not reduced (T_0 T_0 = v^2 + (v^2 - 1) T_0, not T_1), -1 is no
+    # simple index (not T_0 by negative indexing) and 5 is out of range
+    alg = _alg("A", 1, (1, 1))
+    for build in (lambda: alg.t(word),
+                  lambda: alg.from_json({"terms": [{"x": [0], "w": word, "coeff": "(1)/(1)"}]})):
+        with pytest.raises(ValueError):
+            build()
+
+
+@pytest.mark.parametrize("r", [2, Fraction(1, 2)], ids=str)
+@pytest.mark.parametrize("t,n,labels", [("A", 1, (1, 1)), ("B", 2, (3, 3, 1)),
+                                        ("G", 2, (1, 3))], ids=["A1", "B2", "G2"])
+def test_the_algebra_is_the_same_at_every_base(t, n, labels, r):
+    # rescaling the base leaves the q-parameters, hence every printed v-power, alone
+    rs = build_root_system(t, n)
+    lf = LabelFunction.for_system(rs, labels)
+    out = []
+    for f in (lf, lf.rescale(r)):
+        alg = AHA(BasedRootDatum(rs), f)
+        word = [("theta", (1,) + (-1,) * (alg.d - 1)), ("T", 0), ("T", n - 1), ("T", 0)]
+        prod = alg.t((0,)) * alg.theta((-1,) * alg.d)
+        out.append(json.dumps([normal_form(alg, word).to_json(), prod.to_json(),
+                               check_relations(alg, 2, seed=3)], sort_keys=True))
+    assert out[0] == out[1]
+
+
 def test_normal_form():
     alg = _alg("B", 2, (3, 3, 1))
     braid1 = normal_form(alg, [("T", 0), ("T", 1), ("T", 0), ("T", 1)])

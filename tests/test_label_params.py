@@ -27,6 +27,17 @@ def test_pair_from_labels():
         ParamPair(1, 2)
 
 
+def test_v_exponents():
+    assert ParamPair(2, 1).v_exponents() == (4, 2)
+    assert ParamPair(Fraction(3, 2), Fraction(1, 2)).v_exponents() == (3, 1)
+    assert ParamPair(0, 0).v_exponents() == (0, 0)
+    # the same at every base: label 1 at base q_F^2 is q_a = q_F^2 = v^4
+    assert pair_from_labels(1, 1, 2).v_exponents() == pair_from_labels(2, 2).v_exponents()
+    for pair in (ParamPair(Fraction(1, 3)), ParamPair(1, Fraction(1, 3))):
+        with pytest.raises(ValueError, match="exponent 1/3 is not a half-integer"):
+            pair.v_exponents()
+
+
 _half = st.integers(min_value=0, max_value=12).map(lambda k: Fraction(k, 2))
 
 

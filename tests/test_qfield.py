@@ -1,4 +1,4 @@
-"""Coefficients: the ring Q[v, v^-1] (v^2 = q-base) as num/(c*v^k), and its
+"""Coefficients: the ring Q[v, v^-1] (v^2 = q_F) as num/(c*v^k), and its
 packed subring Z[v, v^-1] checked against them."""
 import random
 from fractions import Fraction
@@ -64,6 +64,12 @@ def test_vrat_parse_str_roundtrip():
     for s in ["(v^2-1)/(1)", "(1)/(v^2)", "(-v^3+v-4)/(3*v^2)", "(0)/(1)", "(2*v)/(1)"]:
         assert str(VRat.parse(s)) == s
     assert VRat.parse("v^2-1") == VRat.parse("(v^2-1)/(1)")
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 2 ** 70, -2 ** 70])
+def test_vrat_hashes_like_the_int_it_equals(n):
+    assert VRat(n) == n and hash(VRat(n)) == hash(n)
+    assert len({VRat(n), n}) == 1
 
 
 def test_vrat_powers_eval():

@@ -191,6 +191,18 @@ MUTANTS = [
     ("VRat hashed as its tuple", QF,
      "if self.den == PONE and len(self.num) < 2:", "if False:",
      [T + "test_qfield.py::test_vrat_hashes_like_the_int_it_equals[1]"]),
+    # the classical labels, conformance and the base check read label_params
+    ("conforms without the q_F-ratio test", LP,
+     "return all((ea - es) % 2 == 0 for ea, es in vexps)", "return True",
+     [T + "test_label_params.py::test_conjecture_conformance"]),
+    ("base-1 classical labels read at base t", PC,
+     "self.alpha_base_1 = labels_from_q(q_pair)",
+     "self.alpha_base_1 = labels_from_q(q_pair, QBase(t))",
+     [T + "test_param_catalog.py::test_classical_labels_case_a",
+      T + "test_cross_layer.py::test_classical_family_labels_build_and_round_trip"]),
+    ("pair_from_labels without the base check", LP,
+     "QBase(base_exp).exp / 2", "_frac(base_exp) / 2",
+     [T + "test_label_params.py::test_pair_from_labels_checks_its_base"]),
     # a product is refused only where the exact norms refuse it
     ("_piece_top on the pieces' tracked bounds", HA,
      "top = max(top, m if m >> (K - 1) else _norm(part))", "top = max(top, m)",

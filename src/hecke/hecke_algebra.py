@@ -645,12 +645,12 @@ def check_relations(alg: AHA, sample_count: int = 50, seed: int = 0) -> dict:
         a = _random_element(alg, rng)
         b = _random_element(alg, rng)
         c = _random_element(alg, rng)
-        if (a * b) * c != a * (b * c):
+        ab = a * b
+        if ab * c != a * (b * c):
             report["failures"].append(
                 _sample_failure("associativity", seed, index, a, b, c))
         else:
             report["associativity"] += 1
-        ab = a * b
         spec = _group_algebra_mult(alg, a.specialize(), b.specialize())
         if spec != ab.specialize():
             report["group_algebra_spec"] = False

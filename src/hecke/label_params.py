@@ -71,12 +71,6 @@ class ParamPair:
         self.e_alpha = e_alpha
         self.e_star = e_star
 
-    def conforming(self) -> bool:
-        """Both parameters are powers of q_F^(1/2) and their ratio a power of q_F."""
-        return ((2 * self.e_alpha).denominator == 1
-                and (2 * self.e_star).denominator == 1
-                and (self.e_alpha - self.e_star).denominator == 1)
-
     def v_exponents(self) -> tuple[int, int]:
         """(2 e_alpha, 2 e_star): q_alpha and q_{alpha*} as powers of v = q_F^(1/2)."""
         for e in self:
@@ -109,13 +103,11 @@ def labels_from_q(p: ParamPair, base: QBase | None = None) -> tuple[Fraction, Fr
 
 def pair_from_labels(lam, lam_star, base_exp=1) -> ParamPair:
     """Inverse of labels_from_q: e(q_a) = r(lam+lam*)/2, e(q_{a*}) = r(lam-lam*)/2."""
-    lam, ls, h = _frac(lam), _frac(lam_star), _frac(base_exp) / 2
-    if not lam >= ls >= 0:
-        raise ValueError(f"need lambda >= lambda* >= 0, got ({lam}, {ls})")
+    lam, ls, h = _frac(lam), _frac(lam_star), QBase(base_exp).exp / 2
     return ParamPair(h * (lam + ls), h * (lam - ls))
 
 
-def _fmt(x: Fraction):
+def _fmt(x: Fraction | int):
     return int(x) if x.denominator == 1 else str(x)
 
 
@@ -189,11 +181,13 @@ class LabelFunction:
         return tuple(self.pair(k) for k in range(len(self.orbits)))
 
     def conforms(self) -> bool:
-        """Conjecture-conformance: every orbit's parameters satisfy conforming()."""
+        """Conjecture-conformance: every orbit's parameters are powers of
+        v = q_F^(1/2) whose ratio is a power of q_F."""
         try:
-            return all(p.conforming() for p in self.pairs())
+            vexps = [p.v_exponents() for p in self.pairs()]
         except ValueError:
             return False
+        return all((ea - es) % 2 == 0 for ea, es in vexps)
 
     # -- transforms -----------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .label_params import ParamPair, _frac
+from .label_params import ParamPair, _fmt, _frac
 from .qfield import VR_ZERO, VRat
 from .root_data import RootSystem, SizeLimitError, _dot, simple_orbits
 from .xlaurent import Laurent, shaped_roots
@@ -162,9 +162,7 @@ class PoleZeroProfile:
 
     @staticmethod
     def _side_json(side: dict) -> list:
-        rows = sorted(side.items())
-        return [{"sign": s, "exp": int(e) if e.denominator == 1 else str(e), "ord": o}
-                for (s, e), o in rows]
+        return [{"sign": s, "exp": _fmt(e), "ord": o} for (s, e), o in sorted(side.items())]
 
     def to_json(self) -> dict:
         return {"zeros": self._side_json(self.zeros),

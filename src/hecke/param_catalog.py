@@ -351,25 +351,25 @@ class ClassicalLabels:
     """Labels of one classical family.
 
     alpha_* are the labels of the distinguished orbit, other_* those of the
-    companion orbit of the same component (always (f, f) at base q_F^t).
-    q_pair holds the exact q_F-exponents, component the shape letter of the
-    dual component the orbit sits in.
+    companion orbit of the same component (parameters q_F^{f t} and 1, so
+    always (f, f) at base q_F^t).  q_pair holds the exact q_F-exponents,
+    component the shape letter of the dual component the orbit sits in.
     """
 
     __slots__ = ("case_tag", "t", "f", "component", "q_pair",
                  "alpha_base_t", "alpha_base_1", "other_base_t", "other_base_1")
 
-    def __init__(self, case_tag, t, f, component, q_pair,
-                 alpha_base_t, other_base_t):
+    def __init__(self, case_tag, t, f, component, q_pair):
         self.case_tag = case_tag
         self.t = t
         self.f = f
         self.component = component
         self.q_pair = q_pair
-        self.alpha_base_t = alpha_base_t
-        self.alpha_base_1 = tuple(v * t for v in alpha_base_t)
-        self.other_base_t = other_base_t
-        self.other_base_1 = tuple(v * t for v in other_base_t)
+        other = ParamPair(f * t)
+        self.alpha_base_t = labels_from_q(q_pair, QBase(t))
+        self.alpha_base_1 = labels_from_q(q_pair)
+        self.other_base_t = labels_from_q(other, QBase(t))
+        self.other_base_1 = labels_from_q(other)
 
     @property
     def integral_at_t(self) -> bool:
@@ -426,10 +426,7 @@ def classical_labels(fam: ClassicalFamily) -> ClassicalLabels:
     else:
         e_a, e_s = Fraction(f * t), Fraction(0)
         comp = "A"
-    pair = ParamPair(e_a, e_s)
-    other_t = (Fraction(f), Fraction(f))
-    return ClassicalLabels(fam.case_tag, t, f, comp, pair, labels_from_q(pair, QBase(t)),
-                           other_t)
+    return ClassicalLabels(fam.case_tag, t, f, comp, ParamPair(e_a, e_s))
 
 
 class BoundCheck:
@@ -444,8 +441,8 @@ class BoundCheck:
         self.cap = cap
 
     def to_json(self) -> dict:
-        return {"ok": self.ok, "slack": _fmt(_frac(self.slack)),
-                "used": _fmt(_frac(self.used)), "cap": _fmt(_frac(self.cap))}
+        return {"ok": self.ok, "slack": _fmt(self.slack),
+                "used": _fmt(self.used), "cap": _fmt(self.cap)}
 
     def __repr__(self):
         verdict = "ok" if self.ok else "violated"

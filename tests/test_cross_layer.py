@@ -5,8 +5,8 @@ The knowledge base (param_catalog), the algebra (hecke_algebra) and the
 mu-functions (mu_function) share only conventions: long orbit first, lambda*
 only on the short orbit of type B, the dual-type swap, and q-parameters that
 are powers of v = q_F^(1/2) at any q-base (label_params converts them).  Each
-label set that the unitary principal-series descriptor or a determined case
-record emits is fed to both.
+label set that the unitary principal-series descriptor, a classical family or a
+determined case record emits is fed to both.
 """
 import itertools
 import time
@@ -14,9 +14,10 @@ from fractions import Fraction
 from math import lcm
 
 from hecke.hecke_algebra import algebra, check_relations
-from hecke.label_params import LabelFunction, ParamPair
+from hecke.label_params import LabelFunction, ParamPair, QBase, validate
 from hecke.mu_function import mu_factor, poles_zeros, q_from_poles
-from hecke.param_catalog import (CaseRecord, _dual_type, db_integrity_report, db_records,
+from hecke.param_catalog import (CaseRecord, ClassicalFamily, _dual_type, classical_labels,
+                                 db_integrity_report, db_records, parity_allows, parity_rule,
                                  unitary_ps_descriptor)
 from hecke.root_data import BasedRootDatum, build_root_system, parse_type, simple_orbits
 
@@ -73,6 +74,47 @@ def test_unitary_principal_series_labels_build_and_round_trip():
     for orbits, exp in [([((0,), 1, 1), ((1,), Fraction(1, 2), 0)], Fraction(1, 2)),
                         ([((0,), Fraction(5, 6), Fraction(1, 2))], Fraction(1, 3))]:
         assert _integral(LabelFunction(orbits)).base.exp == exp
+    assert time.monotonic() - t0 < 5
+
+
+def _classical_families():
+    """test_05's grid: cases a and c, and case b under both parity rules."""
+    for t, f in itertools.product((1, 2, 3), (1, 2)):
+        for a_plus in range(7):
+            yield ClassicalFamily("a", t=t, f=f, a_plus=a_plus)
+        yield ClassicalFamily("c", t=t, f=f)
+        for kind in ("unramified-SU", "other"):
+            rule = parity_rule(kind, t)
+            for a in range(-1, 7):
+                for a_minus in range(-1, a + 1):
+                    if parity_allows(rule, a, a_minus):
+                        yield ClassicalFamily("b", t=t, f=f, a=a, a_minus=a_minus)
+
+
+def _classical_lf(lab, base_exp) -> LabelFunction:
+    """triple(base_exp) on the rank-2 component at base q_F^base_exp, long orbit first."""
+    comp, ll, ls, lx = lab.triple(base_exp)
+    values = [(ls, lx)] if comp == "A" else [(ll, ll), (ls, lx)]
+    return LabelFunction.for_system(build_root_system(comp, 2), values, QBase(base_exp))
+
+
+def test_classical_family_labels_build_and_round_trip():
+    t0 = time.monotonic()
+    families = list(_classical_families())
+    sets = {}
+    for fam in families:
+        lab = classical_labels(fam)
+        lf = _classical_lf(lab, 1)
+        # the labels at base q_F^t name the same q-parameters, the family's among them
+        assert _classical_lf(lab, fam.t).pairs() == lf.pairs(), fam
+        assert lab.q_pair in lf.pairs(), fam
+        assert not validate(lf, build_root_system(lab.component, 2)), fam
+        _round_trips(lf)
+        sets.setdefault((lab.component, lf))
+    for comp, lf in sets:
+        _builds(comp, 2, lf)
+    assert len(families) == 296 and len(sets) == 220
+    assert {comp for comp, _ in sets} == {"A", "B", "C"}
     assert time.monotonic() - t0 < 5
 
 

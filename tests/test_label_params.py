@@ -27,6 +27,12 @@ def test_pair_from_labels():
         ParamPair(1, 2)
 
 
+def test_pair_from_labels_checks_its_base():
+    for r in (0, -2, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="base exponent must be positive"):
+            pair_from_labels(1, 1, r)
+
+
 def test_v_exponents():
     assert ParamPair(2, 1).v_exponents() == (4, 2)
     assert ParamPair(Fraction(3, 2), Fraction(1, 2)).v_exponents() == (3, 1)
@@ -123,6 +129,9 @@ def test_conjecture_conformance():
     assert LabelFunction.for_system(b1, (1, 0)).conforms()  # q = q*^ = q_F^(1/2)
     odd = LabelFunction.for_system(b1, (Fraction(1, 2), Fraction(1, 2)))
     assert not odd.conforms()  # ratio q_a/q_{a*} not a power of q_F
+    third = LabelFunction.for_system(b1, (Fraction(1, 3), Fraction(1, 3)))
+    assert not third.conforms()  # q_a = q_F^(1/3) is no power of v
+    assert not LabelFunction([((0,), 1, 2)]).conforms()  # lambda < lambda*
 
 
 def test_json_roundtrip():

@@ -203,6 +203,16 @@ MUTANTS = [
     ("pair_from_labels without the base check", LP,
      "QBase(base_exp).exp / 2", "_frac(base_exp) / 2",
      [T + "test_label_params.py::test_pair_from_labels_checks_its_base"]),
+    # root_data states each fact once: one descent walk, one pairing, one type table
+    ("decompose peels w, not w^-1", RD,
+     "_peel(rs, _inverse(w_perm))", "_peel(rs, w_perm)",
+     [T + "test_root_data.py::test_decompose_words_are_weyl_group_words[A-3]"]),
+    ("Cartan pairing without the factor 2", RD,
+     "num, na = 2 * _dot(r, a), _dot(a, a)", "num, na = _dot(r, a), _dot(a, a)",
+     [T + "test_root_data.py::test_cartan_matrices"]),
+    ("parse_type skips the type check", RD,
+     "    _check_type(letter, rank)\n    return letter, rank", "    return letter, rank",
+     [T + "test_root_data.py::test_parse_type_and_simple_orbits_share_one_type_table"]),
     # a product is refused only where the exact norms refuse it
     ("_piece_top on the pieces' tracked bounds", HA,
      "top = max(top, m if m >> (K - 1) else _norm(part))", "top = max(top, m)",

@@ -239,14 +239,15 @@ def _cmd_jmatrix(args):
 
 def _cmd_scalar(args):
     from .intertwiner_rank1 import (compose, composite_scalar, is_scalar_identity,
-                                    j_matrix, reciprocal_scalar_profile,
-                                    reducibility_points)
+                                    j_matrix, reciprocal_scalar_profile)
+    from .mu_function import q_from_poles
     a, b = (j_matrix(d) for d in J_DIRECTIONS)
     s = composite_scalar()
     ok = is_scalar_identity(compose(a, b), s) and is_scalar_identity(compose(b, a), s)
+    prof = reciprocal_scalar_profile()
     _emit(args, {"scalar": s.to_str("z"), "scalar_identity": ok,
-                 "reciprocal_profile": reciprocal_scalar_profile().to_json(),
-                 "reducibility_points": reducibility_points().to_json()})
+                 "reciprocal_profile": prof.to_json(),
+                 "reducibility_points": q_from_poles(prof).to_json()})
     return 0 if ok else 1
 
 
@@ -277,8 +278,9 @@ def _cmd_mul(args):
     from .hecke_algebra import normal_form
     alg = _algebra_args(args)
     ltoks, rtoks = _tokens(args.left, alg.d), _tokens(args.right, alg.d)
-    prod = normal_form(alg, ltoks + rtoks)   # charged on both words together
+    alg.charge_word(ltoks + rtoks)   # the product's charge, before any work
     left, right = normal_form(alg, ltoks), normal_form(alg, rtoks)
+    prod = left * right
     _emit(args, {"left": repr(left), "right": repr(right),
                  "product": prod.to_json(), "display": repr(prod)})
     return 0

@@ -31,6 +31,20 @@ def _dot(a, b):
     return sum(map(mul, a, b))
 
 
+def _pairing(r, a) -> int:
+    """The Cartan integer <r, a^vee> = 2 (r, a) / (a, a)."""
+    num, na = 2 * _dot(r, a), _dot(a, a)
+    assert num % na == 0, "non-integral Cartan pairing"
+    return num // na
+
+
+def _check_type(letter: str, n: int) -> None:
+    """Raise ValueError unless letter n is a Cartan type with a realization."""
+    if not {"A": n >= 1, "B": n >= 1, "C": n >= 1, "D": n >= 2, "E": n in (6, 7, 8),
+            "F": n == 4, "G": n == 2}.get(letter, False):
+        raise ValueError(f"invalid Cartan type {letter}{n}")
+
+
 def simple_orbits(letter: str, rank: int) -> tuple:
     """W-orbits of the simple roots of the standard realization, at any rank.
 
@@ -40,9 +54,7 @@ def simple_orbits(letter: str, rank: int) -> tuple:
     ValueError where there is no realization.
     """
     n = rank
-    if not {"A": n >= 1, "B": n >= 1, "C": n >= 1, "D": n >= 2, "E": n in (6, 7, 8),
-            "F": n == 4, "G": n == 2}.get(letter, False):
-        raise ValueError(f"invalid Cartan type {letter}{rank}")
+    _check_type(letter, n)
     if letter == "D" and n == 2:
         return (("all", (0,)), ("all", (1,)))
     if letter in ("A", "D", "E"):
@@ -124,9 +136,7 @@ class RootSystem:
         self.all_roots = tuple(pos) + tuple(tuple(-x for x in r) for r in pos)
         self.coeffs = tuple(coeffs) + tuple(tuple(-x for x in c) for c in coeffs)
         self.index = {r: i for i, r in enumerate(self.all_roots)}
-        self.cartan = tuple(
-            tuple(2 * _dot(a, b) // _dot(b, b) for b in simples) for a in simples
-        )
+        self.cartan = tuple(tuple(_pairing(a, b) for b in simples) for a in simples)
         self._cache: dict = {}
         expected = ROOT_COUNTS[cartan_type]
         expected = expected(rank) if callable(expected) else expected[rank]
@@ -138,13 +148,10 @@ class RootSystem:
         key = ("sperm", i)
         if key not in self._cache:
             a = self.simple_roots[i]
-            na = _dot(a, a)
             perm = []
             for r in self.all_roots:
-                num = 2 * _dot(r, a)
-                assert num % na == 0
-                img = tuple(x - (num // na) * y for x, y in zip(r, a))
-                perm.append(self.index[img])
+                k = _pairing(r, a)
+                perm.append(self.index[tuple(x - k * y for x, y in zip(r, a))])
             self._cache[key] = tuple(perm)
         return self._cache[key]
 
@@ -171,10 +178,7 @@ def _close_positive(simples):
         r = queue.popleft()
         c = coeffs[r]
         for i, a in enumerate(simples):
-            na = _dot(a, a)
-            num = 2 * _dot(r, a)
-            assert num % na == 0, "non-integral Cartan pairing"
-            k = num // na
+            k = _pairing(r, a)
             if k < 0:
                 img = tuple(x - k * y for x, y in zip(r, a))
                 if img not in coeffs:
@@ -186,22 +190,13 @@ def _close_positive(simples):
 def parse_type(component):
     """(letter, rank) of a component name such as 'B2' or 'B'; rank None if absent."""
     s = str(component).replace("_", "").replace(" ", "")
-    letter = s[:1].upper()
-    if letter not in "ABCDEFG":
+    letter, digits = s[:1].upper(), s[1:]
+    if not digits and letter in "ABCDEFG":
+        return letter, None
+    if not digits.isdigit():
         raise ValueError(f"unknown component type {component!r}")
-    rank = None
-    if len(s) > 1:
-        if not s[1:].isdigit():
-            raise ValueError(f"unknown component type {component!r}")
-        rank = int(s[1:])
-        if rank < 1:
-            raise ValueError(f"component rank must be positive, got {component!r}")
-    if letter == "F" and rank not in (None, 4):
-        raise ValueError(f"no component of type {component!r}")
-    if letter == "G" and rank not in (None, 2):
-        raise ValueError(f"no component of type {component!r}")
-    if letter == "E" and rank not in (None, 6, 7, 8):
-        raise ValueError(f"no component of type {component!r}")
+    rank = int(digits)
+    _check_type(letter, rank)
     return letter, rank
 
 
@@ -331,40 +326,37 @@ def decompose_extended(matrix, rs: RootSystem) -> tuple[DatumAutomorphism, WeylE
 
     The input is an integer matrix on the ambient coordinates.  The r-part has
     zero length (it fixes the positive system); the factorization is unique.
+    w carries its lexicographically least reduced word, as in weyl_group, at
+    every rank; W itself is never built.
     """
     perm = _perm_from_matrix(matrix, rs)
-    np = rs.n_positive
     simple_idx = [rs.index[s] for s in rs.simple_roots]
-    letters = []
-    cur = list(perm)
-    while True:
-        desc = next((i for i in range(rs.rank) if cur[simple_idx[i]] >= np), None)
-        if desc is None:
-            break
-        sp = rs.simple_reflection_perm(desc)
-        cur = [cur[sp[r]] for r in range(len(cur))]
-        letters.append(desc)
-    r_simple_images = []
-    for i in range(rs.rank):
-        img_root = rs.all_roots[cur[simple_idx[i]]]
-        r_simple_images.append(rs.simple_roots.index(img_root))
-    r = DatumAutomorphism(cur, r_simple_images)
-    # g = r * s_{i_k} ... s_{i_1}
-    rev = tuple(reversed(letters))
-    w = element_from_word(rs, rev) if rs.rank <= WEYL_RANK_CAP \
-        else WeylElement(rev, _compose_word(rs, rev))
+    _, r_perm = _peel(rs, perm)
+    r = DatumAutomorphism(r_perm, [simple_idx.index(r_perm[b]) for b in simple_idx])
+    w_perm = tuple(map(_inverse(r_perm).__getitem__, perm))   # w = r^-1 g
+    # the smallest right descents of w^-1, in turn, spell w's least reduced word
+    word, rest = _peel(rs, _inverse(w_perm))
+    assert rest == list(range(len(perm)))
+    w = WeylElement(word, w_perm)
     # exact recomposition check
     assert tuple(r.perm[w.perm[i]] for i in range(len(perm))) == perm
     return r, w
 
 
-def _compose_word(rs, word):
-    n = len(rs.all_roots)
-    perm = list(range(n))
-    for j in word:
-        sp = rs.simple_reflection_perm(j)
-        perm = [perm[sp[r]] for r in range(n)]
-    return tuple(perm)
+def _peel(rs: RootSystem, perm):
+    """Strip the smallest right descent s_i (perm sends alpha_i negative) until
+    none is left: perm = rest * s_{i_k} ... s_{i_1}; returns ([i_1, ...], rest)."""
+    np = rs.n_positive
+    simple_idx = [rs.index[s] for s in rs.simple_roots]
+    letters, cur = [], list(perm)
+    while (i := next((i for i, b in enumerate(simple_idx) if cur[b] >= np), None)) is not None:
+        cur = [cur[k] for k in rs.simple_reflection_perm(i)]
+        letters.append(i)
+    return letters, cur
+
+
+def _inverse(perm):
+    return sorted(range(len(perm)), key=perm.__getitem__)
 
 
 class BasedRootDatum:
@@ -392,8 +384,7 @@ class BasedRootDatum:
         coroots = rs._cache.get("coroots")
         if coroots is None:   # it depends on rs alone, and is padded per datum
             coroots = rs._cache["coroots"] = tuple(
-                tuple(2 * _dot(a, b) // _dot(b, b) for a in rs.simple_roots)
-                for b in rs.all_roots)
+                tuple(_pairing(a, b) for a in rs.simple_roots) for b in rs.all_roots)
         self.coroots = tuple(c + pad for c in coroots) if pad else coroots
         self.basis = tuple(rs.index[s] for s in rs.simple_roots)
 

@@ -6,7 +6,8 @@ mu-functions (mu_function) share only conventions: long orbit first, lambda*
 only on the short orbit of type B, the dual-type swap, and q-parameters that
 are powers of v = q_F^(1/2) at any q-base (label_params converts them).  Each
 label set that the unitary principal-series descriptor, a classical family or a
-determined case record emits is fed to both.
+determined case record emits is fed to both, and so is each B or C set that the
+isogeny transfer moves make of them.
 """
 import itertools
 import time
@@ -14,6 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 from hecke.hecke_algebra import algebra, check_relations
+from hecke.isogeny_transfer import class_preserved, roundtrip_check, transfer
 from hecke.label_params import LabelFunction, ParamPair, QBase, validate
 from hecke.mu_function import mu_factor, poles_zeros, q_from_poles
 from hecke.param_catalog import (CaseRecord, ClassicalFamily, _dual_type, classical_labels,
@@ -153,4 +155,39 @@ def test_case_database_labels_build_and_round_trip():
     assert {(rec.relative, dual) for rec, dual, _, _ in rows} == {
         ("G2", "G2"), ("F4", "F4"), ("B2", "B2"), ("B3", "C3"), ("B4", "C4"), ("C3", "B3"),
         ("A1xA1", "A1"), ("F4xA1", "F4")}
+    assert time.monotonic() - t0 < 5
+
+
+def _transfer_inputs():
+    """Every (type, labels) of type B or C that the three audits above emit."""
+    ps = {(f"{system}{rank}", lf) for system, rank, lf in _ps_label_sets()}
+    classical = {(f"{lab.component}2", _classical_lf(lab, 1))
+                 for lab in map(classical_labels, _classical_families())}
+    cases = {(dual, lf) for _, dual, lf, _ in _case_label_sets()}
+    return {comp for comp in ps | classical | cases if comp[0][0] in "BC"}
+
+
+def test_isogeny_transfer_outputs_build_and_round_trip():
+    """Moves ii and iii, both ways, on every emitted B/C set they accept."""
+    t0 = time.monotonic()
+    inputs = _transfer_inputs()
+    outputs = set()
+    for comp, case, direction in itertools.product(sorted(inputs, key=repr), ("ii", "iii"),
+                                                   ("to-quotient", "to-cover")):
+        try:
+            out = transfer(comp, case, direction)
+        except ValueError:   # the other letter, or an orbit the move cannot carry
+            continue
+        typ, lf = out
+        assert not validate(lf, build_root_system(*parse_type(typ))), (comp, case, direction)
+        _round_trips(lf)
+        assert roundtrip_check(comp, case, direction), (comp, case, direction)
+        assert class_preserved(comp, out), (comp, case, direction)
+        outputs.add(out)
+    new = outputs - inputs
+    for typ, lf in sorted(new, key=repr):
+        _builds(*parse_type(typ), lf)
+    # 15 principal-series, 215 classical and 6 case-database sets, 231 distinct;
+    # 12 outputs are emitted by no audit, C2 with long labels up to 42 among them
+    assert len(inputs) == 231 and len(outputs) == 82 and len(new) == 12
     assert time.monotonic() - t0 < 5

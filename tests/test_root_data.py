@@ -1,9 +1,12 @@
 """Root systems, Weyl enumeration, extended-symmetry factorization, root data."""
+import itertools
+import random
+
 import pytest
 
 from hecke.root_data import (ROOT_COUNTS, BasedRootDatum, SizeLimitError, WeylElement,
-                             build_root_system, decompose_extended,
-                             element_from_word, length, simple_orbits, weyl_group)
+                             build_root_system, decompose_extended, element_from_word,
+                             length, parse_type, simple_orbits, weyl_group)
 
 from _reference import dot, norm_orbits, weyl_bfs
 
@@ -112,6 +115,96 @@ def test_decompose_extended_a2():
     assert not r3.is_identity() and len(w3.word) == 1
     with pytest.raises(ValueError):
         decompose_extended([[1, 0, 0], [0, 1, 0], [0, 0, 2]], rs)
+
+
+def _signed_permutation(perm, signs):
+    return [[signs[i] if j == perm[i] else 0 for j in range(len(perm))]
+            for i in range(len(perm))]
+
+
+def _compose(rs, word):
+    """The root permutation of s_{word[0]} ... s_{word[-1]}."""
+    perm = tuple(range(len(rs.all_roots)))
+    for j in word:
+        perm = tuple(perm[k] for k in rs.simple_reflection_perm(j))
+    return perm
+
+
+def _check_least_word(rs, w):
+    """w's word is reduced, spells w, and each letter is the smallest left
+    descent s_i (u^-1 alpha_i < 0) of the element u that its suffix spells."""
+    assert len(w.word) == length(w, rs)
+    assert _compose(rs, w.word) == w.perm
+    np, simple = rs.n_positive, [rs.index[a] for a in rs.simple_roots]
+    for k, letter in enumerate(w.word):
+        u = _compose(rs, w.word[k:])
+        inverse = {img: i for i, img in enumerate(u)}
+        assert letter == min(i for i, b in enumerate(simple) if inverse[b] >= np)
+
+
+@pytest.mark.parametrize("t,n", [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4),
+                                 ("G", 2)])
+def test_decompose_words_are_weyl_group_words(t, n):
+    """Every signed permutation matrix that keeps the root set reaches every
+    element of W (times -I on A, times the diagram flip on D4), and w gets the
+    word weyl_group lists for it."""
+    rs = build_root_system(t, n)
+    words = {w.perm: w.word for w in weyl_group(rs)}
+    reached, flipped = set(), 0
+    for perm in itertools.permutations(range(rs.dim)):
+        for signs in itertools.product((1, -1), repeat=rs.dim):
+            try:
+                r, w = decompose_extended(_signed_permutation(perm, signs), rs)
+            except ValueError:   # not a symmetry of the root set
+                continue
+            assert w.word == words[w.perm]
+            reached.add(w.perm)
+            flipped += not r.is_identity()
+    assert reached == set(words)
+    assert flipped == {"A": len(words), "D": len(words)}.get(t, 0)
+
+
+@pytest.mark.parametrize("t,n", [("A", 5), ("B", 5), ("D", 5)])
+def test_decompose_words_are_least_at_rank_five(t, n):
+    rs = build_root_system(t, n)
+    rng = random.Random(30)
+    for _ in range(40):
+        perm = rng.sample(range(rs.dim), rs.dim)
+        signs = [rng.choice((1, -1)) for _ in perm]
+        if t == "A":
+            signs = [signs[0]] * rs.dim
+        r, w = decompose_extended(_signed_permutation(perm, signs), rs)
+        _check_least_word(rs, w)
+
+
+def test_decompose_w0_of_e8():
+    rs = build_root_system("E", 8)
+    r, w = decompose_extended(_signed_permutation(range(8), [-1] * 8), rs)
+    assert r.is_identity() and len(w.word) == rs.n_positive == 120
+    _check_least_word(rs, w)
+
+
+def test_decompose_word_does_not_depend_on_the_rank():
+    """The coordinate swap (1 2)(3 4) is s_0 s_2 on A4 and on A5."""
+    for n in (4, 5):
+        rs = build_root_system("A", n)
+        r, w = decompose_extended(_signed_permutation((1, 0, 3, 2, *range(4, n + 1)),
+                                                      [1] * (n + 1)), rs)
+        assert r.is_identity() and w.word == (0, 2)
+
+
+def test_parse_type_and_simple_orbits_share_one_type_table():
+    for letter, n in itertools.product("ABCDEFGH", range(10)):
+        try:
+            simple_orbits(letter, n)
+        except ValueError as err:
+            with pytest.raises(ValueError) as info:
+                parse_type(f"{letter}{n}")
+            assert str(info.value) == str(err)
+        else:
+            assert parse_type(f"{letter}{n}") == (letter, n)
+    huge = 10 ** 30   # checked without building its orbits
+    assert parse_type(f"B{huge}") == ("B", huge)
 
 
 def test_components_and_simple_orbits():
